@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import InfeasibleError, RadcomError, ValidationError
 from .optimizer import (DEFAULT_GRID_COUNT, DEFAULT_GRID_HI, DEFAULT_GRID_LO,
@@ -37,23 +39,25 @@ DEFAULT_GAPS_DB = (5.0, 10.0, 15.0)
 INSTFREQ_REL_TOL = 1e-6
 
 
-def _fmt(value: float) -> str:
-    """Fixed scientific notation with 9 significant digits."""
-    return f"{value:.8e}"
+def _claim(out: str, force: bool, *extra: Path) -> Path:
+    """Path of out; without --force, refuses first if any output exists or repeats."""
+    out_path = Path(out)
+    paths = [out_path, *extra, _manifest_path(out_path)]
+    for i, path in enumerate(paths):
+        if not force and (path.exists() or path in paths[:i]):
+            raise ValidationError(f"refusing to overwrite {path} (use --force)")
+    return out_path
 
 
-def _write_text(path: Path, content: str, force: bool) -> None:
-    if path.exists() and not force:
-        raise ValidationError(f"refusing to overwrite {path} (use --force)")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
+def _csv_content(header: str, rows) -> str:
+    """CSV text; every cell in fixed scientific notation, 9 significant digits."""
+    line = ",".join(["%.8e"] * (header.count(",") + 1))
+    return "\n".join([header, *(line % tuple(row) for row in rows)]) + "\n"
 
 
-def _csv_content(header: str, rows: list[list[float]]) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _column_rows(*columns):
+    """Rows of equal-length columns (arrays or sequences) as tuples of floats."""
+    return zip(*(np.asarray(c).tolist() for c in columns))
 
 
 def _json_content(payload: dict) -> str:
@@ -73,19 +77,25 @@ def _scenario_from_manifest(entry: dict) -> ScenarioConfig:
     return ScenarioConfig(**{k: v for k, v in entry.items() if k in names})
 
 
-def _manifest(command: str, cfg: ScenarioConfig | None, params: dict,
-              outputs: list[Path]) -> dict:
-    return {
+def _manifest_path(out_path: Path) -> Path:
+    return Path(str(out_path) + ".manifest.json")
+
+
+def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
+                   files: dict[Path, str]) -> None:
+    """Write the data files, then the manifest beside the first (primary) one."""
+    manifest = {
         "command": command,
         "tool_version": __version__,
         "scenario": scenario_report_fields(cfg) if cfg is not None else None,
         "params": params,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p) for p in files],
     }
-
-
-def _write_manifest(out_path: Path, manifest: dict, force: bool) -> None:
-    _write_text(Path(str(out_path) + ".manifest.json"), _json_content(manifest), force)
+    files = {**files, _manifest_path(next(iter(files))): _json_content(manifest)}
+    for path, content in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(content)
 
 
 def _parse_grid(text: str) -> dict:
@@ -131,7 +141,15 @@ def _parse_qos_pair(text: str) -> tuple[float, float]:
         raise ValidationError(f"QoS pair must look like r01:r02, got {text!r}") from None
 
 
-def _parse_alloc(text: str) -> PowerAllocation:
+def _parse_qos_list(items: list[str] | None) -> list[tuple[float, float]]:
+    if items is None:
+        return list(DEFAULT_QOS_PAIRS)
+    if not all(item.strip() for item in items):
+        raise ValidationError("empty QoS list entry")
+    return [_parse_qos_pair(item) for item in items]
+
+
+def _parse_alloc(text: str) -> list[float]:
     try:
         a1_s, a2_s, ar_s = text.split(":")
         alloc = PowerAllocation(float(a1_s), float(a2_s), float(ar_s))
@@ -140,54 +158,49 @@ def _parse_alloc(text: str) -> PowerAllocation:
             f"allocation must look like a1_sq:a2_sq:ar_sq, got {text!r}") from None
     if max(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq) > 1.0 or alloc.power_sum > 1.0 + 1e-12:
         raise ValidationError(f"allocation {text!r} exceeds the unit power budget")
-    return alloc
+    return [alloc.a1_sq, alloc.a2_sq, alloc.ar_sq]
 
 
 SWEEP_HEADER = ("ar_sq,a1_sq,a2_sq,r1,r2,r_sum,sigma_eps_sq,"
                 "sigma_eps_sq_norm,log10_norm,fairness")
 
 
-def _sweep_rows(result: SweepResult) -> list[list[float]]:
-    rows = []
-    for pt in result.points:
-        log10_norm = (math.log10(pt.sigma_eps_sq_normalized)
-                      if math.isfinite(pt.sigma_eps_sq_normalized) else math.inf)
-        rows.append([pt.alloc.ar_sq, pt.alloc.a1_sq, pt.alloc.a2_sq,
-                     pt.r1, pt.r2, pt.r_sum, pt.sigma_eps_sq,
-                     pt.sigma_eps_sq_normalized, log10_norm, pt.fairness])
-    return rows
+def _sweep_rows(result: SweepResult):
+    c = result.curve
+    return _column_rows(c.alloc.ar_sq, c.alloc.a1_sq, c.alloc.a2_sq, c.r1, c.r2,
+                        c.r_sum, c.sigma_eps_sq, c.sigma_eps_sq_normalized,
+                        np.log10(c.sigma_eps_sq_normalized), c.fairness)
 
 
 def run_sweep(cfg: ScenarioConfig, r02: float, waveform: str, grid: dict,
               out: str, force: bool) -> int:
     kind = _parse_waveform(waveform)
+    out_path = _claim(out, force)
     grid_arr = default_grid(grid["lo"], grid["hi"], grid["count"])
     result = tradeoff_sweep(cfg, r02, _spec_for(cfg, kind), grid_arr)
-    out_path = Path(out)
-    _write_text(out_path, _csv_content(SWEEP_HEADER, _sweep_rows(result)), force)
     params = {"r02": r02, "waveform": kind.value, "grid": grid}
-    _write_manifest(out_path, _manifest("sweep", cfg, params, [out_path]), force)
+    _write_outputs("sweep", cfg, params,
+                   {out_path: _csv_content(SWEEP_HEADER, _sweep_rows(result))})
     tail = result.infeasible_tail_start
-    print(f"sweep: {len(result.points)} feasible points -> {out_path}"
+    print(f"sweep: {len(result.curve.r_sum)} feasible points -> {out_path}"
           + (f" (infeasible for ar_sq > {tail:.6g})" if tail is not None else ""))
     return EXIT_OK
 
 
-def run_starpoints(cfg: ScenarioConfig, qos_list: list[tuple[float, float]],
+def run_starpoints(cfg: ScenarioConfig, qos: list[tuple[float, float]],
                    waveform: str, out: str, force: bool) -> int:
-    if not qos_list:
+    if not qos:
         raise ValidationError("empty QoS list")
     kind = _parse_waveform(waveform)
+    out_path = _claim(out, force)
     spec = _spec_for(cfg, kind)
     rows = []
-    for r01, r02 in qos_list:
+    for r01, r02 in qos:
         pt = star_point(cfg, QosRequirement(r01=r01, r02=r02), spec)
         rows.append([r01, r02, pt.alloc.ar_sq, pt.r_sum, pt.sigma_eps_sq_normalized])
-    out_path = Path(out)
-    _write_text(out_path,
-                _csv_content("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", rows), force)
-    params = {"qos": [list(pair) for pair in qos_list], "waveform": kind.value}
-    _write_manifest(out_path, _manifest("starpoints", cfg, params, [out_path]), force)
+    params = {"qos": [list(pair) for pair in qos], "waveform": kind.value}
+    _write_outputs("starpoints", cfg, params, {
+        out_path: _csv_content("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", rows)})
     print(f"starpoints: {len(rows)} QoS pairs -> {out_path}")
     return EXIT_OK
 
@@ -197,17 +210,17 @@ def run_fairness(cfg: ScenarioConfig, r02_list: list[float], waveform: str,
     if not r02_list:
         raise ValidationError("empty r02 list")
     kind = _parse_waveform(waveform)
+    out_path = _claim(out, force)
     spec = _spec_for(cfg, kind)
     grid_arr = default_grid(grid["lo"], grid["hi"], grid["count"])
     rows = []
     for r02 in r02_list:
-        result = tradeoff_sweep(cfg, r02, spec, grid_arr)
-        for pt in result.points:
-            rows.append([r02, pt.alloc.ar_sq, pt.r_sum, pt.fairness])
-    out_path = Path(out)
-    _write_text(out_path, _csv_content("r02,ar_sq,r_sum,fairness", rows), force)
+        c = tradeoff_sweep(cfg, r02, spec, grid_arr).curve
+        rows.extend(_column_rows([r02] * len(c.r_sum), c.alloc.ar_sq, c.r_sum,
+                                 c.fairness))
     params = {"r02_list": r02_list, "waveform": kind.value, "grid": grid}
-    _write_manifest(out_path, _manifest("fairness", cfg, params, [out_path]), force)
+    _write_outputs("fairness", cfg, params,
+                   {out_path: _csv_content("r02,ar_sq,r_sum,fairness", rows)})
     print(f"fairness: {len(r02_list)} curves, {len(rows)} rows -> {out_path}")
     return EXIT_OK
 
@@ -220,22 +233,22 @@ def run_asymmetry(cfg: ScenarioConfig, r02: float, waveform: str,
         if not (math.isfinite(gap) and gap > 0.0):
             raise ValidationError(
                 f"asymmetry gap must be > 0 dB (strong/weak ordering), got {gap!r}")
-    grid_arr = default_grid(grid["lo"], grid["hi"], grid["count"])
     out_path = Path(out)
-    csv_paths = []
+    csv_paths = [out_path.with_name(f"{out_path.stem}_gap{g:g}db.csv") for g in gaps_db]
+    _claim(out, force, *csv_paths)
+    grid_arr = default_grid(grid["lo"], grid["hi"], grid["count"])
+    files = {}
     summary = []
-    for gap in gaps_db:
+    for gap, csv_path in zip(gaps_db, csv_paths):
         lowered = replace(cfg, h2_gain=cfg.h1_gain * 10.0 ** (-gap / 10.0))
         result = tradeoff_sweep(lowered, r02, spec, grid_arr)
-        csv_path = out_path.with_name(f"{out_path.stem}_gap{gap:g}db.csv")
-        _write_text(csv_path, _csv_content(SWEEP_HEADER, _sweep_rows(result)), force)
-        csv_paths.append(csv_path)
+        files[csv_path] = _csv_content(SWEEP_HEADER, _sweep_rows(result))
         summary.append({
             "gap_db": gap,
             "h1_gain": lowered.h1_gain,
             "h2_gain": lowered.h2_gain,
             "infeasible_tail_start": result.infeasible_tail_start,
-            "feasible_points": len(result.points),
+            "feasible_points": len(result.curve.r_sum),
             "csv": str(csv_path),
         })
     payload = {
@@ -244,10 +257,9 @@ def run_asymmetry(cfg: ScenarioConfig, r02: float, waveform: str,
         "fixed_gain": "h1_gain stays at the scenario value; h2_gain is lowered",
         "curves": summary,
     }
-    _write_text(out_path, _json_content(payload), force)
     params = {"r02": r02, "waveform": kind.value, "gaps_db": gaps_db, "grid": grid}
-    _write_manifest(out_path,
-                    _manifest("asymmetry", cfg, params, [out_path, *csv_paths]), force)
+    _write_outputs("asymmetry", cfg, params,
+                   {out_path: _json_content(payload), **files})
     print(f"asymmetry: {len(gaps_db)} gaps -> {out_path}")
     return EXIT_OK
 
@@ -257,6 +269,7 @@ def run_waveform_validate(waveform: str, tw_list: list[float], bandwidth_hz: flo
     if not tw_list:
         raise ValidationError("empty TW list")
     kind = _parse_waveform(waveform)
+    out_path = _claim(out, force)
     rows = []
     worst = 0.0
     for tw in tw_list:
@@ -272,14 +285,12 @@ def run_waveform_validate(waveform: str, tw_list: list[float], bandwidth_hz: flo
         worst = max(worst, instfreq_err)
         rows.append([tw, e_analytic, e_numeric, b_analytic, b_instfreq,
                      b_spectrum, instfreq_err, spectrum_err])
-    out_path = Path(out)
     header = ("tw,energy_analytic,energy_numeric,brms_sq_analytic,"
               "brms_sq_instfreq,brms_sq_spectrum,instfreq_rel_err,spectrum_rel_err")
-    _write_text(out_path, _csv_content(header, rows), force)
     params = {"waveform": kind.value, "tw_list": tw_list,
               "bandwidth_hz": bandwidth_hz, "oversampling": oversampling}
-    _write_manifest(out_path, _manifest("waveform-validate", None, params,
-                                        [out_path]), force)
+    _write_outputs("waveform-validate", None, params,
+                   {out_path: _csv_content(header, rows)})
     if worst > INSTFREQ_REL_TOL:
         print(f"waveform-validate: FAILED, instantaneous-frequency moment off "
               f"by {worst:.3e} (> {INSTFREQ_REL_TOL:g}) -> {out_path}",
@@ -290,13 +301,14 @@ def run_waveform_validate(waveform: str, tw_list: list[float], bandwidth_hz: flo
     return EXIT_OK
 
 
-def run_mc_delay(cfg: ScenarioConfig, alloc: PowerAllocation, waveform: str,
+def run_mc_delay(cfg: ScenarioConfig, alloc: list[float], waveform: str,
                  delay_s: float, trials: int, seed: int, out: str,
                  force: bool) -> int:
     kind = _parse_waveform(waveform)
-    report = mc_delay_estimation(cfg, alloc, _spec_for(cfg, kind), k=1,
+    out_path = _claim(out, force)
+    split = PowerAllocation(*alloc)
+    report = mc_delay_estimation(cfg, split, _spec_for(cfg, kind), k=1,
                                  true_delay_s=delay_s, trials=trials, seed=seed)
-    out_path = Path(out)
     payload = {
         "trials": report.trials,
         "true_delay_s": report.true_delay_s,
@@ -306,46 +318,42 @@ def run_mc_delay(cfg: ScenarioConfig, alloc: PowerAllocation, waveform: str,
         "efficiency": report.efficiency,
         "seed": report.seed,
     }
-    _write_text(out_path, _json_content(payload), force)
-    params = {"alloc": [alloc.a1_sq, alloc.a2_sq, alloc.ar_sq],
+    params = {"alloc": list(alloc),
               "waveform": kind.value, "delay_s": delay_s,
               "trials": trials, "seed": seed}
-    _write_manifest(out_path, _manifest("mc-delay", cfg, params, [out_path]), force)
+    _write_outputs("mc-delay", cfg, params, {out_path: _json_content(payload)})
     print(f"mc-delay: efficiency {report.efficiency:.3f} at "
           f"{report.snr_post_db:.1f} dB -> {out_path}")
     return EXIT_OK
 
 
+RUNNERS = {"sweep": run_sweep, "starpoints": run_starpoints, "fairness": run_fairness,
+           "asymmetry": run_asymmetry, "waveform-validate": run_waveform_validate,
+           "mc-delay": run_mc_delay}
+
+# Parsers turning command-line text into the parameters a manifest records.
+_ARG_PARSERS = {
+    "grid": _parse_grid,
+    "qos": _parse_qos_list,
+    "r02_list": lambda text: _parse_floats(text, "r02"),
+    "gaps_db": lambda text: _parse_floats(text, "gap"),
+    "tw_list": lambda text: _parse_floats(text, "TW"),
+    "alloc": _parse_alloc,
+}
+
+
 def run_from_manifest(manifest: dict, out: str | None, force: bool) -> int:
     command = manifest.get("command")
-    params = manifest.get("params", {})
-    cfg = (_scenario_from_manifest(manifest["scenario"])
-           if manifest.get("scenario") else None)
+    params = {**manifest.get("params", {})}
+    if manifest.get("scenario"):
+        params["cfg"] = _scenario_from_manifest(manifest["scenario"])
     outputs = manifest.get("outputs") or []
     if not outputs:
         raise ValidationError("manifest lists no outputs")
-    target = out if out is not None else outputs[0]
-    if command == "sweep":
-        return run_sweep(cfg, params["r02"], params["waveform"], params["grid"],
-                         target, force)
-    if command == "starpoints":
-        qos = [tuple(pair) for pair in params["qos"]]
-        return run_starpoints(cfg, qos, params["waveform"], target, force)
-    if command == "fairness":
-        return run_fairness(cfg, params["r02_list"], params["waveform"],
-                            params["grid"], target, force)
-    if command == "asymmetry":
-        return run_asymmetry(cfg, params["r02"], params["waveform"],
-                             params["gaps_db"], params["grid"], target, force)
-    if command == "waveform-validate":
-        return run_waveform_validate(params["waveform"], params["tw_list"],
-                                     params["bandwidth_hz"],
-                                     params["oversampling"], target, force)
-    if command == "mc-delay":
-        alloc = PowerAllocation(*params["alloc"])
-        return run_mc_delay(cfg, alloc, params["waveform"], params["delay_s"],
-                            params["trials"], params["seed"], target, force)
-    raise ValidationError(f"manifest names unknown command {command!r}")
+    if command not in RUNNERS:
+        raise ValidationError(f"manifest names unknown command {command!r}")
+    return RUNNERS[command](**params, out=out if out is not None else outputs[0],
+                            force=force)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -411,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alloc", default="0.0:0.0:1.0", metavar="A1:A2:AR",
                    help="power split a1_sq:a2_sq:ar_sq")
     p.add_argument("--waveform", default="linear")
-    p.add_argument("--delay", type=float, required=True,
+    p.add_argument("--delay", dest="delay_s", type=float, required=True,
                    help="true round-trip delay, s")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=12345)
@@ -433,41 +441,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage problems and 0 on --help.
         return EXIT_OK if err.code in (0, None) else EXIT_USAGE
     try:
-        if args.command == "sweep":
-            cfg = _load_scenario_file(args.scenario)
-            return run_sweep(cfg, args.r02, args.waveform,
-                             _parse_grid(args.grid), args.out, args.force)
-        if args.command == "starpoints":
-            cfg = _load_scenario_file(args.scenario)
-            if args.qos is None:
-                qos_list = list(DEFAULT_QOS_PAIRS)
-            else:
-                qos_list = []
-                for item in args.qos:
-                    if not item.strip():
-                        raise ValidationError("empty QoS list entry")
-                    qos_list.append(_parse_qos_pair(item))
-            return run_starpoints(cfg, qos_list, args.waveform, args.out, args.force)
-        if args.command == "fairness":
-            cfg = _load_scenario_file(args.scenario)
-            return run_fairness(cfg, _parse_floats(args.r02_list, "r02"),
-                                args.waveform, _parse_grid(args.grid),
-                                args.out, args.force)
-        if args.command == "asymmetry":
-            cfg = _load_scenario_file(args.scenario)
-            return run_asymmetry(cfg, args.r02, args.waveform,
-                                 _parse_floats(args.gaps_db, "gap"),
-                                 _parse_grid(args.grid), args.out, args.force)
-        if args.command == "waveform-validate":
-            return run_waveform_validate(args.waveform,
-                                         _parse_floats(args.tw_list, "TW"),
-                                         args.bandwidth_hz, args.oversampling,
-                                         args.out, args.force)
-        if args.command == "mc-delay":
-            cfg = _load_scenario_file(args.scenario)
-            return run_mc_delay(cfg, _parse_alloc(args.alloc), args.waveform,
-                                args.delay, args.trials, args.seed,
-                                args.out, args.force)
         if args.command == "rerun":
             try:
                 manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
@@ -480,7 +453,12 @@ def main(argv: list[str] | None = None) -> int:
             except (KeyError, TypeError) as err:
                 raise ValidationError(
                     f"manifest is missing or mistypes a field: {err}") from err
-        raise ValidationError(f"unknown command {args.command!r}")
+        params = {key: _ARG_PARSERS.get(key, lambda value: value)(value)
+                  for key, value in vars(args).items()
+                  if key not in ("command", "scenario", "out", "force")}
+        if "scenario" in args:
+            params["cfg"] = _load_scenario_file(args.scenario)
+        return RUNNERS[args.command](**params, out=args.out, force=args.force)
     except InfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .scenario import PowerAllocation, ScenarioConfig
+from .scenario import PowerAllocation, ScenarioConfig, holds_everywhere
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,7 @@ class RateReport:
 
 def compute_sinr(cfg: ScenarioConfig,
                  alloc: PowerAllocation) -> tuple[float, float, float]:
-    """Return (gamma1, gamma2, gamma2_bar) for the given power split.
+    """Return (gamma1, gamma2, gamma2_bar) for the given power split(s).
 
     gamma1 is interference-free (s2 already stripped, radar known);
     gamma2 sees s1 as interference at the weak user's receiver;
@@ -49,13 +51,12 @@ def compute_sinr(cfg: ScenarioConfig,
 
 
 def rate_report(cfg: ScenarioConfig, alloc: PowerAllocation) -> RateReport:
-    """Evaluate the rate bounds of both users for one power split."""
+    """Evaluate the rate bounds of both users for one power split or an array of them."""
     gamma1, gamma2, gamma2_bar = compute_sinr(cfg, alloc)
-    r1 = math.log2(1.0 + gamma1)
-    r2_own = math.log2(1.0 + gamma2)
-    r2_sic = math.log2(1.0 + gamma2_bar)
-    limited = r2_sic < r2_own
-    r2 = r2_sic if limited else r2_own
+    r1 = np.log2(1.0 + gamma1)
+    r2_own = np.log2(1.0 + gamma2)
+    r2_sic = np.log2(1.0 + gamma2_bar)
+    r2 = np.minimum(r2_own, r2_sic)
     return RateReport(
         gamma1=gamma1,
         gamma2=gamma2,
@@ -63,7 +64,7 @@ def rate_report(cfg: ScenarioConfig, alloc: PowerAllocation) -> RateReport:
         r1=r1,
         r2=r2,
         r_sum=r1 + r2,
-        r2_limited_by_sic=limited,
+        r2_limited_by_sic=r2_sic < r2_own,
     )
 
 
@@ -71,16 +72,19 @@ def jain_fairness(rates: Sequence[float]) -> float:
     """Normalized Jain index (sum x)^2 / (n sum x^2), in (0, 1].
 
     1 means perfectly even rates; 1/n means one user takes everything.
+    Each rate may be an array (one entry per split); entries whose rates
+    are all zero are nan, where scalar rates raise instead.
     """
     if len(rates) < 1:
         raise ValidationError("fairness needs at least one rate")
-    if any(not (math.isfinite(r) and r >= 0.0) for r in rates):
+    if not all(holds_everywhere((0.0 <= r) & (r < math.inf)) for r in rates):
         raise ValidationError(f"rates must be finite and >= 0, got {list(rates)!r}")
     sum_sq = sum(r * r for r in rates)
-    if sum_sq == 0.0:
+    if np.ndim(sum_sq) == 0 and sum_sq == 0.0:
         raise ValidationError("fairness undefined: all rates are zero")
     total = sum(rates)
-    return total * total / (len(rates) * sum_sq)
+    with np.errstate(invalid="ignore"):
+        return total * total / (len(rates) * sum_sq)
 
 
 def f1_derivative(cfg: ScenarioConfig, alloc: PowerAllocation) -> float:

@@ -18,7 +18,8 @@ import numpy as np
 from .comms import jain_fairness, rate_report
 from .errors import InfeasibleError, ValidationError
 from .radar import WaveformSpec, total_estimation_variance
-from .scenario import PowerAllocation, QosRequirement, ScenarioConfig
+from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
+                       holds_everywhere)
 
 DEFAULT_GRID_LO = 0.01
 DEFAULT_GRID_HI = 0.99
@@ -27,7 +28,8 @@ DEFAULT_GRID_COUNT = 200
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One sample of the rate versus estimation-error tradeoff."""
+    """One sample of the rate versus estimation-error tradeoff, or with array
+    fields one column per quantity over many samples (see :meth:`split`)."""
 
     alloc: PowerAllocation
     r_sum: float                     # bits/s/Hz
@@ -35,7 +37,16 @@ class TradeoffPoint:
     r2: float
     sigma_eps_sq: float              # s^2; inf when ar_sq = 0
     sigma_eps_sq_normalized: float   # >= 1; inf when ar_sq = 0
-    fairness: float                  # Jain index of (r1, r2)
+    fairness: float                  # Jain index of (r1, r2); nan when both are 0
+
+    def split(self) -> tuple[TradeoffPoint, ...]:
+        """One scalar TradeoffPoint per entry of an array-valued point."""
+        a = self.alloc
+        columns = (a.a1_sq, a.a2_sq, a.ar_sq, self.r_sum, self.r1, self.r2,
+                   self.sigma_eps_sq, self.sigma_eps_sq_normalized, self.fairness)
+        return tuple(
+            TradeoffPoint(PowerAllocation(a1, a2, ar), *rest)
+            for a1, a2, ar, *rest in zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -44,8 +55,13 @@ class SweepResult:
 
     spec: WaveformSpec
     qos: QosRequirement
-    points: tuple[TradeoffPoint, ...]          # ascending in ar_sq
+    curve: TradeoffPoint                       # array fields, ascending in ar_sq
     infeasible_tail_start: float | None        # ar_sq beyond which no split exists
+
+    @property
+    def points(self) -> tuple[TradeoffPoint, ...]:
+        """The curve as one TradeoffPoint per grid value."""
+        return self.curve.split()
 
 
 def default_grid(lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI,
@@ -59,35 +75,38 @@ def default_grid(lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI,
     return np.linspace(lo, hi, count)
 
 
+def _weak_user_need(cfg: ScenarioConfig, r02: float) -> float:
+    """Least kappa * h2_gain that carries the weak user's QoS rate r02."""
+    if not (math.isfinite(r02) and r02 > 0.0):
+        raise ValidationError(f"r02 must be > 0, got {r02!r}")
+    noise2 = cfg.sigma2_sq / cfg.total_power_mw
+    return noise2 * (2.0 ** r02 - 1.0)
+
+
 def optimal_allocation_for_sumrate(cfg: ScenarioConfig, r02: float,
                                    ar_sq: float) -> PowerAllocation:
     """Sum-rate-optimal split at a fixed radar share under the weak user's QoS.
 
     Puts the communications budget kappa = 1 - ar_sq entirely on the
     constraint line and sizes the weak user's share so its rate equals r02
-    exactly; the remainder goes to the strong user.
+    exactly; the remainder goes to the strong user.  ar_sq may be an array,
+    giving one split per entry.
     """
-    if not (math.isfinite(ar_sq) and 0.0 <= ar_sq < 1.0):
+    if not holds_everywhere((0.0 <= ar_sq) & (ar_sq < 1.0)):
         raise ValidationError(f"ar_sq must be in [0, 1), got {ar_sq!r}")
-    if not (math.isfinite(r02) and r02 > 0.0):
-        raise ValidationError(f"r02 must be > 0, got {r02!r}")
+    need = _weak_user_need(cfg, r02)
     kappa = 1.0 - ar_sq
     h2 = cfg.h2_gain
-    noise2 = cfg.sigma2_sq / cfg.total_power_mw
-    growth = 2.0 ** r02
-    need = noise2 * (growth - 1.0)
-    if kappa * h2 < need:
+    if not holds_everywhere(kappa * h2 >= need):
         kappa_min = need / h2
         raise InfeasibleError(
             f"QoS r02 = {r02:g} needs a communications budget of at least "
-            f"kappa_min = {kappa_min:.6g}, but 1 - ar_sq = {kappa:.6g}",
+            f"kappa_min = {kappa_min:.6g}, but 1 - ar_sq = {np.min(kappa):.6g}",
             kappa_min=kappa_min)
-    a1 = (kappa * h2 - need) / (h2 * growth)
-    a1 = max(a1, 0.0)
+    a1 = np.maximum((kappa * h2 - need) / (h2 * 2.0 ** r02), 0.0)
     # Pair the two fractions so their sum reproduces kappa bitwise.
     a2 = kappa - a1
-    if a1 < 0.5 * kappa:
-        a1 = kappa - a2
+    a1 = np.where(a1 < 0.5 * kappa, kappa - a2, a1)[()]
     return PowerAllocation(a1_sq=a1, a2_sq=a2, ar_sq=ar_sq)
 
 
@@ -116,35 +135,27 @@ def max_radar_allocation(cfg: ScenarioConfig,
     )
 
 
-def _build_point(cfg: ScenarioConfig, alloc: PowerAllocation,
-                 spec: WaveformSpec) -> TradeoffPoint:
+def _evaluate(cfg: ScenarioConfig, alloc: PowerAllocation,
+              spec: WaveformSpec) -> TradeoffPoint:
+    """Tradeoff columns over the splits of alloc (scalars count as one), in one pass."""
+    alloc = PowerAllocation(*np.atleast_1d(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq))
     rates = rate_report(cfg, alloc)
-    if alloc.ar_sq > 0.0:
-        crlb = total_estimation_variance(cfg, alloc, spec)
-        sigma_eps_sq = crlb.sigma_eps_sq
-        normalized = crlb.sigma_eps_sq_normalized
-    else:
-        sigma_eps_sq = math.inf
-        normalized = math.inf
-    if rates.r1 > 0.0 or rates.r2 > 0.0:
-        fairness = jain_fairness((rates.r1, rates.r2))
-    else:
-        fairness = math.nan
+    crlb = total_estimation_variance(cfg, alloc, spec)
     return TradeoffPoint(
         alloc=alloc,
         r_sum=rates.r_sum,
         r1=rates.r1,
         r2=rates.r2,
-        sigma_eps_sq=sigma_eps_sq,
-        sigma_eps_sq_normalized=normalized,
-        fairness=fairness,
+        sigma_eps_sq=crlb.sigma_eps_sq,
+        sigma_eps_sq_normalized=crlb.sigma_eps_sq_normalized,
+        fairness=jain_fairness((rates.r1, rates.r2)),
     )
 
 
 def star_point(cfg: ScenarioConfig, qos: QosRequirement,
                spec: WaveformSpec) -> TradeoffPoint:
     """Minimum-estimation-error point under both users' QoS constraints."""
-    return _build_point(cfg, max_radar_allocation(cfg, qos), spec)
+    return _evaluate(cfg, max_radar_allocation(cfg, qos), spec).split()[0]
 
 
 def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
@@ -163,25 +174,22 @@ def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
     if np.any(np.diff(grid_arr) <= 0.0):
         raise ValidationError("grid values must be strictly increasing")
 
-    points = []
-    kappa_min = None
-    for ar_sq in grid_arr:
-        try:
-            alloc = optimal_allocation_for_sumrate(cfg, r02, float(ar_sq))
-        except InfeasibleError as err:
-            kappa_min = err.kappa_min
-            break  # larger radar shares only shrink the budget further
-        points.append(_build_point(cfg, alloc, spec))
-    if not points:
+    need = _weak_user_need(cfg, r02)
+    # Larger radar shares only shrink the budget, so feasibility ends at the
+    # first short grid point.
+    short = (1.0 - grid_arr) * cfg.h2_gain < need
+    count = int(np.argmax(short)) if short.any() else len(grid_arr)
+    kappa_min = need / cfg.h2_gain if count < len(grid_arr) else None
+    if count == 0:
         raise InfeasibleError(
             f"no grid point is feasible for r02 = {r02:g} "
             f"(kappa_min = {kappa_min:.6g})", kappa_min=kappa_min)
-    tail = None if kappa_min is None else 1.0 - kappa_min
+    alloc = optimal_allocation_for_sumrate(cfg, r02, grid_arr[:count])
     return SweepResult(
         spec=spec,
         qos=QosRequirement(r01=0.0, r02=r02),
-        points=tuple(points),
-        infeasible_tail_start=tail,
+        curve=_evaluate(cfg, alloc, spec),
+        infeasible_tail_start=None if kappa_min is None else 1.0 - kappa_min,
     )
 
 
@@ -196,18 +204,15 @@ def sample_feasible_region(cfg: ScenarioConfig, spec: WaveformSpec, n: int,
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     rng = np.random.default_rng(seed)
-    points: list[TradeoffPoint] = []
-    while len(points) < n:
-        u = np.sort(rng.random((max(2 * (n - len(points)), 64), 3)), axis=1)
-        a1 = u[:, 0]
-        a2 = u[:, 1] - u[:, 0]
-        ar = u[:, 2] - u[:, 1]
-        for i in np.nonzero(a2 > a1)[0]:
-            points.append(_build_point(
-                cfg, PowerAllocation(float(a1[i]), float(a2[i]), float(ar[i])), spec))
-            if len(points) == n:
-                break
-    return points
+    batches = []
+    missing = n
+    while missing:
+        u = np.sort(rng.random((max(2 * missing, 64), 3)), axis=1)
+        # columns a1_sq = u0, a2_sq = u1 - u0, ar_sq = u2 - u1
+        splits = np.diff(u, axis=1, prepend=0.0)
+        batches.append(splits[splits[:, 1] > splits[:, 0]][:missing])
+        missing -= len(batches[-1])
+    return list(_evaluate(cfg, PowerAllocation(*np.concatenate(batches).T), spec).split())
 
 
 def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,

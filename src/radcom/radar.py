@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InfiniteCrlbError, ValidationError
 from .scenario import PowerAllocation, ScenarioConfig
 
@@ -87,21 +89,20 @@ def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
 
     Scales as noise / (reflectivity * radar power * energy * bandwidth *
     rms-bandwidth^2); the two-way channel contributes the squared linear
-    power gain of the target's link.
+    power gain of the target's link.  A scalar ar_sq of 0 raises
+    InfiniteCrlbError; zero entries of an array ar_sq give inf.
     """
-    if k not in (1, 2):
-        raise ValidationError(f"target index must be 1 or 2, got {k!r}")
-    if alloc.ar_sq == 0.0:
+    eta, h_gain = cfg.target(k)
+    if np.ndim(alloc.ar_sq) == 0 and alloc.ar_sq == 0.0:
         raise InfiniteCrlbError(
             "ar_sq = 0 gives zero Fisher information: the delay bound is infinite")
-    eta = cfg.eta1 if k == 1 else cfg.eta2
-    h_gain = cfg.h1_gain if k == 1 else cfg.h2_gain
     noise = _effective_radar_noise(cfg, include_si_residue)
     energy = analytic_energy(spec)
     brms_sq = analytic_rms_bandwidth_sq(spec)
     denom = (2.0 * eta ** 2 * h_gain ** 2 * alloc.ar_sq * cfg.total_power_mw
              * energy * spec.bandwidth_hz * brms_sq)
-    return noise / denom
+    with np.errstate(divide="ignore"):
+        return noise / denom
 
 
 def total_estimation_variance(cfg: ScenarioConfig, alloc: PowerAllocation,

@@ -11,11 +11,18 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ScenarioParseError, ValidationError
 
 
 class ModelAssumptionWarning(UserWarning):
     """A configuration is legal but strains a modeling assumption."""
+
+
+def holds_everywhere(mask) -> bool:
+    """Whether a condition holds: a single truth value, or every entry of an array."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -84,6 +91,12 @@ class ScenarioConfig:
         """Pulse duration T = TW / W, seconds."""
         return self.time_bandwidth / self.bandwidth_hz
 
+    def target(self, k: int) -> tuple[float, float]:
+        """(eta, h_gain) of radar target k: user k's cross-section and channel gain."""
+        if k not in (1, 2):
+            raise ValidationError(f"target index must be 1 or 2, got {k!r}")
+        return (self.eta1, self.h1_gain) if k == 1 else (self.eta2, self.h2_gain)
+
 
 @dataclass(frozen=True)
 class PowerAllocation:
@@ -91,7 +104,7 @@ class PowerAllocation:
 
     Construction only requires finite, non-negative values so that invalid
     splits can be represented and diagnosed; use :func:`validate_allocation`
-    to check the feasibility constraints.
+    to check the feasibility constraints.  Array fractions hold many splits.
     """
 
     a1_sq: float  # power fraction of user-1 signal
@@ -101,7 +114,7 @@ class PowerAllocation:
     def __post_init__(self):
         for name in ("a1_sq", "a2_sq", "ar_sq"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
+            if not holds_everywhere((0.0 <= value) & (value < math.inf)):
                 raise ValidationError(
                     f"{name} must be finite and >= 0, got {value!r}")
 

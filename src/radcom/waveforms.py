@@ -159,8 +159,7 @@ def post_integration_snr_db(cfg: ScenarioConfig, alloc: PowerAllocation,
     Equals reflectivity * radar power fraction * transmit power * TW over
     the radar noise power; TW is the pulse-compression gain.
     """
-    eta = cfg.eta1 if k == 1 else cfg.eta2
-    h_gain = cfg.h1_gain if k == 1 else cfg.h2_gain
+    eta, h_gain = cfg.target(k)
     snr = (eta ** 2 * h_gain ** 2 * alloc.ar_sq * cfg.total_power_mw
            * spec.time_bandwidth / cfg.sigma_r_sq)
     return 10.0 * math.log10(snr)
@@ -214,8 +213,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     t_obs = (np.arange(n_obs) + 0.5) / fs
     echo = _delayed_pulse(spec, t_obs, true_delay_s)
 
-    eta = cfg.eta1 if k == 1 else cfg.eta2
-    h_gain = cfg.h1_gain if k == 1 else cfg.h2_gain
+    eta, h_gain = cfg.target(k)
     amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
     a1 = math.sqrt(alloc.a1_sq)
     a2 = math.sqrt(alloc.a2_sq)

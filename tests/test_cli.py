@@ -1,11 +1,12 @@
 """CLI surface: exit codes, CSV/JSON formatting, manifests, reruns."""
 
 import json
+import math
 import re
 
 import pytest
 
-from radcom.cli import main
+from radcom.cli import _csv_content, main
 
 NUMBER = re.compile(r"^(-?\d\.\d{8}e[+-]\d{2,3}|inf|nan)$")
 
@@ -192,3 +193,39 @@ def test_rerun_missing_manifest(tmp_path):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_refused_sweep_writes_nothing(tmp_path, scenario):
+    out = tmp_path / "sweep.csv"
+    manifest = tmp_path / "sweep.csv.manifest.json"
+    manifest.write_text("{}\n", encoding="utf-8")
+    assert main(["sweep", scenario, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert manifest.read_text(encoding="utf-8") == "{}\n"
+    # an existing output is refused before the QoS is even checked
+    assert main(["sweep", scenario, "--r02", "3", "--out", str(out)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "scenario.txt", "sweep.csv.manifest.json"]
+
+
+def test_refused_asymmetry_writes_nothing(tmp_path, scenario):
+    out = tmp_path / "asym.json"
+    existing = tmp_path / "asym_gap15db.csv"
+    existing.write_text("keep\n", encoding="utf-8")
+    assert main(["asymmetry", scenario, "--out", str(out)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "asym_gap15db.csv", "scenario.txt"]
+    assert existing.read_text(encoding="utf-8") == "keep\n"
+    assert main(["asymmetry", scenario, "--out", str(out), "--force"]) == 0
+    assert (tmp_path / "asym_gap5db.csv").exists()
+    assert existing.read_text(encoding="utf-8").startswith("ar_sq,")
+
+
+def test_csv_cells_match_fixed_scientific_formatting():
+    values = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308,
+              0.123456789012345, 9.999999995, math.inf, -math.inf, math.nan]
+    text = _csv_content("a,b", [(v, -v) for v in values])
+    lines = text.split("\n")
+    assert lines[0] == "a,b" and lines[-1] == ""
+    for line, v in zip(lines[1:-1], values):
+        assert line.split(",") == [f"{v:.8e}", f"{-v:.8e}"]

@@ -166,3 +166,14 @@ def test_sum_rate_strictly_decreasing_in_weak_user_power():
             for a2 in grid
         ]
         assert all(a > b for a, b in zip(r_sums, r_sums[1:]))
+
+
+def test_jain_fairness_over_arrays_marks_all_zero_entries_nan():
+    r1 = np.array([1.0, 3.0, 0.0])
+    r2 = np.array([1.0, 1.0, 0.0])
+    index = jain_fairness((r1, r2))
+    assert index[0] == jain_fairness([1.0, 1.0])
+    assert index[1] == jain_fairness([3.0, 1.0])
+    assert math.isnan(index[2])
+    with pytest.raises(ValidationError):
+        jain_fairness((r1, np.array([1.0, -1.0, 0.0])))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_table_like_config
-from radcom import (InfeasibleError, PowerAllocation, QosRequirement,
-                    ScenarioConfig, ValidationError, WaveformKind, WaveformSpec,
-                    asymmetry_sweep, max_radar_allocation, min_power_for_qos,
+from radcom import (InfeasibleError, InfiniteCrlbError, PowerAllocation,
+                    QosRequirement, ScenarioConfig, ValidationError, WaveformKind,
+                    WaveformSpec, asymmetry_sweep, jain_fairness,
+                    max_radar_allocation, min_power_for_qos,
                     optimal_allocation_for_sumrate, rate_report,
                     sample_feasible_region, star_point, total_estimation_variance,
                     tradeoff_sweep, validate_allocation)
@@ -235,3 +236,66 @@ def test_random_configs_keep_the_qos_equality():
             continue
         assert alloc.a1_sq + alloc.a2_sq == 1.0 - ar_sq
         assert rate_report(cfg, alloc).r2 == pytest.approx(r02, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(WaveformKind))
+def test_sweep_columns_equal_the_scalar_api(kind):
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        cfg = random_table_like_config(rng)
+        spec = WaveformSpec(kind, cfg.bandwidth_hz, cfg.time_bandwidth)
+        # QoS whose infeasibility onset falls near ar_sq = 0.8
+        r02 = math.log2(1.0 + 0.2 * cfg.h2_gain * cfg.total_power_mw / cfg.sigma2_sq)
+        for grid in (np.linspace(0.01, 0.99, 2000), np.linspace(0.0, 0.9, 37)):
+            result = tradeoff_sweep(cfg, r02, spec, grid)
+            points = result.points
+            assert 0 < len(points) < len(grid)
+            # the sweep stops exactly where the scalar split turns infeasible
+            with pytest.raises(InfeasibleError):
+                optimal_allocation_for_sumrate(cfg, r02, float(grid[len(points)]))
+            for pt, ar_sq in zip(points, grid):
+                alloc = optimal_allocation_for_sumrate(cfg, r02, float(ar_sq))
+                assert pt.alloc == alloc
+                rates = rate_report(cfg, alloc)
+                assert (pt.r1, pt.r2, pt.r_sum) == (rates.r1, rates.r2, rates.r_sum)
+                assert pt.fairness == jain_fairness((rates.r1, rates.r2))
+                if ar_sq == 0.0:
+                    with pytest.raises(InfiniteCrlbError):
+                        total_estimation_variance(cfg, alloc, spec)
+                    assert pt.sigma_eps_sq == pt.sigma_eps_sq_normalized == math.inf
+                    continue
+                bound = total_estimation_variance(cfg, alloc, spec)
+                assert pt.sigma_eps_sq == bound.sigma_eps_sq
+                assert pt.sigma_eps_sq_normalized == bound.sigma_eps_sq_normalized
+
+
+def _rejection_sampled_splits(n, seed):
+    """Splits drawn one accepted draw at a time, as the sampler always has."""
+    rng = np.random.default_rng(seed)
+    splits = []
+    while len(splits) < n:
+        u = np.sort(rng.random((max(2 * (n - len(splits)), 64), 3)), axis=1)
+        a1, a2, ar = u[:, 0], u[:, 1] - u[:, 0], u[:, 2] - u[:, 1]
+        for i in np.nonzero(a2 > a1)[0]:
+            splits.append(PowerAllocation(float(a1[i]), float(a2[i]), float(ar[i])))
+            if len(splits) == n:
+                break
+    return splits
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (31, 5), (64, 9), (1000, 31)])
+def test_region_sampler_keeps_its_draws(n, seed):
+    points = sample_feasible_region(CFG, LINEAR, n, seed)
+    assert [pt.alloc for pt in points] == _rejection_sampled_splits(n, seed)
+    for pt in points[:50]:
+        rates = rate_report(CFG, pt.alloc)
+        assert (pt.r1, pt.r2) == (rates.r1, rates.r2)
+        assert pt.sigma_eps_sq == total_estimation_variance(
+            CFG, pt.alloc, LINEAR).sigma_eps_sq
+
+
+def test_star_point_without_rates_has_undefined_fairness():
+    pt = star_point(CFG, QosRequirement(0.0, 0.0), LINEAR)
+    assert pt.alloc == PowerAllocation(0.0, 0.0, 1.0)
+    assert pt.r_sum == 0.0
+    assert math.isnan(pt.fairness)
