@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -92,10 +93,22 @@ def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
         "outputs": [str(p) for p in files],
     }
     files = {**files, _manifest_path(next(iter(files))): _json_content(manifest)}
-    for path, content in files.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
+    # Every file goes to a temp file beside its target first; the targets are
+    # replaced only once all of them are written, so a failed write leaves
+    # no output (and no temp file) behind.
+    temps = {}
+    try:
+        for path, content in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temps[path], "w", encoding="utf-8", newline="") as handle:
+                handle.write(content)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except OSError as err:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise ValidationError(f"cannot write outputs: {err}") from err
 
 
 def _parse_grid(text: str) -> dict:

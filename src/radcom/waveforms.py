@@ -174,6 +174,19 @@ def _delayed_pulse(spec: WaveformSpec, t: np.ndarray, delay_s: float) -> np.ndar
     return out
 
 
+def _smooth_len(m: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= m (m >= 1): a length numpy's FFT does fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
                         spec: WaveformSpec, k: int, true_delay_s: float,
                         trials: int, seed: int,
@@ -191,6 +204,8 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     """
     if trials < MIN_MC_TRIALS:
         raise ValidationError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if alloc.ar_sq <= 0.0:
         raise ValidationError("mc_delay_estimation needs ar_sq > 0")
     w_hz = spec.bandwidth_hz
@@ -224,19 +239,30 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     # closed-form bound attainable here.
     noise_scale = math.sqrt(cfg.sigma_r_sq * (fs / w_hz))
 
-    fft_len = 1 << (n_obs + n - 1).bit_length()
+    # corr[m] sums z[m + j] * conj(x[j]) over j < n; for every kept lag
+    # m <= max_lag, m + j <= n_obs - 1 < fft_len, so no term wraps around.
+    fft_len = _smooth_len(n_obs)
     template_fft = np.conj(np.fft.fft(xt, fft_len))
     max_lag = n_obs - n
     crlb = crlb_delay(cfg, alloc, spec, k)
 
+    # z = amp * (a1 * s1 + a2 * s2 + ar * echo) + noise, where s1, s2 are
+    # unit circular Gaussians (g0 + i g1) / sqrt(2), (g2 + i g3) / sqrt(2)
+    # and the noise is noise_scale * (g4 + i g5): real parts from the even
+    # rows of g, imaginary parts from the odd rows.
+    coef = np.array([amp * a1 / math.sqrt(2.0), amp * a2 / math.sqrt(2.0), noise_scale])
+    signal = amp * ar * echo
+    g = np.empty((6, n_obs))
+    z = np.empty(n_obs, dtype=complex)
+    root = np.random.SeedSequence(seed)
     errors_sq = np.empty(trials)
-    for trial, child_seed in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child_seed)
+    for trial in range(trials):
+        rng = np.random.default_rng(root.spawn(1)[0])
         # Always draw every stream so equal seeds stay aligned across allocs.
-        s1 = (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs)) / math.sqrt(2.0)
-        s2 = (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs)) / math.sqrt(2.0)
-        noise = noise_scale * (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs))
-        z = amp * (a1 * s1 + a2 * s2 + ar * echo) + noise
+        rng.standard_normal(out=g)
+        np.matmul(coef, g[0::2], out=z.real)
+        np.matmul(coef, g[1::2], out=z.imag)
+        z += signal
         corr = np.fft.ifft(np.fft.fft(z, fft_len) * template_fft)
         mag = np.abs(corr[:max_lag + 1])
         peak = int(np.argmax(mag))

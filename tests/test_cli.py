@@ -1,11 +1,14 @@
 """CLI surface: exit codes, CSV/JSON formatting, manifests, reruns."""
 
+import builtins
+import errno
 import json
 import math
 import re
 
 import pytest
 
+from radcom import cli
 from radcom.cli import _csv_content, main
 
 NUMBER = re.compile(r"^(-?\d\.\d{8}e[+-]\d{2,3}|inf|nan)$")
@@ -185,6 +188,61 @@ def test_rerun_reproduces_mc_bytes(tmp_path, boosted):
     assert main(["rerun", str(tmp_path / "mc.json.manifest.json"),
                  "--out", str(replay)]) == 0
     assert replay.read_bytes() == out.read_bytes()
+
+
+def test_mc_delay_rejects_a_negative_seed(tmp_path, boosted):
+    out = tmp_path / "mc.json"
+    args = ["mc-delay", boosted, "--delay", "6.2832e-6", "--trials", "100"]
+    assert main(args + ["--seed", "-1", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert main(args + ["--seed", "0", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "mc.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["params"]["seed"] = -1
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    replay = tmp_path / "replay.json"
+    assert main(["rerun", str(manifest_path), "--out", str(replay)]) == 3
+    assert not replay.exists()
+
+
+def _fail_second_open(monkeypatch):
+    """Make the second file opened for writing by the CLI fail after creation."""
+    opened = []
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        handle = builtins.open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            opened.append(path)
+            if len(opened) == 2:
+                handle.close()
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return handle
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    return opened
+
+
+def test_failed_write_leaves_no_output(tmp_path, scenario, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    opened = _fail_second_open(monkeypatch)
+    assert main(["sweep", scenario, "--out", str(out)]) == 3
+    assert len(opened) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.txt"]
+
+
+def test_failed_forced_write_keeps_the_old_outputs(tmp_path, scenario, monkeypatch):
+    out = tmp_path / "asym.json"
+    assert main(["asymmetry", scenario, "--gaps-db", "5,10", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_second_open(monkeypatch)
+    assert main(["asymmetry", scenario, "--gaps-db", "5,10", "--r02", "1.0",
+                 "--out", str(out), "--force"]) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    assert main(["asymmetry", scenario, "--gaps-db", "5,10", "--r02", "1.0",
+                 "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    assert (tmp_path / "asym_gap5db.csv").read_bytes() != before["asym_gap5db.csv"]
 
 
 def test_rerun_missing_manifest(tmp_path):

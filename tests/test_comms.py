@@ -156,6 +156,19 @@ def test_f1_derivative_requires_the_constraint_line():
         f1_derivative(CFG, PowerAllocation(0.1, 0.1, 0.5))
 
 
+def test_f1_derivative_over_arrays_matches_the_scalar_calls():
+    a2_sq = np.linspace(0.01, 0.49, 25)
+    ar_sq = np.full_like(a2_sq, 0.5)
+    slopes = f1_derivative(CFG, PowerAllocation(0.5 - a2_sq, a2_sq, ar_sq))
+    assert slopes.shape == a2_sq.shape
+    for a2, slope in zip(a2_sq, slopes):
+        assert slope == f1_derivative(CFG, PowerAllocation(0.5 - a2, a2, 0.5))
+    off = a2_sq.copy()
+    off[3] += 1e-6
+    with pytest.raises(ValidationError, match="constraint line"):
+        f1_derivative(CFG, PowerAllocation(0.5 - a2_sq, off, ar_sq))
+
+
 def test_sum_rate_strictly_decreasing_in_weak_user_power():
     rng = np.random.default_rng(17)
     for _ in range(100):

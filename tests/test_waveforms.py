@@ -1,5 +1,6 @@
 """Sampled pulses: discretized moments and the Monte Carlo delay harness."""
 
+import bisect
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from radcom import (InfeasibleError, MomentMethod, PowerAllocation,
                     instantaneous_frequency, mc_delay_estimation, numeric_energy,
                     numeric_msq_derivative, numeric_rms_bandwidth_sq,
                     post_integration_snr_db, synthesize, write_waveform_text)
+from radcom.radar import crlb_delay
+from radcom.waveforms import _delayed_pulse, _smooth_len
 
 W_HZ = 2e7
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 1000.0)
@@ -129,6 +132,8 @@ def test_post_integration_snr_reference():
 def test_mc_guards():
     with pytest.raises(ValidationError, match="trials"):
         mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 50, 0)
+    with pytest.raises(ValidationError, match="seed"):
+        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 100, -1)
     with pytest.raises(ValidationError, match="ar_sq"):
         mc_delay_estimation(BOOSTED, PowerAllocation(0.5, 0.5, 0.0), LINEAR, 1,
                             DELAY_S, 200, 0)
@@ -179,3 +184,76 @@ def test_comm_interference_never_helps():
         without = mc_delay_estimation(cfg, quiet, LINEAR, 1, DELAY_S, 200, seed)
         with_comm = mc_delay_estimation(cfg, loud, LINEAR, 1, DELAY_S, 200, seed)
         assert with_comm.empirical_var >= without.empirical_var
+
+
+def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
+    """Mean squared delay error from the original trial loop: six separate
+    draws per trial and a power-of-two correlation length >= n_obs + n - 1."""
+    fs = 8.0 * spec.bandwidth_hz
+    xt = synthesize(spec, fs).samples
+    n = len(xt)
+    n_obs = n + int(math.ceil(delay_s * fs)) + 8
+    echo = _delayed_pulse(spec, (np.arange(n_obs) + 0.5) / fs, delay_s)
+    eta, h_gain = cfg.target(1)
+    amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
+    a1, a2, ar = (math.sqrt(v) for v in (alloc.a1_sq, alloc.a2_sq, alloc.ar_sq))
+    noise_scale = math.sqrt(cfg.sigma_r_sq * (fs / spec.bandwidth_hz))
+    fft_len = 1 << (n_obs + n - 1).bit_length()
+    template_fft = np.conj(np.fft.fft(xt, fft_len))
+    max_lag = n_obs - n
+    errors_sq = np.empty(trials)
+    for trial, child_seed in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child_seed)
+        s1 = (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs)) / math.sqrt(2.0)
+        s2 = (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs)) / math.sqrt(2.0)
+        noise = noise_scale * (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs))
+        z = amp * (a1 * s1 + a2 * s2 + ar * echo) + noise
+        corr = np.fft.ifft(np.fft.fft(z, fft_len) * template_fft)
+        mag = np.abs(corr[:max_lag + 1])
+        peak = int(np.argmax(mag))
+        delta = 0.0
+        if 0 < peak < max_lag:
+            left, mid, right = mag[peak - 1], mag[peak], mag[peak + 1]
+            curvature = left - 2.0 * mid + right
+            if curvature < 0.0:
+                delta = 0.5 * (left - right) / curvature
+        errors_sq[trial] = ((peak + delta) / fs - delay_s) ** 2
+    return float(np.mean(errors_sq))
+
+
+SHORT_W = 2e6   # TW = 100 with the same 50 us pulse as LINEAR
+# (time-bandwidth, bandwidth, radar noise, delay): the delay range is [2/W, T/2].
+MC_CASES = {
+    "tw100-at-2/W": (100.0, SHORT_W, 1e-22, 2.0 / SHORT_W),
+    "tw100-at-T/2": (100.0, SHORT_W, 1e-22, 0.5 * 100.0 / SHORT_W),
+    "tw100-inside": (100.0, SHORT_W, 1e-22, 1.234e-5),
+    "tw1000": (1000.0, W_HZ, 1e-21, DELAY_S),
+}
+
+
+@pytest.mark.parametrize("kind", [WaveformKind.LINEAR_FM, WaveformKind.PARABOLIC_FM],
+                         ids=["linear", "parabolic"])
+@pytest.mark.parametrize("alloc", [RADAR_ONLY, PowerAllocation(0.2, 0.55, 0.25)],
+                         ids=["radar-only", "interference"])
+@pytest.mark.parametrize("tw,w_hz,sigma_r_sq,delay_s", MC_CASES.values(),
+                         ids=MC_CASES.keys())
+def test_mc_matches_the_original_trial_loop(kind, alloc, tw, w_hz, sigma_r_sq, delay_s):
+    cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq, bandwidth_hz=w_hz, time_bandwidth=tw)
+    spec = WaveformSpec(kind, w_hz, tw)
+    report = mc_delay_estimation(cfg, alloc, spec, 1, delay_s, 100, 2024)
+    reference = _reference_mc_var(cfg, alloc, spec, delay_s, 100, 2024)
+    assert report.empirical_var == pytest.approx(reference, rel=1e-9)
+    assert report.efficiency == pytest.approx(
+        reference / crlb_delay(cfg, alloc, spec, 1), rel=1e-9)
+
+
+def test_smooth_fft_length_is_the_least_5_smooth_bound():
+    def is_smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    smooth = [k for k in range(1, 20001) if is_smooth(k)]
+    for m in range(1, 20001):
+        assert _smooth_len(m) == smooth[bisect.bisect_left(smooth, m)]
