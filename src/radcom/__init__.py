@@ -23,9 +23,8 @@ from .scenario import (ModelAssumptionWarning, PowerAllocation, QosRequirement,
                        validate_allocation)
 from .waveforms import (McDelayReport, MomentMethod, SampledWaveform,
                         instantaneous_frequency, mc_delay_estimation,
-                        numeric_energy, numeric_msq_derivative,
-                        numeric_rms_bandwidth_sq, post_integration_snr_db,
-                        synthesize, write_waveform_text)
+                        numeric_energy, numeric_rms_bandwidth_sq,
+                        post_integration_snr_db, synthesize)
 
 __all__ = [
     "__version__",
@@ -39,9 +38,8 @@ __all__ = [
     "f1_derivative", "instantaneous_frequency", "jain_fairness",
     "linear_to_db", "load_scenario", "max_radar_allocation",
     "mc_delay_estimation", "min_power_for_qos", "numeric_energy",
-    "numeric_msq_derivative", "numeric_rms_bandwidth_sq",
+    "numeric_rms_bandwidth_sq",
     "optimal_allocation_for_sumrate", "post_integration_snr_db", "rate_report",
     "sample_feasible_region", "star_point", "synthesize",
     "total_estimation_variance", "tradeoff_sweep", "validate_allocation",
-    "write_waveform_text",
 ]

@@ -233,6 +233,11 @@ def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
                 f"got {gap!r}")
     results = []
     for gap in gaps_db:
-        lowered = replace(cfg, h2_gain=cfg.h1_gain * 10.0 ** (-gap / 10.0))
+        lowered = replace(cfg, h2_gain=lowered_h2_gain(cfg, gap))
         results.append(tradeoff_sweep(lowered, r02, spec, grid))
     return results
+
+
+def lowered_h2_gain(cfg: ScenarioConfig, gap_db: float) -> float:
+    """The weak user's gain gap_db below the strong user's: h1_gain * 10^(-gap/10)."""
+    return cfg.h1_gain * 10.0 ** (-gap_db / 10.0)

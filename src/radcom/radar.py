@@ -75,16 +75,8 @@ def analytic_rms_bandwidth_sq(spec: WaveformSpec) -> float:
     return 16.0 * w_sq / 45.0
 
 
-def _effective_radar_noise(cfg: ScenarioConfig, include_si_residue: bool) -> float:
-    """Radar noise power in mW, optionally inflated by self-interference residue."""
-    noise = cfg.sigma_r_sq
-    if include_si_residue:
-        noise += cfg.total_power_mw * 10.0 ** (-cfg.si_suppression_db / 10.0)
-    return noise
-
-
 def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
-               k: int, include_si_residue: bool = False) -> float:
+               k: int) -> float:
     """Variance lower bound for the round-trip delay of target k (1 or 2), s^2.
 
     Scales as noise / (reflectivity * radar power * energy * bandwidth *
@@ -96,25 +88,21 @@ def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
     if np.ndim(alloc.ar_sq) == 0 and alloc.ar_sq == 0.0:
         raise InfiniteCrlbError(
             "ar_sq = 0 gives zero Fisher information: the delay bound is infinite")
-    noise = _effective_radar_noise(cfg, include_si_residue)
     energy = analytic_energy(spec)
     brms_sq = analytic_rms_bandwidth_sq(spec)
     denom = (2.0 * eta ** 2 * h_gain ** 2 * alloc.ar_sq * cfg.total_power_mw
              * energy * spec.bandwidth_hz * brms_sq)
     with np.errstate(divide="ignore"):
-        return noise / denom
+        return cfg.sigma_r_sq / denom
 
 
 def total_estimation_variance(cfg: ScenarioConfig, alloc: PowerAllocation,
-                              spec: WaveformSpec,
-                              include_si_residue: bool = False) -> CrlbReport:
+                              spec: WaveformSpec) -> CrlbReport:
     """Sum of both targets' delay bounds, plus its all-power-to-radar normalization."""
-    bounds = tuple(
-        crlb_delay(cfg, alloc, spec, k, include_si_residue) for k in (1, 2))
+    bounds = tuple(crlb_delay(cfg, alloc, spec, k) for k in (1, 2))
     total = sum(bounds)
     reference_alloc = PowerAllocation(0.0, 0.0, 1.0)
-    reference = sum(
-        crlb_delay(cfg, reference_alloc, spec, k, include_si_residue) for k in (1, 2))
+    reference = sum(crlb_delay(cfg, reference_alloc, spec, k) for k in (1, 2))
     return CrlbReport(
         crlb_per_target=bounds,
         sigma_eps_sq=total,

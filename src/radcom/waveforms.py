@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -123,33 +122,6 @@ def numeric_rms_bandwidth_sq(w: SampledWaveform,
     weight = float(np.sum(power[mask]))
     moment = float(np.sum((freqs[mask] ** 2) * power[mask]))
     return 4.0 * math.pi ** 2 * moment / weight
-
-
-def numeric_msq_derivative(w: SampledWaveform) -> float:
-    """Mean squared central-difference derivative over the pulse interior.
-
-    Skips one sample at each edge so the envelope discontinuity does not
-    leak in; for a constant-modulus pulse the result approximates the
-    squared rms bandwidth.
-    """
-    s = w.samples
-    if len(s) < 3:
-        raise ValidationError("waveform too short for a central difference")
-    derivative = (s[2:] - s[:-2]) * (w.sample_rate_hz / 2.0)
-    return float(np.mean(np.abs(derivative) ** 2))
-
-
-def write_waveform_text(w: SampledWaveform, path: str | Path) -> None:
-    """Dump the pulse as text rows (time_s, re, im) with a descriptive header."""
-    t = _midpoint_times(w)
-    lines = [
-        f"# kind={w.spec.kind.value} bandwidth_hz={w.spec.bandwidth_hz:.9e} "
-        f"time_bandwidth={w.spec.time_bandwidth:.9e} "
-        f"sample_rate_hz={w.sample_rate_hz:.9e}"
-    ]
-    for ti, si in zip(t, w.samples):
-        lines.append(f"{ti:.9e} {si.real:.9e} {si.imag:.9e}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def post_integration_snr_db(cfg: ScenarioConfig, alloc: PowerAllocation,

@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -171,23 +172,74 @@ def test_mc_delay_guard_and_success(tmp_path, scenario, boosted):
     assert payload["trials"] == 150
 
 
-def test_rerun_reproduces_sweep_bytes(tmp_path, scenario):
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", scenario, "--r02", "1.0", "--out", str(out)]) == 0
-    replay = tmp_path / "replay.csv"
-    assert main(["rerun", str(tmp_path / "sweep.csv.manifest.json"),
-                 "--out", str(replay)]) == 0
-    assert replay.read_bytes() == out.read_bytes()
+RERUN_CASES = {
+    "sweep": (["sweep", "{scenario}", "--r02", "1.0", "--grid", "0.01:0.99:20"],
+              "sweep.csv", 0),
+    "starpoints": (["starpoints", "{scenario}", "--qos", "1.5:0.7", "--qos", "0.7:0.7"],
+                   "stars.csv", 0),
+    "fairness": (["fairness", "{scenario}", "--r02-list", "0.7,1.5",
+                  "--grid", "0.01:0.99:20"], "fairness.csv", 0),
+    "asymmetry": (["asymmetry", "{scenario}", "--gaps-db", "5,10",
+                   "--grid", "0.01:0.99:20"], "asym.json", 0),
+    "waveform-validate": (["waveform-validate", "--tw-list", "100"], "wf.csv", 0),
+    "waveform-validate-coarse": (["waveform-validate", "--oversampling", "8"],
+                                 "wf.csv", 2),
+    "mc-delay": (["mc-delay", "{boosted}", "--delay", "6.2832e-6", "--trials", "120",
+                  "--seed", "9", "--alloc", "0.01:0.04:0.95"], "mc.json", 0),
+}
 
 
-def test_rerun_reproduces_mc_bytes(tmp_path, boosted):
-    out = tmp_path / "mc.json"
-    assert main(["mc-delay", boosted, "--delay", "6.2832e-6", "--trials", "120",
-                 "--seed", "9", "--out", str(out)]) == 0
-    replay = tmp_path / "mc2.json"
-    assert main(["rerun", str(tmp_path / "mc.json.manifest.json"),
-                 "--out", str(replay)]) == 0
-    assert replay.read_bytes() == out.read_bytes()
+@pytest.mark.parametrize("case", list(RERUN_CASES))
+def test_rerun_reproduces_every_output(tmp_path, scenario, boosted, case):
+    argv, name, code = RERUN_CASES[case]
+    argv = [arg.format(scenario=scenario, boosted=boosted) for arg in argv]
+    out = tmp_path / "run" / name
+    assert main(argv + ["--out", str(out)]) == code
+    manifest = out.parent / (name + ".manifest.json")
+    outputs = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+    listed = [Path(path) for path in outputs]
+    if case == "asymmetry":
+        assert [p.name for p in listed] == ["asym.json", "asym_gap5db.csv",
+                                            "asym_gap10db.csv"]
+    written = {p: p.read_bytes() for p in [*listed, manifest]}
+    assert sorted(out.parent.iterdir()) == sorted(written)
+    for path in listed:
+        path.unlink()
+    # The manifest replays onto its own listed paths, so it must be byte-identical too.
+    assert main(["rerun", str(manifest), "--force"]) == code
+    assert {p: p.read_bytes() for p in out.parent.iterdir()} == written
+    # --out moves every output; only asymmetry's JSON names the CSV paths it lists.
+    replay = tmp_path / "replay" / name
+    assert main(["rerun", str(manifest), "--out", str(replay)]) == code
+    for path in listed[1:] if case == "asymmetry" else listed:
+        assert (replay.parent / path.name).read_bytes() == written[path]
+
+
+# Manifest params the command line refuses, as (command line, output, param, value):
+# the manifest of a valid run gets the param edited to the value.
+BAD_MANIFEST_PARAMS = {
+    "empty-gap-list": (["asymmetry", "--gaps-db", "5"], "asym.json", "gaps_db", []),
+    "qos-single": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos", [[1.5]]),
+    "qos-triple": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos",
+                   [[1.5, 0.7, 3]]),
+    "alloc-over-budget": (["mc-delay", "--delay", "6.2832e-6", "--trials", "100"],
+                          "mc.json", "alloc", [0.5, 0.5, 0.5]),
+    "unknown-param": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r03", 0.7),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MANIFEST_PARAMS))
+def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, boosted, case):
+    (command, *flags), name, param, value = BAD_MANIFEST_PARAMS[case]
+    out = tmp_path / name
+    assert main([command, boosted, *flags, "--out", str(out)]) == 0
+    manifest_path = tmp_path / (name + ".manifest.json")
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["params"][param] = value
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(manifest_path), "--out", str(replay / name)]) == 3
+    assert not replay.exists()
 
 
 def test_mc_delay_rejects_a_negative_seed(tmp_path, boosted):
@@ -264,6 +316,21 @@ def test_refused_sweep_writes_nothing(tmp_path, scenario):
     assert main(["sweep", scenario, "--r02", "3", "--out", str(out)]) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "scenario.txt", "sweep.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["starpoints", "--qos", "5:5"], "stars.csv"),
+    (["mc-delay", "--delay", "6.2832e-6", "--trials", "100"], "mc.json"),
+], ids=["starpoints-infeasible-qos", "mc-delay-below-snr-guard"])
+def test_existing_output_wins_over_exit_2(tmp_path, scenario, argv, name):
+    # Without the existing output each command exits 2 (infeasible QoS, SNR guard).
+    args = [argv[0], scenario, *argv[1:]]
+    assert main(args + ["--out", str(tmp_path / "fresh" / name)]) == 2
+    existing = tmp_path / name
+    existing.write_text("keep\n", encoding="utf-8")
+    assert main(args + ["--out", str(existing)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "scenario.txt"])
+    assert existing.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_refused_asymmetry_writes_nothing(tmp_path, scenario):

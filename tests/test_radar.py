@@ -115,10 +115,3 @@ def test_normalized_bound_at_least_one():
             assert r.sigma_eps_sq_normalized > 1.0
         assert r.sigma_eps_sq_normalized == pytest.approx(1.0 / ar, rel=1e-12)
 
-
-def test_self_interference_residue_flag():
-    # Default suppression leaves a residue exactly matching the noise floor,
-    # so switching it on doubles every bound.
-    inflated = crlb_delay(CFG, RADAR_ONLY, LINEAR, 1, include_si_residue=True)
-    plain = crlb_delay(CFG, RADAR_ONLY, LINEAR, 1)
-    assert inflated == pytest.approx(2.0 * plain, rel=1e-12)

@@ -10,8 +10,7 @@ from radcom import (InfeasibleError, MomentMethod, PowerAllocation,
                     SampledWaveform, ScenarioConfig, ValidationError,
                     WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
                     instantaneous_frequency, mc_delay_estimation, numeric_energy,
-                    numeric_msq_derivative, numeric_rms_bandwidth_sq,
-                    post_integration_snr_db, synthesize, write_waveform_text)
+                    numeric_rms_bandwidth_sq, post_integration_snr_db, synthesize)
 from radcom.radar import crlb_delay
 from radcom.waveforms import _delayed_pulse, _smooth_len
 
@@ -92,34 +91,6 @@ def test_spectrum_moment_converges_with_time_bandwidth(kind):
         errors[tw] = abs(numeric - closed) / closed
     assert errors[1000.0] < 0.05
     assert errors[1000.0] < errors[100.0]
-
-
-@pytest.mark.parametrize("spec", [LINEAR, PARABOLIC])
-def test_derivative_energy_agrees_with_frequency_moment(spec):
-    sampled = synthesize(spec, 16 * W_HZ)
-    msq = numeric_msq_derivative(sampled)
-    moment = numeric_rms_bandwidth_sq(sampled, MomentMethod.INST_FREQ)
-    assert msq == pytest.approx(moment, rel=2e-2)
-
-
-def test_derivative_of_a_constant_tone_is_zero():
-    tone = SampledWaveform(samples=np.ones(4096, dtype=complex),
-                           sample_rate_hz=8 * W_HZ,
-                           duration_s=4096 / (8 * W_HZ), spec=LINEAR)
-    assert numeric_msq_derivative(tone) == 0.0
-
-
-def test_waveform_text_export(tmp_path):
-    sampled = synthesize(WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 100.0), 8 * W_HZ)
-    out = tmp_path / "pulse.txt"
-    write_waveform_text(sampled, out)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert "kind=linear" in lines[0] and "sample_rate_hz" in lines[0]
-    assert len(lines) == 1 + len(sampled.samples)
-    t0, re0, im0 = map(float, lines[1].split())
-    assert t0 == pytest.approx(0.5 / sampled.sample_rate_hz, rel=1e-6)
-    assert re0 ** 2 + im0 ** 2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_post_integration_snr_reference():
