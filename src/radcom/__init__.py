@@ -9,7 +9,7 @@ form, and emits the tradeoff datasets through :mod:`radcom.cli`.
 
 __version__ = "0.1.0"
 
-from .comms import RateReport, compute_sinr, f1_derivative, jain_fairness, rate_report
+from .comms import RateReport, compute_sinr, jain_fairness, rate_report
 from .errors import (InfeasibleError, InfiniteCrlbError, RadcomError,
                      ScenarioParseError, ValidationError)
 from .optimizer import (SweepResult, TradeoffPoint, asymmetry_sweep, default_grid,
@@ -18,9 +18,8 @@ from .optimizer import (SweepResult, TradeoffPoint, asymmetry_sweep, default_gri
                         star_point, tradeoff_sweep)
 from .radar import (CrlbReport, WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq, crlb_delay, total_estimation_variance)
-from .scenario import (ModelAssumptionWarning, PowerAllocation, QosRequirement,
-                       ScenarioConfig, db_to_linear, linear_to_db, load_scenario,
-                       validate_allocation)
+from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
+                       db_to_linear, linear_to_db, load_scenario)
 from .waveforms import (McDelayReport, MomentMethod, SampledWaveform,
                         instantaneous_frequency, mc_delay_estimation,
                         numeric_energy, numeric_rms_bandwidth_sq,
@@ -29,17 +28,17 @@ from .waveforms import (McDelayReport, MomentMethod, SampledWaveform,
 __all__ = [
     "__version__",
     "CrlbReport", "InfeasibleError", "InfiniteCrlbError", "McDelayReport",
-    "ModelAssumptionWarning", "MomentMethod", "PowerAllocation", "QosRequirement",
+    "MomentMethod", "PowerAllocation", "QosRequirement",
     "RadcomError", "RateReport", "SampledWaveform", "ScenarioConfig",
     "ScenarioParseError", "SweepResult", "TradeoffPoint", "ValidationError",
     "WaveformKind", "WaveformSpec",
     "analytic_energy", "analytic_rms_bandwidth_sq", "asymmetry_sweep",
     "compute_sinr", "crlb_delay", "db_to_linear", "default_grid",
-    "f1_derivative", "instantaneous_frequency", "jain_fairness",
+    "instantaneous_frequency", "jain_fairness",
     "linear_to_db", "load_scenario", "max_radar_allocation",
     "mc_delay_estimation", "min_power_for_qos", "numeric_energy",
     "numeric_rms_bandwidth_sq",
     "optimal_allocation_for_sumrate", "post_integration_snr_db", "rate_report",
     "sample_feasible_region", "star_point", "synthesize",
-    "total_estimation_variance", "tradeoff_sweep", "validate_allocation",
+    "total_estimation_variance", "tradeoff_sweep",
 ]

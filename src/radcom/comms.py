@@ -85,26 +85,3 @@ def jain_fairness(rates: Sequence[float]) -> float:
     total = sum(rates)
     with np.errstate(invalid="ignore"):
         return total * total / (len(rates) * sum_sq)
-
-
-def f1_derivative(cfg: ScenarioConfig, alloc: PowerAllocation) -> float:
-    """Slope of (1 + gamma1)(1 + gamma2) in a2_sq along a1_sq + a2_sq = kappa.
-
-    The allocation, one split or an array of them, must lie on the
-    constraint line a1_sq + a2_sq = 1 - ar_sq.  A strictly negative value
-    means shifting power from the strong to the weak user can only cost
-    sum rate, which is what pins the optimum to the weak user's QoS
-    equality.
-    """
-    kappa = 1.0 - alloc.ar_sq
-    gap = abs(alloc.a1_sq + alloc.a2_sq - kappa)
-    if not holds_everywhere(gap <= 1e-12 * np.maximum(1.0, kappa)):
-        raise ValidationError(
-            "allocation is off the constraint line: a1_sq + a2_sq differs "
-            f"from 1 - ar_sq by up to {np.max(gap):.12g}")
-    h1, h2 = cfg.h1_gain, cfg.h2_gain
-    s1, s2 = cfg.sigma1_sq, cfg.sigma2_sq
-    p = cfg.total_power_mw
-    numerator = -(h1 * s2 - h2 * s1) * (h2 * kappa * p + s2) * p
-    denominator = (h2 * (kappa - alloc.a2_sq) * p + s2) ** 2 * s1
-    return numerator / denominator

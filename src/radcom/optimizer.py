@@ -195,24 +195,19 @@ def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
 
 def sample_feasible_region(cfg: ScenarioConfig, spec: WaveformSpec, n: int,
                            seed: int) -> list[TradeoffPoint]:
-    """n tradeoff points with splits drawn uniformly over the feasible simplex.
+    """n tradeoff points with splits drawn uniformly over the whole power simplex.
 
     Sorted-uniform spacings give exact uniformity over
-    {a1_sq + a2_sq + ar_sq <= 1, all >= 0}; draws breaking the SIC power
-    ordering a2_sq > a1_sq are rejected.  Deterministic for a given seed.
+    {a1_sq + a2_sq + ar_sq <= 1, all >= 0}; the rates take the weak user's
+    SIC branch where it binds, so every draw is kept.  Deterministic for a
+    given seed.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
-    rng = np.random.default_rng(seed)
-    batches = []
-    missing = n
-    while missing:
-        u = np.sort(rng.random((max(2 * missing, 64), 3)), axis=1)
-        # columns a1_sq = u0, a2_sq = u1 - u0, ar_sq = u2 - u1
-        splits = np.diff(u, axis=1, prepend=0.0)
-        batches.append(splits[splits[:, 1] > splits[:, 0]][:missing])
-        missing -= len(batches[-1])
-    return list(_evaluate(cfg, PowerAllocation(*np.concatenate(batches).T), spec).split())
+    u = np.sort(np.random.default_rng(seed).random((n, 3)), axis=1)
+    # columns a1_sq = u0, a2_sq = u1 - u0, ar_sq = u2 - u1
+    splits = np.diff(u, axis=1, prepend=0.0)
+    return list(_evaluate(cfg, PowerAllocation(*splits.T), spec).split())
 
 
 def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
@@ -222,7 +217,8 @@ def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
 
     The strong user's gain stays at the configured value, isolating how the
     channel asymmetry alone degrades the jointly achievable region.  Gaps
-    must be strictly positive to preserve the strong/weak ordering.
+    must be strictly positive, and each lowered scenario must still keep
+    the SIC ordering of :class:`~radcom.scenario.ScenarioConfig`.
     """
     if len(gaps_db) == 0:
         raise ValidationError("need at least one asymmetry gap")

@@ -1,4 +1,4 @@
-"""Experiment configuration: unit conversion, scenario files, allocation checks.
+"""Experiment configuration: unit conversion, scenario files, power splits.
 
 All stored quantities are linear: channel gains are dimensionless power
 ratios, noise and transmit powers are in mW. dB/dBm forms are accepted at
@@ -8,16 +8,11 @@ the parsing boundary and re-emitted only in reports.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ScenarioParseError, ValidationError
-
-
-class ModelAssumptionWarning(UserWarning):
-    """A configuration is legal but strains a modeling assumption."""
 
 
 def holds_everywhere(mask) -> bool:
@@ -69,22 +64,21 @@ class ScenarioConfig:
                 raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
         if not (math.isfinite(self.h1_gain) and math.isfinite(self.h2_gain)):
             raise ValidationError("channel gains must be finite")
-        if not self.h1_gain > self.h2_gain > 0.0:
+        # User 1 strips s2 by SIC before decoding s1, which is sound only when
+        # it hears s2 better than user 2 does (the larger effective gain
+        # h/sigma^2); then gamma2_bar >= gamma2 for every split.
+        if not (self.h2_gain > 0.0
+                and self.h1_gain / self.sigma1_sq > self.h2_gain / self.sigma2_sq):
             raise ValidationError(
-                "channel ordering violated: require h1_gain > h2_gain > 0 "
-                f"(user 1 is the strong user), got h1_gain={self.h1_gain:.6g}, "
-                f"h2_gain={self.h2_gain:.6g}")
+                "SIC ordering violated: require h2_gain > 0 and "
+                "h1_gain/sigma1_sq > h2_gain/sigma2_sq (user 1 is the strong user), "
+                f"got h1_gain={self.h1_gain:.6g}, h2_gain={self.h2_gain:.6g}, "
+                f"sigma1_sq={self.sigma1_sq:.6g}, sigma2_sq={self.sigma2_sq:.6g}")
         if not (math.isfinite(self.time_bandwidth) and self.time_bandwidth >= 1.0):
             raise ValidationError(
                 f"time_bandwidth must be >= 1, got {self.time_bandwidth!r}")
         if not math.isfinite(self.si_suppression_db):
             raise ValidationError("si_suppression_db must be finite")
-        if self.sigma1_sq > self.sigma2_sq:
-            # Legal but outside the regime the closed-form analysis assumes.
-            warnings.warn(
-                "sigma1_sq > sigma2_sq: strong user is noisier than weak user; "
-                "sum-rate monotonicity is no longer guaranteed",
-                ModelAssumptionWarning, stacklevel=2)
 
     @property
     def duration_s(self) -> float:
@@ -102,9 +96,9 @@ class ScenarioConfig:
 class PowerAllocation:
     """Fractions of total transmit power given to s1, s2 and the radar waveform.
 
-    Construction only requires finite, non-negative values so that invalid
-    splits can be represented and diagnosed; use :func:`validate_allocation`
-    to check the feasibility constraints.  Array fractions hold many splits.
+    Construction only requires finite, non-negative values; the power budget
+    and the QoS rates are the optimizer's to meet (see :mod:`radcom.optimizer`).
+    Array fractions hold many splits.
     """
 
     a1_sq: float  # power fraction of user-1 signal
@@ -135,29 +129,6 @@ class QosRequirement:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def validate_allocation(cfg: ScenarioConfig, alloc: PowerAllocation) -> list[str]:
-    """Check an allocation against the power constraints.
-
-    Returns the ordered list of violated constraints (empty when the split
-    is feasible).  A split with a2_sq <= a1_sq is feasible but breaks the
-    decoding order that lets the weak user's signal be stripped first, so
-    it is flagged as a :class:`ModelAssumptionWarning` instead.
-    """
-    violations = []
-    for name in ("a1_sq", "a2_sq", "ar_sq"):
-        value = getattr(alloc, name)
-        if not 0.0 <= value < 1.0:
-            violations.append(f"{name} = {value:.6g} not in [0, 1)")
-    if alloc.power_sum > 1.0:
-        violations.append(f"power sum {alloc.power_sum:.6g} > 1")
-    if alloc.a2_sq <= alloc.a1_sq:
-        warnings.warn(
-            f"a2_sq = {alloc.a2_sq:.6g} <= a1_sq = {alloc.a1_sq:.6g}: "
-            "SIC decoding order broken (weak user must get more power)",
-            ModelAssumptionWarning, stacklevel=2)
-    return violations
 
 
 # Scenario-file keys: logical field -> (linear key, dB/dBm key or None).

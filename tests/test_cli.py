@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,12 @@ def scenario(tmp_path):
 def boosted(tmp_path):
     path = tmp_path / "boosted.txt"
     path.write_text("sigma_r_sq=1e-19\n", encoding="utf-8")
+    return str(path)
+
+
+def _scenario_file(tmp_path, text):
+    path = tmp_path / "scenario.txt"
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -354,3 +361,37 @@ def test_csv_cells_match_fixed_scientific_formatting():
     assert lines[0] == "a,b" and lines[-1] == ""
     for line, v in zip(lines[1:-1], values):
         assert line.split(",") == [f"{v:.8e}", f"{-v:.8e}"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "starpoints", "asymmetry"])
+def test_scenario_breaking_the_sic_ordering_exits_3(tmp_path, command, capsys):
+    # 20 dB more noise at user 1 than at user 2 outweighs its 10 dB stronger channel.
+    path = _scenario_file(tmp_path, "sigma1_sq=1e-9\n")
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
+    assert "SIC ordering violated" in capsys.readouterr().err
+
+
+def test_noisier_strong_user_keeping_the_ordering_runs_quietly(tmp_path, capsys):
+    # 5 dB more noise at user 1 leaves it 5 dB ahead in h/sigma^2.
+    path = _scenario_file(tmp_path, "sigma1_sq_dbm=-100\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", path, "--r02", "0.7", "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["starpoints", path, "--qos", "1.5:0.7", "--qos", "0.7:0.7",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(["asymmetry", path, "--gaps-db", "10,15",
+                     "--out", str(tmp_path / "a.json")]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _rows(tmp_path / "s.csv")
+    assert min(float(row[4]) for row in rows) == pytest.approx(0.7, rel=1e-8)
+
+
+def test_asymmetry_gap_breaking_the_ordering_exits_3(tmp_path, capsys):
+    # With user 1 5 dB noisier, a 3 dB gap keeps h1_gain > h2_gain but puts
+    # user 2 ahead in h/sigma^2.
+    path = _scenario_file(tmp_path, "sigma1_sq_dbm=-100\n")
+    assert main(["asymmetry", path, "--gaps-db", "10,3",
+                 "--out", str(tmp_path / "a.json")]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
+    assert "SIC ordering violated" in capsys.readouterr().err

@@ -1,15 +1,14 @@
-"""SINRs, rate bounds, fairness, and the sum-rate monotonicity diagnostic."""
+"""SINRs, rate bounds, fairness, and the sum rate's fall toward the weak user."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_table_like_config
-from radcom import (ModelAssumptionWarning, PowerAllocation, ScenarioConfig,
-                    ValidationError, compute_sinr, f1_derivative, jain_fairness,
-                    optimal_allocation_for_sumrate, rate_report)
+from radcom import (PowerAllocation, ScenarioConfig, ValidationError,
+                    compute_sinr, jain_fairness, optimal_allocation_for_sumrate,
+                    rate_report)
 
 CFG = ScenarioConfig()
 # Sum-rate optimum for r02 = 1 at half the power on the radar.
@@ -116,57 +115,6 @@ def test_jain_fairness_scale_invariance():
         c = 10.0 ** rng.uniform(-3, 3)
         assert jain_fairness([c * r for r in rates]) == pytest.approx(
             jain_fairness(rates), rel=1e-12)
-
-
-def _f1(cfg, kappa, a2_sq):
-    gamma1, gamma2, _ = compute_sinr(
-        cfg, PowerAllocation(kappa - a2_sq, a2_sq, 1.0 - kappa))
-    return (1.0 + gamma1) * (1.0 + gamma2)
-
-
-def test_f1_derivative_negative_across_the_half_budget():
-    for a2_sq in np.linspace(0.01, 0.49, 25):
-        alloc = PowerAllocation(0.5 - a2_sq, a2_sq, 0.5)
-        assert f1_derivative(CFG, alloc) < 0.0
-
-
-def test_f1_derivative_vanishes_on_the_balance_line():
-    # h1 * sigma2 == h2 * sigma1 makes the slope identically zero; the
-    # power-of-two values keep the products exact in binary.
-    with pytest.warns(ModelAssumptionWarning):
-        cfg = ScenarioConfig(h1_gain=2.0 ** -30, h2_gain=2.0 ** -32,
-                             sigma1_sq=2.0 ** -30, sigma2_sq=2.0 ** -32)
-    assert f1_derivative(cfg, PowerAllocation(0.3, 0.2, 0.5)) == 0.0
-
-
-@pytest.mark.parametrize("power", [1.0, 2.5])
-def test_f1_derivative_matches_finite_difference(power):
-    cfg = ScenarioConfig(total_power_mw=power)
-    kappa = 0.5
-    step = 1e-6
-    for a2_sq in (0.1, 0.25, 0.4):
-        analytic = f1_derivative(cfg, PowerAllocation(kappa - a2_sq, a2_sq, 0.5))
-        numeric = (_f1(cfg, kappa, a2_sq + step)
-                   - _f1(cfg, kappa, a2_sq - step)) / (2.0 * step)
-        assert analytic == pytest.approx(numeric, rel=1e-6)
-
-
-def test_f1_derivative_requires_the_constraint_line():
-    with pytest.raises(ValidationError, match="constraint line"):
-        f1_derivative(CFG, PowerAllocation(0.1, 0.1, 0.5))
-
-
-def test_f1_derivative_over_arrays_matches_the_scalar_calls():
-    a2_sq = np.linspace(0.01, 0.49, 25)
-    ar_sq = np.full_like(a2_sq, 0.5)
-    slopes = f1_derivative(CFG, PowerAllocation(0.5 - a2_sq, a2_sq, ar_sq))
-    assert slopes.shape == a2_sq.shape
-    for a2, slope in zip(a2_sq, slopes):
-        assert slope == f1_derivative(CFG, PowerAllocation(0.5 - a2, a2, 0.5))
-    off = a2_sq.copy()
-    off[3] += 1e-6
-    with pytest.raises(ValidationError, match="constraint line"):
-        f1_derivative(CFG, PowerAllocation(0.5 - a2_sq, off, ar_sq))
 
 
 def test_sum_rate_strictly_decreasing_in_weak_user_power():

@@ -1,7 +1,6 @@
 """Closed-form splits, sweeps, region sampling, and asymmetry studies."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +8,11 @@ import pytest
 from conftest import random_table_like_config
 from radcom import (InfeasibleError, InfiniteCrlbError, PowerAllocation,
                     QosRequirement, ScenarioConfig, ValidationError, WaveformKind,
-                    WaveformSpec, asymmetry_sweep, jain_fairness,
+                    WaveformSpec, asymmetry_sweep, default_grid, jain_fairness,
                     max_radar_allocation, min_power_for_qos,
                     optimal_allocation_for_sumrate, rate_report,
                     sample_feasible_region, star_point, total_estimation_variance,
-                    tradeoff_sweep, validate_allocation)
+                    tradeoff_sweep)
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)
@@ -155,10 +154,10 @@ def test_sweep_grid_validation():
 def test_region_samples_are_feasible_and_deterministic():
     points = sample_feasible_region(CFG, LINEAR, 1000, seed=31)
     assert len(points) == 1000
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # SIC ordering holds, so no warning
-        for pt in points:
-            assert validate_allocation(CFG, pt.alloc) == []
+    a = np.array([(pt.alloc.a1_sq, pt.alloc.a2_sq, pt.alloc.ar_sq) for pt in points])
+    assert np.all(a >= 0.0) and np.all(a.sum(axis=1) <= 1.0 + 1e-12)
+    # the whole simplex: splits favouring either user are both drawn
+    assert 0 < np.count_nonzero(a[:, 1] > a[:, 0]) < len(points)
     again = sample_feasible_region(CFG, LINEAR, 1000, seed=31)
     assert [p.alloc for p in again] == [p.alloc for p in points]
     with pytest.raises(ValidationError):
@@ -269,24 +268,19 @@ def test_sweep_columns_equal_the_scalar_api(kind):
                 assert pt.sigma_eps_sq_normalized == bound.sigma_eps_sq_normalized
 
 
-def _rejection_sampled_splits(n, seed):
-    """Splits drawn one accepted draw at a time, as the sampler always has."""
-    rng = np.random.default_rng(seed)
+def _sorted_spacing_splits(n, seed):
+    """Splits from one draw of n uniform triples, sorted and spaced one row at a time."""
     splits = []
-    while len(splits) < n:
-        u = np.sort(rng.random((max(2 * (n - len(splits)), 64), 3)), axis=1)
-        a1, a2, ar = u[:, 0], u[:, 1] - u[:, 0], u[:, 2] - u[:, 1]
-        for i in np.nonzero(a2 > a1)[0]:
-            splits.append(PowerAllocation(float(a1[i]), float(a2[i]), float(ar[i])))
-            if len(splits) == n:
-                break
+    for row in np.random.default_rng(seed).random((n, 3)).tolist():
+        u0, u1, u2 = sorted(row)
+        splits.append(PowerAllocation(u0, u1 - u0, u2 - u1))
     return splits
 
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (31, 5), (64, 9), (1000, 31)])
 def test_region_sampler_keeps_its_draws(n, seed):
     points = sample_feasible_region(CFG, LINEAR, n, seed)
-    assert [pt.alloc for pt in points] == _rejection_sampled_splits(n, seed)
+    assert [pt.alloc for pt in points] == _sorted_spacing_splits(n, seed)
     for pt in points[:50]:
         rates = rate_report(CFG, pt.alloc)
         assert (pt.r1, pt.r2) == (rates.r1, rates.r2)
@@ -299,3 +293,71 @@ def test_star_point_without_rates_has_undefined_fairness():
     assert pt.alloc == PowerAllocation(0.0, 0.0, 1.0)
     assert pt.r_sum == 0.0
     assert math.isnan(pt.fairness)
+
+
+def _random_scenario(rng, regime):
+    """A config drawn log-uniform over a wide box, or None when ScenarioConfig rejects it.
+
+    Regime 0 draws every field independently, so it also proposes configs
+    that break the SIC ordering.  The edge regimes make the strong user the
+    noisier one with the ordering held (1), put the effective-gain ratio
+    within 1 % of 1 on either side (2), or set the total power to +-20 dBm (3).
+    """
+    def log_uniform(lo_db, hi_db):
+        return 10.0 ** (rng.uniform(lo_db, hi_db) / 10.0)
+
+    h1, h2 = log_uniform(-120.0, -60.0), log_uniform(-130.0, -60.0)
+    sigma1_sq, sigma2_sq = log_uniform(-125.0, -85.0), log_uniform(-125.0, -85.0)
+    power = log_uniform(-10.0, 10.0)
+    if regime == 1:
+        sigma1_sq = sigma2_sq * log_uniform(0.0, 20.0)
+        h2 = h1 * sigma2_sq / sigma1_sq * log_uniform(-20.0, 0.0)
+    elif regime == 2:
+        h2 = h1 * sigma2_sq / sigma1_sq * rng.uniform(0.99, 1.01)
+    elif regime == 3:
+        power = 10.0 ** rng.choice([-2.0, 2.0])
+    try:
+        return ScenarioConfig(h1_gain=h1, h2_gain=h2, sigma1_sq=sigma1_sq,
+                              sigma2_sq=sigma2_sq,
+                              sigma_r_sq=log_uniform(-130.0, -90.0),
+                              eta1=rng.uniform(0.05, 1.0), eta2=rng.uniform(0.05, 1.0),
+                              total_power_mw=power)
+    except ValidationError:
+        return None
+
+
+def test_random_accepted_configs_meet_qos_and_optimality():
+    rng = np.random.default_rng(2024)
+    grid = default_grid(count=40)
+    checked = {"sweep": 0, "region": 0, "star": 0}
+    for draw in range(240):
+        cfg = _random_scenario(rng, draw % 4)
+        if cfg is None:
+            continue
+        r01, r02 = 10.0 ** rng.uniform(-2.0, 0.9, size=2)
+        try:
+            curve = tradeoff_sweep(cfg, r02, LINEAR, grid).curve
+        except InfeasibleError:
+            pass
+        else:
+            assert np.all(curve.r2 >= r02 * (1.0 - 1e-9))
+            assert np.all(curve.alloc.power_sum <= 1.0 + 1e-12)
+            checked["sweep"] += 1
+
+        # No split of the whole simplex that meets r02 beats the closed form.
+        region = [pt for pt in sample_feasible_region(cfg, LINEAR, 60, draw)
+                  if pt.r2 >= r02]
+        if region:
+            ar_sq = np.array([pt.alloc.ar_sq for pt in region])
+            best = rate_report(cfg, optimal_allocation_for_sumrate(cfg, r02, ar_sq))
+            r_sum = np.array([pt.r_sum for pt in region])
+            assert np.all(r_sum <= best.r_sum * (1.0 + 1e-12))
+            checked["region"] += 1
+
+        try:
+            star = star_point(cfg, QosRequirement(r01, r02), LINEAR)
+        except InfeasibleError:
+            continue
+        assert star.r1 >= r01 * (1.0 - 1e-9) and star.r2 >= r02 * (1.0 - 1e-9)
+        checked["star"] += 1
+    assert min(checked.values()) >= 40, checked

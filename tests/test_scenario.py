@@ -1,4 +1,4 @@
-"""Unit conversion, scenario parsing, and allocation diagnostics."""
+"""Unit conversion, scenario parsing, and the scenario's SIC ordering rule."""
 
 import math
 import warnings
@@ -6,10 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from radcom import (ModelAssumptionWarning, PowerAllocation, QosRequirement,
-                    ScenarioConfig, ScenarioParseError, ValidationError,
-                    db_to_linear, linear_to_db, load_scenario,
-                    optimal_allocation_for_sumrate, validate_allocation)
+from radcom import (PowerAllocation, QosRequirement, ScenarioConfig,
+                    ScenarioParseError, ValidationError, db_to_linear,
+                    linear_to_db, load_scenario)
 
 
 def test_db_to_linear_reference_points():
@@ -119,10 +118,30 @@ def test_invariant_violations_name_the_field(source, field):
         load_scenario(source)
 
 
-def test_noisier_strong_user_warns_but_loads():
-    with pytest.warns(ModelAssumptionWarning):
+def test_noisier_strong_user_loads_only_with_the_ordering():
+    # 5 dB more noise at user 1 still leaves it 5 dB ahead in h/sigma^2.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cfg = load_scenario("sigma1_sq_dbm=-100")
     assert cfg.sigma1_sq > cfg.sigma2_sq
+    # 20 dB more noise puts user 1 10 dB behind, so SIC cannot strip s2.
+    with pytest.raises(ValidationError, match="SIC ordering"):
+        load_scenario("sigma1_sq=1e-9")
+    with pytest.raises(ValidationError, match="SIC ordering"):
+        ScenarioConfig(sigma1_sq=1e-9)
+
+
+def test_ordering_compares_effective_gains():
+    # A weaker channel at user 1 is accepted when its noise is lower still,
+    sigma = 10.0 ** -10.5
+    cfg = ScenarioConfig(h1_gain=1e-10, h2_gain=2e-10, sigma1_sq=sigma / 4)
+    assert cfg.h1_gain < cfg.h2_gain
+    # and equal effective gains are not an ordering.
+    with pytest.raises(ValidationError, match="h1_gain"):
+        ScenarioConfig(h1_gain=2.0 ** -30, h2_gain=2.0 ** -32,
+                       sigma1_sq=2.0 ** -30, sigma2_sq=2.0 ** -32)
+    with pytest.raises(ValidationError, match="h2_gain > 0"):
+        ScenarioConfig(h2_gain=0.0)
 
 
 def test_power_allocation_rejects_negative_and_non_finite():
@@ -136,36 +155,3 @@ def test_qos_requirement_rejects_negative():
     with pytest.raises(ValidationError):
         QosRequirement(r01=-0.1, r02=0.7)
     QosRequirement(r01=0.0, r02=0.0)
-
-
-def test_validate_allocation_accepts_the_optimal_split():
-    cfg = ScenarioConfig()
-    alloc = optimal_allocation_for_sumrate(cfg, 1.0, 0.5)
-    assert alloc.a1_sq == pytest.approx(0.09189, abs=1e-5)
-    assert alloc.a2_sq == pytest.approx(0.40811, abs=1e-5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert validate_allocation(cfg, alloc) == []
-
-
-def test_validate_allocation_flags_power_sum():
-    with pytest.warns(ModelAssumptionWarning):  # a2_sq == a1_sq also trips SIC
-        violations = validate_allocation(ScenarioConfig(),
-                                         PowerAllocation(0.4, 0.4, 0.4))
-    assert len(violations) == 1
-    assert "power sum 1.2 > 1" in violations[0]
-
-
-def test_validate_allocation_warns_on_broken_sic_ordering():
-    cfg = ScenarioConfig()
-    with pytest.warns(ModelAssumptionWarning, match="SIC"):
-        violations = validate_allocation(cfg, PowerAllocation(0.5, 0.2, 0.2))
-    assert violations == []
-
-
-def test_validate_allocation_flags_out_of_range_component():
-    cfg = ScenarioConfig()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelAssumptionWarning)
-        violations = validate_allocation(cfg, PowerAllocation(0.0, 0.0, 1.0))
-    assert any("ar_sq" in v for v in violations)
