@@ -8,7 +8,8 @@ import pytest
 
 from radcom import (PowerAllocation, QosRequirement, ScenarioConfig,
                     ScenarioParseError, ValidationError, db_to_linear,
-                    linear_to_db, load_scenario)
+                    linear_to_db, load_scenario, optimal_allocation_for_sumrate,
+                    rate_report)
 
 
 def test_db_to_linear_reference_points():
@@ -142,6 +143,20 @@ def test_ordering_compares_effective_gains():
                        sigma1_sq=2.0 ** -30, sigma2_sq=2.0 ** -32)
     with pytest.raises(ValidationError, match="h2_gain > 0"):
         ScenarioConfig(h2_gain=0.0)
+
+
+def test_validate_allocation_accepts_the_optimal_split():
+    # The reference split is a valid allocation within the power budget,
+    # and nothing on the way from the scenario to its rates warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = ScenarioConfig()
+        alloc = optimal_allocation_for_sumrate(cfg, 1.0, 0.5)
+        assert alloc.a1_sq == pytest.approx(0.09189, abs=1e-5)
+        assert alloc.a2_sq == pytest.approx(0.40811, abs=1e-5)
+        assert PowerAllocation(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq) == alloc
+        assert alloc.power_sum <= 1.0
+        assert rate_report(cfg, alloc).r2 == pytest.approx(1.0, rel=1e-9)
 
 
 def test_power_allocation_rejects_negative_and_non_finite():
