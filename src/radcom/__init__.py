@@ -13,9 +13,8 @@ from .comms import RateReport, compute_sinr, jain_fairness, rate_report
 from .errors import (InfeasibleError, InfiniteCrlbError, RadcomError,
                      ScenarioParseError, ValidationError)
 from .optimizer import (SweepResult, TradeoffPoint, asymmetry_sweep, default_grid,
-                        max_radar_allocation, min_power_for_qos,
-                        optimal_allocation_for_sumrate, sample_feasible_region,
-                        star_point, tradeoff_sweep)
+                        max_radar_allocation, optimal_allocation_for_sumrate,
+                        sample_feasible_region, star_point, tradeoff_sweep)
 from .radar import (CrlbReport, WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq, crlb_delay, total_estimation_variance)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
@@ -36,7 +35,7 @@ __all__ = [
     "compute_sinr", "crlb_delay", "db_to_linear", "default_grid",
     "instantaneous_frequency", "jain_fairness",
     "linear_to_db", "load_scenario", "max_radar_allocation",
-    "mc_delay_estimation", "min_power_for_qos", "numeric_energy",
+    "mc_delay_estimation", "numeric_energy",
     "numeric_rms_bandwidth_sq",
     "optimal_allocation_for_sumrate", "post_integration_snr_db", "rate_report",
     "sample_feasible_region", "star_point", "synthesize",

@@ -128,7 +128,9 @@ def _grid(value) -> dict:
         except ValueError:
             raise ValidationError(
                 f"grid must look like lo:hi:count, got {value!r}") from None
-    _grid_points(value)  # bounds check
+    if set(value) != {"lo", "hi", "count"}:
+        raise ValidationError(f"grid must hold lo, hi and count, got {value!r}")
+    default_grid(**value)  # bounds check
     return value
 
 
@@ -185,10 +187,6 @@ SWEEP_HEADER = ("ar_sq,a1_sq,a2_sq,r1,r2,r_sum,sigma_eps_sq,"
                 "sigma_eps_sq_norm,log10_norm,fairness")
 
 
-def _grid_points(grid: dict) -> np.ndarray:
-    return default_grid(grid["lo"], grid["hi"], grid["count"])
-
-
 def _spec(cfg: ScenarioConfig, params: dict) -> WaveformSpec:
     return WaveformSpec(kind=WaveformKind(params["waveform"]),
                         bandwidth_hz=cfg.bandwidth_hz,
@@ -205,7 +203,7 @@ def _sweep_csv(result: SweepResult) -> str:
 
 def _sweep(cfg, params, paths):
     result = tradeoff_sweep(cfg, params["r02"], _spec(cfg, params),
-                            _grid_points(params["grid"]))
+                            default_grid(**params["grid"]))
     tail = result.infeasible_tail_start
     line = (f"sweep: {len(result.curve.r_sum)} feasible points -> {paths[0]}"
             + (f" (infeasible for ar_sq > {tail:.6g})" if tail is not None else ""))
@@ -224,7 +222,7 @@ def _starpoints(cfg, params, paths):
 
 def _fairness(cfg, params, paths):
     spec = _spec(cfg, params)
-    grid = _grid_points(params["grid"])
+    grid = default_grid(**params["grid"])
     rows = []
     for r02 in params["r02_list"]:
         c = tradeoff_sweep(cfg, r02, spec, grid).curve
@@ -243,7 +241,7 @@ def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
 def _asymmetry(cfg, params, paths):
     gaps = params["gaps_db"]
     results = asymmetry_sweep(cfg, params["r02"], _spec(cfg, params), gaps,
-                              _grid_points(params["grid"]))
+                              default_grid(**params["grid"]))
     curves = [{
         "gap_db": gap,
         "h1_gain": cfg.h1_gain,
@@ -311,8 +309,8 @@ def _opt(flag: str, check: Callable = lambda value: value, **argparse_options) -
 
 
 GRID_TEXT = f"{DEFAULT_GRID_LO}:{DEFAULT_GRID_HI}:{DEFAULT_GRID_COUNT}"
-WAVEFORM = _opt("--waveform", _waveform, default="linear")
-GRID = _opt("--grid", _grid, default=GRID_TEXT)
+WAVEFORM = _opt("--waveform", _waveform, default="linear", help="linear or parabolic")
+GRID = _opt("--grid", _grid, default=GRID_TEXT, help="radar-share grid lo:hi:count")
 
 
 @dataclass(frozen=True)
@@ -330,8 +328,8 @@ COMMANDS = {
     "sweep": Command(
         "rate vs estimation-error tradeoff curve",
         (_opt("--r02", type=float, default=0.7, help="weak user QoS rate, bits/s/Hz"),
-         _opt("--waveform", _waveform, default="linear", help="linear or parabolic"),
-         _opt("--grid", _grid, default=GRID_TEXT, help="radar-share grid lo:hi:count")),
+         WAVEFORM,
+         GRID),
         _sweep),
     "starpoints": Command(
         "minimum estimation error under QoS pairs",

@@ -23,13 +23,9 @@ from .scenario import PowerAllocation, ScenarioConfig, holds_everywhere
 class RateReport:
     """Rate bounds for one scenario and power split, bits/s/Hz."""
 
-    gamma1: float             # SINR of s1 at user 1 (after SIC)
-    gamma2: float             # SINR of s2 at user 2
-    gamma2_bar: float         # SINR of s2 during SIC at user 1
-    r1: float                 # rate bound of user 1
-    r2: float                 # rate bound of user 2 (min of both branches)
-    r_sum: float              # r1 + r2
-    r2_limited_by_sic: bool   # True when the gamma2_bar branch binds
+    r1: float      # rate bound of user 1
+    r2: float      # rate bound of user 2 (min of both branches)
+    r_sum: float   # r1 + r2
 
 
 def compute_sinr(cfg: ScenarioConfig,
@@ -54,18 +50,8 @@ def rate_report(cfg: ScenarioConfig, alloc: PowerAllocation) -> RateReport:
     """Evaluate the rate bounds of both users for one power split or an array of them."""
     gamma1, gamma2, gamma2_bar = compute_sinr(cfg, alloc)
     r1 = np.log2(1.0 + gamma1)
-    r2_own = np.log2(1.0 + gamma2)
-    r2_sic = np.log2(1.0 + gamma2_bar)
-    r2 = np.minimum(r2_own, r2_sic)
-    return RateReport(
-        gamma1=gamma1,
-        gamma2=gamma2,
-        gamma2_bar=gamma2_bar,
-        r1=r1,
-        r2=r2,
-        r_sum=r1 + r2,
-        r2_limited_by_sic=r2_sic < r2_own,
-    )
+    r2 = np.minimum(np.log2(1.0 + gamma2), np.log2(1.0 + gamma2_bar))
+    return RateReport(r1=r1, r2=r2, r_sum=r1 + r2)
 
 
 def jain_fairness(rates: Sequence[float]) -> float:

@@ -53,15 +53,8 @@ class TradeoffPoint:
 class SweepResult:
     """Tradeoff curve for one waveform and weak-user QoS level."""
 
-    spec: WaveformSpec
-    qos: QosRequirement
     curve: TradeoffPoint                       # array fields, ascending in ar_sq
     infeasible_tail_start: float | None        # ar_sq beyond which no split exists
-
-    @property
-    def points(self) -> tuple[TradeoffPoint, ...]:
-        """The curve as one TradeoffPoint per grid value."""
-        return self.curve.split()
 
 
 def default_grid(lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI,
@@ -110,9 +103,12 @@ def optimal_allocation_for_sumrate(cfg: ScenarioConfig, r02: float,
     return PowerAllocation(a1_sq=a1, a2_sq=a2, ar_sq=ar_sq)
 
 
-def min_power_for_qos(cfg: ScenarioConfig,
-                      qos: QosRequirement) -> tuple[float, float]:
-    """Smallest (a1_sq, a2_sq) meeting both users' QoS rates with equality."""
+def max_radar_allocation(cfg: ScenarioConfig,
+                         qos: QosRequirement) -> PowerAllocation:
+    """Split giving the radar every watt the QoS constraints do not claim.
+
+    Each user gets the least power that meets its QoS rate with equality.
+    """
     noise1 = cfg.sigma1_sq / cfg.total_power_mw
     noise2 = cfg.sigma2_sq / cfg.total_power_mw
     a1_min = (2.0 ** qos.r01 - 1.0) * noise1 / cfg.h1_gain
@@ -121,13 +117,6 @@ def min_power_for_qos(cfg: ScenarioConfig,
         raise InfeasibleError(
             f"QoS ({qos.r01:g}, {qos.r02:g}) needs communications power "
             f"{a1_min + a2_min:.6g} >= 1: nothing left for the radar waveform")
-    return a1_min, a2_min
-
-
-def max_radar_allocation(cfg: ScenarioConfig,
-                         qos: QosRequirement) -> PowerAllocation:
-    """Split giving the radar every watt the QoS constraints do not claim."""
-    a1_min, a2_min = min_power_for_qos(cfg, qos)
     return PowerAllocation(
         a1_sq=a1_min,
         a2_sq=a2_min,
@@ -186,8 +175,6 @@ def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
             f"(kappa_min = {kappa_min:.6g})", kappa_min=kappa_min)
     alloc = optimal_allocation_for_sumrate(cfg, r02, grid_arr[:count])
     return SweepResult(
-        spec=spec,
-        qos=QosRequirement(r01=0.0, r02=r02),
         curve=_evaluate(cfg, alloc, spec),
         infeasible_tail_start=None if kappa_min is None else 1.0 - kappa_min,
     )
@@ -229,7 +216,10 @@ def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
                 f"got {gap!r}")
     results = []
     for gap in gaps_db:
-        lowered = replace(cfg, h2_gain=lowered_h2_gain(cfg, gap))
+        try:
+            lowered = replace(cfg, h2_gain=lowered_h2_gain(cfg, gap))
+        except ValidationError as err:
+            raise ValidationError(f"asymmetry gap {gap:g} dB: {err}") from err
         results.append(tradeoff_sweep(lowered, r02, spec, grid))
     return results
 

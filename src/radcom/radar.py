@@ -1,8 +1,10 @@
 """Radar side: closed-form waveform moments and delay-estimation error bounds.
 
-The delay bound treats reflected communications components as interference
-that carries no delay information, so the Fisher information comes from
-the radar waveform alone and the result is a conservative bound.
+The bound takes its Fisher information from the radar waveform and its
+noise from sigma_r_sq alone.  It leaves out the reflected communications
+signals, which the Monte Carlo in :mod:`radcom.waveforms` adds as white
+Gaussian interference, so with strong communications echoes the bound is
+optimistic, not conservative (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ class WaveformSpec:
 class CrlbReport:
     """Delay-estimation error bounds for both targets, s^2."""
 
-    crlb_per_target: tuple[float, float]   # per-target variance bounds
-    sigma_eps_sq: float                    # total bound (sum over targets)
-    sigma_eps_sq_normalized: float         # total bound / bound at ar_sq = 1
+    sigma_eps_sq: float              # total bound (sum over targets)
+    sigma_eps_sq_normalized: float   # total bound / bound at ar_sq = 1
 
 
 def analytic_energy(spec: WaveformSpec) -> float:
@@ -99,12 +100,10 @@ def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
 def total_estimation_variance(cfg: ScenarioConfig, alloc: PowerAllocation,
                               spec: WaveformSpec) -> CrlbReport:
     """Sum of both targets' delay bounds, plus its all-power-to-radar normalization."""
-    bounds = tuple(crlb_delay(cfg, alloc, spec, k) for k in (1, 2))
-    total = sum(bounds)
+    total = sum(crlb_delay(cfg, alloc, spec, k) for k in (1, 2))
     reference_alloc = PowerAllocation(0.0, 0.0, 1.0)
     reference = sum(crlb_delay(cfg, reference_alloc, spec, k) for k in (1, 2))
     return CrlbReport(
-        crlb_per_target=bounds,
         sigma_eps_sq=total,
         sigma_eps_sq_normalized=total / reference,
     )

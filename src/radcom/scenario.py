@@ -80,11 +80,6 @@ class ScenarioConfig:
         if not math.isfinite(self.si_suppression_db):
             raise ValidationError("si_suppression_db must be finite")
 
-    @property
-    def duration_s(self) -> float:
-        """Pulse duration T = TW / W, seconds."""
-        return self.time_bandwidth / self.bandwidth_hz
-
     def target(self, k: int) -> tuple[float, float]:
         """(eta, h_gain) of radar target k: user k's cross-section and channel gain."""
         if k not in (1, 2):
@@ -131,26 +126,20 @@ class QosRequirement:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-# Scenario-file keys: logical field -> (linear key, dB/dBm key or None).
-_FIELD_KEYS = {
-    "h1_gain": ("h1_gain", "h1_gain_db"),
-    "h2_gain": ("h2_gain", "h2_gain_db"),
-    "sigma1_sq": ("sigma1_sq", "sigma1_sq_dbm"),
-    "sigma2_sq": ("sigma2_sq", "sigma2_sq_dbm"),
-    "sigma_r_sq": ("sigma_r_sq", "sigma_r_sq_dbm"),
-    "eta1": ("eta1", None),
-    "eta2": ("eta2", None),
-    "bandwidth_hz": ("bandwidth_hz", None),
-    "time_bandwidth": ("time_bandwidth", None),
-    "total_power_mw": ("total_power_mw", "total_power_dbm"),
-    "si_suppression_db": ("si_suppression_db", None),
+# Scenario-file keys: every field's own name takes its linear value, and
+# these fields also take a dB/dBm value under a second key.
+_DB_KEYS = {
+    "h1_gain": "h1_gain_db",
+    "h2_gain": "h2_gain_db",
+    "sigma1_sq": "sigma1_sq_dbm",
+    "sigma2_sq": "sigma2_sq_dbm",
+    "sigma_r_sq": "sigma_r_sq_dbm",
+    "total_power_mw": "total_power_dbm",
 }
 
-_KEY_TO_FIELD = {}
-for _field, (_lin, _db) in _FIELD_KEYS.items():
-    _KEY_TO_FIELD[_lin] = (_field, False)
-    if _db is not None:
-        _KEY_TO_FIELD[_db] = (_field, True)
+# file key -> (field, whether the value is in dB/dBm)
+_KEY_TO_FIELD = {f.name: (f.name, False) for f in fields(ScenarioConfig)}
+_KEY_TO_FIELD.update((db_key, (name, True)) for name, db_key in _DB_KEYS.items())
 
 
 def load_scenario(source: str) -> ScenarioConfig:
@@ -203,7 +192,7 @@ def scenario_report_fields(cfg: ScenarioConfig) -> dict:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         out[f.name] = value
-        db_key = _FIELD_KEYS[f.name][1]
+        db_key = _DB_KEYS.get(f.name)
         if db_key is not None and value > 0.0:
             out[db_key] = float(f"{linear_to_db(value):.6g}")
     return out

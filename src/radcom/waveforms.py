@@ -36,8 +36,7 @@ class SampledWaveform:
 
     samples: np.ndarray      # unit-modulus complex values at midpoint times
     sample_rate_hz: float
-    duration_s: float
-    spec: WaveformSpec
+    spec: WaveformSpec       # the pulse law; its duration_s is T
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ def synthesize(spec: WaveformSpec, sample_rate_hz: float) -> SampledWaveform:
     return SampledWaveform(
         samples=samples,
         sample_rate_hz=sample_rate_hz,
-        duration_s=spec.duration_s,
         spec=spec,
     )
 

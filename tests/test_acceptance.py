@@ -174,23 +174,24 @@ def test_criterion_7_fairness_ordering():
     expected = {0.7: 0.668, 1.0: 0.760, 1.5: 0.940}
     observed = {}
     for r02, target in expected.items():
-        sweep = tradeoff_sweep(CFG, r02, LINEAR)
+        points = tradeoff_sweep(CFG, r02, LINEAR).curve.split()
         # the sum rate is maximal at the smallest radar share (first point)
-        assert sweep.points[0].r_sum == max(pt.r_sum for pt in sweep.points)
-        observed[r02] = sweep.points[0].fairness
+        assert points[0].r_sum == max(pt.r_sum for pt in points)
+        observed[r02] = points[0].fairness
         assert observed[r02] == pytest.approx(target, abs=1e-2)
     assert observed[1.5] > observed[1.0] > observed[0.7]
 
 
 @verdict(8, "sum rate degrades pointwise as channel asymmetry grows")
 def test_criterion_8_asymmetry_degradation():
-    results = asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0])
-    n_common = min(len(r.points) for r in results)
+    results = [r.curve.split() for r in
+               asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0])]
+    n_common = min(len(points) for points in results)
     assert n_common > 0
     for narrower, wider in zip(results[:-1], results[1:]):
         for i in range(n_common):
-            assert wider.points[i].alloc.ar_sq == narrower.points[i].alloc.ar_sq
-            assert wider.points[i].r_sum < narrower.points[i].r_sum
+            assert wider[i].alloc.ar_sq == narrower[i].alloc.ar_sq
+            assert wider[i].r_sum < narrower[i].r_sum
 
 
 @verdict(9, "rerunning a manifest reproduces outputs byte-identically")

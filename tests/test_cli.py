@@ -232,6 +232,10 @@ BAD_MANIFEST_PARAMS = {
     "alloc-over-budget": (["mc-delay", "--delay", "6.2832e-6", "--trials", "100"],
                           "mc.json", "alloc", [0.5, 0.5, 0.5]),
     "unknown-param": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r03", 0.7),
+    "grid-missing-count": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
+                           {"lo": 0.01, "hi": 0.99}),
+    "grid-unknown-key": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "grid",
+                         {"lo": 0.01, "hi": 0.99, "count": 20, "step": 0.05}),
 }
 
 
@@ -394,4 +398,7 @@ def test_asymmetry_gap_breaking_the_ordering_exits_3(tmp_path, capsys):
     assert main(["asymmetry", path, "--gaps-db", "10,3",
                  "--out", str(tmp_path / "a.json")]) == 3
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
-    assert "SIC ordering violated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "SIC ordering violated" in err
+    # the refusal names the gap that broke the ordering
+    assert "error: asymmetry gap 3 dB: " in err

@@ -9,8 +9,7 @@ from conftest import random_table_like_config
 from radcom import (InfeasibleError, InfiniteCrlbError, PowerAllocation,
                     QosRequirement, ScenarioConfig, ValidationError, WaveformKind,
                     WaveformSpec, asymmetry_sweep, default_grid, jain_fairness,
-                    max_radar_allocation, min_power_for_qos,
-                    optimal_allocation_for_sumrate, rate_report,
+                    max_radar_allocation, optimal_allocation_for_sumrate, rate_report,
                     sample_feasible_region, star_point, total_estimation_variance,
                     tradeoff_sweep)
 
@@ -49,23 +48,25 @@ def test_optimal_allocation_input_guards():
 
 
 def test_min_power_reference_values():
-    a1_min, a2_min = min_power_for_qos(CFG, QosRequirement(1.5, 0.7))
-    assert a1_min == pytest.approx(0.057822, abs=1e-5)
-    assert a2_min == pytest.approx(0.233598, abs=1e-5)
-    report = rate_report(CFG, PowerAllocation(a1_min, a2_min, 1 - a1_min - a2_min))
+    alloc = max_radar_allocation(CFG, QosRequirement(1.5, 0.7))
+    assert alloc.a1_sq == pytest.approx(0.057822, abs=1e-5)
+    assert alloc.a2_sq == pytest.approx(0.233598, abs=1e-5)
+    report = rate_report(CFG, PowerAllocation(alloc.a1_sq, alloc.a2_sq,
+                                              1 - alloc.a1_sq - alloc.a2_sq))
     assert report.r1 == pytest.approx(1.5, rel=1e-9)
     assert report.r2 == pytest.approx(0.7, rel=1e-9)
 
-    a1_min, a2_min = min_power_for_qos(CFG, QosRequirement(0.7, 0.7))
-    assert a1_min == pytest.approx(0.019749, abs=1e-5)
-    assert a2_min == pytest.approx(0.209820, abs=1e-5)
+    alloc = max_radar_allocation(CFG, QosRequirement(0.7, 0.7))
+    assert alloc.a1_sq == pytest.approx(0.019749, abs=1e-5)
+    assert alloc.a2_sq == pytest.approx(0.209820, abs=1e-5)
 
-    assert min_power_for_qos(CFG, QosRequirement(0.0, 0.0)) == (0.0, 0.0)
+    alloc = max_radar_allocation(CFG, QosRequirement(0.0, 0.0))
+    assert (alloc.a1_sq, alloc.a2_sq) == (0.0, 0.0)
 
 
 def test_min_power_infeasible_qos():
     with pytest.raises(InfeasibleError, match="nothing left"):
-        min_power_for_qos(CFG, QosRequirement(5.0, 5.0))
+        max_radar_allocation(CFG, QosRequirement(5.0, 5.0))
 
 
 @pytest.mark.parametrize("qos,ar_expected", [
@@ -97,14 +98,14 @@ def test_star_point_reference_values(qos, norm_expected, rsum_expected):
 def test_sweep_infeasibility_onset(r02, tail_expected):
     result = tradeoff_sweep(CFG, r02, LINEAR)
     assert result.infeasible_tail_start == pytest.approx(tail_expected, abs=1e-3)
-    assert result.points[-1].alloc.ar_sq < result.infeasible_tail_start
+    assert result.curve.split()[-1].alloc.ar_sq < result.infeasible_tail_start
 
 
 def test_sweep_points_are_ordered_and_monotone():
-    result = tradeoff_sweep(CFG, 0.7, LINEAR)
-    ar = [pt.alloc.ar_sq for pt in result.points]
-    r_sum = [pt.r_sum for pt in result.points]
-    sigma = [pt.sigma_eps_sq for pt in result.points]
+    points = tradeoff_sweep(CFG, 0.7, LINEAR).curve.split()
+    ar = [pt.alloc.ar_sq for pt in points]
+    r_sum = [pt.r_sum for pt in points]
+    sigma = [pt.sigma_eps_sq for pt in points]
     assert all(a < b for a, b in zip(ar, ar[1:]))
     assert all(a >= b for a, b in zip(r_sum, r_sum[1:]))
     assert all(a >= b for a, b in zip(sigma, sigma[1:]))
@@ -112,13 +113,13 @@ def test_sweep_points_are_ordered_and_monotone():
 
 def test_sweep_holds_the_weak_user_at_its_qos():
     result = tradeoff_sweep(CFG, 1.0, LINEAR)
-    for pt in result.points:
+    for pt in result.curve.split():
         assert pt.r2 == pytest.approx(1.0, rel=1e-9)
 
 
 def test_sweep_points_recompute_consistently():
     result = tradeoff_sweep(CFG, 0.7, LINEAR, np.linspace(0.05, 0.75, 15))
-    for pt in result.points:
+    for pt in result.curve.split():
         fresh = rate_report(CFG, pt.alloc)
         assert pt.r_sum == pytest.approx(fresh.r_sum, rel=1e-9)
         bound = total_estimation_variance(CFG, pt.alloc, LINEAR)
@@ -127,9 +128,10 @@ def test_sweep_points_recompute_consistently():
 
 def test_sweep_zero_radar_share_is_flagged_infinite():
     result = tradeoff_sweep(CFG, 0.7, LINEAR, [0.0])
-    assert len(result.points) == 1
-    assert math.isinf(result.points[0].sigma_eps_sq)
-    assert math.isinf(result.points[0].sigma_eps_sq_normalized)
+    points = result.curve.split()
+    assert len(points) == 1
+    assert math.isinf(points[0].sigma_eps_sq)
+    assert math.isinf(points[0].sigma_eps_sq_normalized)
     assert result.infeasible_tail_start is None
 
 
@@ -189,7 +191,7 @@ def test_swapping_waveforms_rescales_only_the_radar_side():
     lin = tradeoff_sweep(CFG, 0.7, LINEAR, grid)
     par = tradeoff_sweep(
         CFG, 0.7, WaveformSpec(WaveformKind.PARABOLIC_FM, 2e7, 1000.0), grid)
-    for a, b in zip(lin.points, par.points):
+    for a, b in zip(lin.curve.split(), par.curve.split()):
         assert b.r_sum == a.r_sum
         assert b.r1 == a.r1
         assert b.fairness == a.fairness
@@ -200,8 +202,8 @@ def test_asymmetry_ten_db_gap_reproduces_the_baseline():
     grid = np.linspace(0.05, 0.7, 20)
     baseline = tradeoff_sweep(CFG, 0.7, LINEAR, grid)
     swept = asymmetry_sweep(CFG, 0.7, LINEAR, [10.0], grid)[0]
-    assert len(swept.points) == len(baseline.points)
-    for mine, ref in zip(swept.points, baseline.points):
+    assert len(swept.curve.r_sum) == len(baseline.curve.r_sum)
+    for mine, ref in zip(swept.curve.split(), baseline.curve.split()):
         assert mine.r_sum == pytest.approx(ref.r_sum, rel=1e-9)
         assert mine.sigma_eps_sq == pytest.approx(ref.sigma_eps_sq, rel=1e-9)
 
@@ -215,12 +217,13 @@ def test_asymmetry_rejects_non_positive_gaps():
 
 def test_larger_asymmetry_degrades_the_sum_rate_pointwise():
     grid = np.linspace(0.05, 0.3, 12)
-    results = asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0], grid)
+    results = [r.curve.split() for r in
+               asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0], grid)]
     for tighter, looser in zip(results[1:], results[:-1]):
-        n = min(len(tighter.points), len(looser.points))
+        n = min(len(tighter), len(looser))
         assert n > 0
         for i in range(n):
-            assert tighter.points[i].r_sum < looser.points[i].r_sum
+            assert tighter[i].r_sum < looser[i].r_sum
 
 
 def test_random_configs_keep_the_qos_equality():
@@ -247,7 +250,7 @@ def test_sweep_columns_equal_the_scalar_api(kind):
         r02 = math.log2(1.0 + 0.2 * cfg.h2_gain * cfg.total_power_mw / cfg.sigma2_sq)
         for grid in (np.linspace(0.01, 0.99, 2000), np.linspace(0.0, 0.9, 37)):
             result = tradeoff_sweep(cfg, r02, spec, grid)
-            points = result.points
+            points = result.curve.split()
             assert 0 < len(points) < len(grid)
             # the sweep stops exactly where the scalar split turns infeasible
             with pytest.raises(InfeasibleError):

@@ -1,6 +1,7 @@
 """Every public name earns its place: something outside tests uses it."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import radcom
@@ -22,10 +23,28 @@ def _loaded_names(path):
     return names
 
 
-def test_every_public_name_is_used_outside_its_definition():
+def _names_read_outside_tests():
     # The package's __init__ only re-exports, so it does not count as a use.
     sources = [p for p in (ROOT / "src" / "radcom").glob("*.py") if p.name != "__init__.py"]
     sources += sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*(_loaded_names(p) for p in sources))
-    unused = sorted(set(radcom.__all__) - used)
+    return set().union(*(_loaded_names(p) for p in sources))
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    unused = sorted(set(radcom.__all__) - _names_read_outside_tests())
     assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"
+
+
+def test_every_public_dataclass_field_is_read():
+    """No field of a public dataclass is written and never read.
+
+    The scan is by name, as above, so it cannot catch a field that shares
+    its name with a local variable or parameter read somewhere (``spec``,
+    ``crlb``): that read counts for the field too.
+    """
+    used = _names_read_outside_tests()
+    classes = [getattr(radcom, name) for name in radcom.__all__]
+    unread = sorted(f"{cls.__name__}.{f.name}" for cls in classes
+                    if dataclasses.is_dataclass(cls)
+                    for f in dataclasses.fields(cls) if f.name not in used)
+    assert not unread, f"dataclass fields nothing in src/ or perfbench/ reads: {unread}"

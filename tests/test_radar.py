@@ -77,11 +77,12 @@ def test_delay_bound_guards():
 
 def test_total_variance_at_full_radar_power():
     report = total_estimation_variance(CFG, RADAR_ONLY, LINEAR)
+    bounds = [crlb_delay(CFG, RADAR_ONLY, LINEAR, k) for k in (1, 2)]
     assert report.sigma_eps_sq == pytest.approx(3.7995e-9, rel=1e-3)
-    assert report.sigma_eps_sq == sum(report.crlb_per_target)
+    assert report.sigma_eps_sq == sum(bounds)
     assert report.sigma_eps_sq_normalized == 1.0
     # target 1's bound is the smaller one for the baseline parameters
-    assert report.crlb_per_target[0] < report.crlb_per_target[1]
+    assert bounds[0] < bounds[1]
 
 
 def test_total_variance_normalization_at_the_qos_star():

@@ -2,14 +2,31 @@
 
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from radcom import (PowerAllocation, QosRequirement, ScenarioConfig,
-                    ScenarioParseError, ValidationError, db_to_linear,
-                    linear_to_db, load_scenario, optimal_allocation_for_sumrate,
-                    rate_report)
+                    ScenarioParseError, ValidationError, WaveformKind, WaveformSpec,
+                    db_to_linear, linear_to_db, load_scenario,
+                    optimal_allocation_for_sumrate, rate_report)
+from radcom.scenario import scenario_report_fields
+
+# The scenario file's dB/dBm keys and the field each one sets.
+DB_KEYS = {
+    "h1_gain_db": "h1_gain",
+    "h2_gain_db": "h2_gain",
+    "sigma1_sq_dbm": "sigma1_sq",
+    "sigma2_sq_dbm": "sigma2_sq",
+    "sigma_r_sq_dbm": "sigma_r_sq",
+    "total_power_dbm": "total_power_mw",
+}
+
+
+def _pulse(cfg):
+    """The pulse a scenario describes: its bandwidth and time-bandwidth product."""
+    return WaveformSpec(WaveformKind.LINEAR_FM, cfg.bandwidth_hz, cfg.time_bandwidth)
 
 
 def test_db_to_linear_reference_points():
@@ -50,7 +67,7 @@ def test_empty_source_gives_baseline_defaults():
     assert cfg.bandwidth_hz == 2e7
     assert cfg.time_bandwidth == 1000.0
     assert cfg.total_power_mw == 1.0
-    assert cfg.duration_s == pytest.approx(5e-5, rel=1e-12)
+    assert _pulse(cfg).duration_s == pytest.approx(5e-5, rel=1e-12)
 
 
 def test_defaults_pass_their_own_validation():
@@ -66,7 +83,27 @@ def test_swapped_gains_rejected():
 
 def test_time_bandwidth_override_sets_duration():
     cfg = load_scenario("time_bandwidth=100")
-    assert cfg.duration_s == pytest.approx(100 / 2e7, rel=1e-12)
+    assert cfg.time_bandwidth == 100.0
+    assert _pulse(cfg).duration_s == pytest.approx(100 / 2e7, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(ScenarioConfig)] + list(DB_KEYS))
+def test_every_file_key_sets_its_field(key):
+    # Each value doubles the default (3 dB up), which keeps the SIC ordering.
+    field = DB_KEYS.get(key, key)
+    default = getattr(ScenarioConfig(), field)
+    if key in DB_KEYS:
+        value_db = linear_to_db(default) + 3.0
+        cfg = load_scenario(f"{key}={value_db!r}")
+        expected = db_to_linear(value_db)
+    else:
+        cfg = load_scenario(f"{key}={2.0 * default!r}")
+        expected = 2.0 * default
+    assert cfg == replace(ScenarioConfig(), **{field: expected})
+    report = scenario_report_fields(cfg)
+    assert set(report) == {f.name for f in fields(ScenarioConfig)} | set(DB_KEYS)
+    assert report[field] == expected
 
 
 def test_comments_blank_lines_and_dbm_keys():

@@ -59,8 +59,7 @@ def test_numeric_energy_is_half_duration():
 def test_numeric_energy_scales_quadratically_with_amplitude():
     sampled = synthesize(LINEAR, 8 * W_HZ)
     scaled = SampledWaveform(samples=3.0 * sampled.samples,
-                             sample_rate_hz=sampled.sample_rate_hz,
-                             duration_s=sampled.duration_s, spec=sampled.spec)
+                             sample_rate_hz=sampled.sample_rate_hz, spec=sampled.spec)
     assert numeric_energy(scaled) == pytest.approx(
         9.0 * numeric_energy(sampled), rel=1e-12)
 
