@@ -10,23 +10,23 @@ form, and emits the tradeoff datasets through :mod:`radcom.cli`.
 __version__ = "0.1.0"
 
 from .comms import RateReport, compute_sinr, jain_fairness, rate_report
-from .errors import (InfeasibleError, InfiniteCrlbError, RadcomError,
-                     ScenarioParseError, ValidationError)
+from .errors import (InfeasibleError, RadcomError, ScenarioParseError,
+                     ValidationError)
 from .optimizer import (SweepResult, TradeoffPoint, asymmetry_sweep, default_grid,
                         max_radar_allocation, optimal_allocation_for_sumrate,
                         sample_feasible_region, star_point, tradeoff_sweep)
 from .radar import (CrlbReport, WaveformKind, WaveformSpec, analytic_energy,
-                    analytic_rms_bandwidth_sq, crlb_delay, total_estimation_variance)
+                    analytic_rms_bandwidth_sq, crlb_delay, post_integration_snr_db,
+                    total_estimation_variance)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
                        db_to_linear, linear_to_db, load_scenario)
 from .waveforms import (McDelayReport, MomentMethod, SampledWaveform,
                         instantaneous_frequency, mc_delay_estimation,
-                        numeric_energy, numeric_rms_bandwidth_sq,
-                        post_integration_snr_db, synthesize)
+                        numeric_energy, numeric_rms_bandwidth_sq, synthesize)
 
 __all__ = [
     "__version__",
-    "CrlbReport", "InfeasibleError", "InfiniteCrlbError", "McDelayReport",
+    "CrlbReport", "InfeasibleError", "McDelayReport",
     "MomentMethod", "PowerAllocation", "QosRequirement",
     "RadcomError", "RateReport", "SampledWaveform", "ScenarioConfig",
     "ScenarioParseError", "SweepResult", "TradeoffPoint", "ValidationError",

@@ -234,8 +234,16 @@ def _fairness(cfg, params, paths):
 
 def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
     """The summary JSON, then one sweep CSV per gap beside it."""
-    return [out, *(out.with_name(f"{out.stem}_gap{g:g}db.csv")
-                   for g in params["gaps_db"])]
+    gaps = params["gaps_db"]
+    csvs = [out.with_name(f"{out.stem}_gap{g:g}db.csv") for g in gaps]
+    # A name keeps 6 digits of its gap, so distinct gaps (by repr: a repeated
+    # nan repeats like a repeated 5) may not share one.
+    last_gap = dict(zip(csvs, map(repr, gaps)))
+    for gap, csv in zip(gaps, csvs):
+        if repr(gap) != last_gap[csv]:
+            raise ValidationError(
+                f"gaps {gap!r} and {last_gap[csv]} dB would both write {csv.name}")
+    return [out, *csvs]
 
 
 def _asymmetry(cfg, params, paths):

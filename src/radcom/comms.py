@@ -58,16 +58,14 @@ def jain_fairness(rates: Sequence[float]) -> float:
     """Normalized Jain index (sum x)^2 / (n sum x^2), in (0, 1].
 
     1 means perfectly even rates; 1/n means one user takes everything.
-    Each rate may be an array (one entry per split); entries whose rates
-    are all zero are nan, where scalar rates raise instead.
+    Each rate may be a float or an array (one entry per split); all-zero
+    rates give nan, for floats as for each entry of arrays.
     """
     if len(rates) < 1:
         raise ValidationError("fairness needs at least one rate")
     if not all(holds_everywhere((0.0 <= r) & (r < math.inf)) for r in rates):
         raise ValidationError(f"rates must be finite and >= 0, got {list(rates)!r}")
     sum_sq = sum(r * r for r in rates)
-    if np.ndim(sum_sq) == 0 and sum_sq == 0.0:
-        raise ValidationError("fairness undefined: all rates are zero")
     total = sum(rates)
     with np.errstate(invalid="ignore"):
-        return total * total / (len(rates) * sum_sq)
+        return np.divide(total * total, len(rates) * sum_sq)

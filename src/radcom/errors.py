@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries only its message."""
 
 
 class RadcomError(Exception):
@@ -10,29 +10,11 @@ class ValidationError(RadcomError, ValueError):
 
 
 class ScenarioParseError(ValidationError):
-    """A scenario source could not be parsed.
+    """A scenario source could not be parsed; the message starts ``line N:``."""
 
-    Carries the 1-based line number of the offending entry when known.
-    """
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    def __init__(self, message: str, line_no: int):
+        super().__init__(f"line {line_no}: {message}")
 
 
 class InfeasibleError(RadcomError):
-    """A constrained problem has no solution for the requested inputs.
-
-    ``kappa_min`` (when set) is the minimum communications power budget
-    1 - ar_sq required for feasibility.
-    """
-
-    def __init__(self, message: str, kappa_min: float | None = None):
-        super().__init__(message)
-        self.kappa_min = kappa_min
-
-
-class InfiniteCrlbError(RadcomError):
-    """Delay-estimation bound is unbounded (zero radar power, zero Fisher information)."""
+    """A constrained problem has no solution for the requested inputs."""

@@ -91,11 +91,9 @@ def optimal_allocation_for_sumrate(cfg: ScenarioConfig, r02: float,
     kappa = 1.0 - ar_sq
     h2 = cfg.h2_gain
     if not holds_everywhere(kappa * h2 >= need):
-        kappa_min = need / h2
         raise InfeasibleError(
             f"QoS r02 = {r02:g} needs a communications budget of at least "
-            f"kappa_min = {kappa_min:.6g}, but 1 - ar_sq = {np.min(kappa):.6g}",
-            kappa_min=kappa_min)
+            f"kappa_min = {need / h2:.6g}, but 1 - ar_sq = {np.min(kappa):.6g}")
     a1 = np.maximum((kappa * h2 - need) / (h2 * 2.0 ** r02), 0.0)
     # Pair the two fractions so their sum reproduces kappa bitwise.
     a2 = kappa - a1
@@ -126,8 +124,7 @@ def max_radar_allocation(cfg: ScenarioConfig,
 
 def _evaluate(cfg: ScenarioConfig, alloc: PowerAllocation,
               spec: WaveformSpec) -> TradeoffPoint:
-    """Tradeoff columns over the splits of alloc (scalars count as one), in one pass."""
-    alloc = PowerAllocation(*np.atleast_1d(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq))
+    """Tradeoff point of alloc: scalar fields for one split, arrays for many."""
     rates = rate_report(cfg, alloc)
     crlb = total_estimation_variance(cfg, alloc, spec)
     return TradeoffPoint(
@@ -144,7 +141,7 @@ def _evaluate(cfg: ScenarioConfig, alloc: PowerAllocation,
 def star_point(cfg: ScenarioConfig, qos: QosRequirement,
                spec: WaveformSpec) -> TradeoffPoint:
     """Minimum-estimation-error point under both users' QoS constraints."""
-    return _evaluate(cfg, max_radar_allocation(cfg, qos), spec).split()[0]
+    return _evaluate(cfg, max_radar_allocation(cfg, qos), spec)
 
 
 def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
@@ -172,7 +169,7 @@ def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
     if count == 0:
         raise InfeasibleError(
             f"no grid point is feasible for r02 = {r02:g} "
-            f"(kappa_min = {kappa_min:.6g})", kappa_min=kappa_min)
+            f"(kappa_min = {kappa_min:.6g})")
     alloc = optimal_allocation_for_sumrate(cfg, r02, grid_arr[:count])
     return SweepResult(
         curve=_evaluate(cfg, alloc, spec),

@@ -1,10 +1,11 @@
-"""Radar side: closed-form waveform moments and delay-estimation error bounds.
+"""Radar side: closed-form waveform moments, link budget and delay bounds.
 
-The bound takes its Fisher information from the radar waveform and its
-noise from sigma_r_sq alone.  It leaves out the reflected communications
-signals, which the Monte Carlo in :mod:`radcom.waveforms` adds as white
-Gaussian interference, so with strong communications echoes the bound is
-optimistic, not conservative (ROADMAP item 2).
+Target k's echo power feeds both the delay bound, whose Fisher information
+comes from the radar waveform, and the post-integration SNR.  Both take
+their noise from sigma_r_sq alone and leave out the reflected
+communications signals, which the Monte Carlo in :mod:`radcom.waveforms`
+adds as white Gaussian interference, so with strong communications echoes
+the bound is optimistic, not conservative (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfiniteCrlbError, ValidationError
+from .errors import ValidationError
 from .scenario import PowerAllocation, ScenarioConfig
 
 
@@ -76,25 +77,34 @@ def analytic_rms_bandwidth_sq(spec: WaveformSpec) -> float:
     return 16.0 * w_sq / 45.0
 
 
+def _echo_power(cfg: ScenarioConfig, alloc: PowerAllocation, k: int) -> float:
+    """Target k's echo power eta^2 h^2 ar_sq P, mW; the two-way link squares h."""
+    eta, h_gain = cfg.target(k)
+    return eta ** 2 * h_gain ** 2 * alloc.ar_sq * cfg.total_power_mw
+
+
 def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
                k: int) -> float:
     """Variance lower bound for the round-trip delay of target k (1 or 2), s^2.
 
-    Scales as noise / (reflectivity * radar power * energy * bandwidth *
-    rms-bandwidth^2); the two-way channel contributes the squared linear
-    power gain of the target's link.  A scalar ar_sq of 0 raises
-    InfiniteCrlbError; zero entries of an array ar_sq give inf.
+    Scales as noise / (echo power * energy * bandwidth * rms-bandwidth^2).
+    ar_sq = 0 gives zero Fisher information and an inf bound, for a float
+    ar_sq as for each entry of an array.
     """
-    eta, h_gain = cfg.target(k)
-    if np.ndim(alloc.ar_sq) == 0 and alloc.ar_sq == 0.0:
-        raise InfiniteCrlbError(
-            "ar_sq = 0 gives zero Fisher information: the delay bound is infinite")
+    echo = _echo_power(cfg, alloc, k)
     energy = analytic_energy(spec)
     brms_sq = analytic_rms_bandwidth_sq(spec)
-    denom = (2.0 * eta ** 2 * h_gain ** 2 * alloc.ar_sq * cfg.total_power_mw
-             * energy * spec.bandwidth_hz * brms_sq)
+    denom = 2.0 * echo * energy * spec.bandwidth_hz * brms_sq
     with np.errstate(divide="ignore"):
-        return cfg.sigma_r_sq / denom
+        return np.divide(cfg.sigma_r_sq, denom)
+
+
+def post_integration_snr_db(cfg: ScenarioConfig, alloc: PowerAllocation,
+                            spec: WaveformSpec, k: int) -> float:
+    """Matched-filter output SNR for target k's echo, dB: the echo power times
+    the pulse-compression gain TW over the radar noise power."""
+    snr = _echo_power(cfg, alloc, k) * spec.time_bandwidth / cfg.sigma_r_sq
+    return 10.0 * math.log10(snr)
 
 
 def total_estimation_variance(cfg: ScenarioConfig, alloc: PowerAllocation,

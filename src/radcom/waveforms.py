@@ -3,7 +3,8 @@
 Everything here exists to check the closed forms in :mod:`radcom.radar`
 against discretized signals, and to verify by simulation that a matched
 filter with sub-sample interpolation approaches the delay bound once the
-post-integration SNR is high enough.
+post-integration SNR is high enough.  The bound and the SNR both come from
+the radar link budget in :mod:`radcom.radar`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .radar import WaveformKind, WaveformSpec, crlb_delay
+from .radar import WaveformKind, WaveformSpec, crlb_delay, post_integration_snr_db
 from .scenario import PowerAllocation, ScenarioConfig
 
 MIN_OVERSAMPLING = 8.0          # sample_rate_hz >= MIN_OVERSAMPLING * W
@@ -122,19 +123,6 @@ def numeric_rms_bandwidth_sq(w: SampledWaveform,
     return 4.0 * math.pi ** 2 * moment / weight
 
 
-def post_integration_snr_db(cfg: ScenarioConfig, alloc: PowerAllocation,
-                            spec: WaveformSpec, k: int) -> float:
-    """Matched-filter output SNR for target k's echo, dB.
-
-    Equals reflectivity * radar power fraction * transmit power * TW over
-    the radar noise power; TW is the pulse-compression gain.
-    """
-    eta, h_gain = cfg.target(k)
-    snr = (eta ** 2 * h_gain ** 2 * alloc.ar_sq * cfg.total_power_mw
-           * spec.time_bandwidth / cfg.sigma_r_sq)
-    return 10.0 * math.log10(snr)
-
-
 def _delayed_pulse(spec: WaveformSpec, t: np.ndarray, delay_s: float) -> np.ndarray:
     """Echo samples x(t - delay) with zero outside the pulse support."""
     shifted = t - delay_s
@@ -159,8 +147,7 @@ def _smooth_len(m: int) -> int:
 
 def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
                         spec: WaveformSpec, k: int, true_delay_s: float,
-                        trials: int, seed: int,
-                        sample_rate_hz: float | None = None) -> McDelayReport:
+                        trials: int, seed: int) -> McDelayReport:
     """Monte Carlo delay estimation against the closed-form bound.
 
     Each trial superposes the delayed radar echo with fresh circular
@@ -190,7 +177,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
             f"{MIN_MC_SNR_DB:g} dB asymptotic-region guard; the bound "
             "comparison would be meaningless")
 
-    fs = float(sample_rate_hz) if sample_rate_hz is not None else MIN_OVERSAMPLING * w_hz
+    fs = MIN_OVERSAMPLING * w_hz
     template = synthesize(spec, fs)
     xt = template.samples
     n = len(xt)

@@ -357,6 +357,22 @@ def test_refused_asymmetry_writes_nothing(tmp_path, scenario):
     assert existing.read_text(encoding="utf-8").startswith("ar_sq,")
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_distinct_gaps_sharing_a_csv_name_exit_3(tmp_path, scenario, capsys, force):
+    # {gap:g} keeps 6 digits, so both gaps would name asym_gap10db.csv.
+    out = tmp_path / "asym.json"
+    assert main(["asymmetry", scenario, "--gaps-db", "10,10.0000001",
+                 "--out", str(out)] + force) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
+    assert capsys.readouterr().err == (
+        "error: gaps 10.0 and 10.0000001 dB would both write asym_gap10db.csv\n")
+    # an exact repeat names one CSV, written once under --force
+    assert main(["asymmetry", scenario, "--gaps-db", "5,5", "--out", str(out)]) == 3
+    assert main(["asymmetry", scenario, "--gaps-db", "5,5", "--out", str(out),
+                 "--force"]) == 0
+    assert json.loads(out.read_text())["curves"][1]["csv"].endswith("asym_gap5db.csv")
+
+
 def test_csv_cells_match_fixed_scientific_formatting():
     values = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308,
               0.123456789012345, 9.999999995, math.inf, -math.inf, math.nan]

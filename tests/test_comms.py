@@ -102,8 +102,7 @@ def test_jain_fairness_at_the_no_radar_optimum():
 def test_jain_fairness_rejects_degenerate_inputs():
     with pytest.raises(ValidationError):
         jain_fairness([])
-    with pytest.raises(ValidationError, match="all rates are zero"):
-        jain_fairness([0.0, 0.0])
+    assert math.isnan(jain_fairness([0.0, 0.0]))
     with pytest.raises(ValidationError):
         jain_fairness([1.0, -0.5])
 

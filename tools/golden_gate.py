@@ -1,0 +1,280 @@
+"""Run the golden command-line cases of one radcom source tree.
+
+Usage:
+    python tools/golden_gate.py SRC OUT
+
+SRC is the root of a radcom checkout (it holds ``src/radcom`` and
+``scenarios/baseline.txt``).  Each case runs in its own fresh directory
+``OUT/<case>/``, which starts with the scenario files below and ends up
+holding every output the case's commands wrote plus three records: ``rc``
+(one exit code per command), ``stdout`` and ``stderr`` (each command's
+output after a ``$ radcom ...`` line).  Commands run as
+``python -m radcom.cli`` with SRC's ``src`` on PYTHONPATH and every path
+relative to the case directory, so the outputs of two trees compare
+directly:
+
+    python tools/golden_gate.py PARENT_TREE /tmp/gate-parent
+    python tools/golden_gate.py .           /tmp/gate-change
+    diff -r /tmp/gate-parent /tmp/gate-change
+
+A case is a list of steps: a command-line argv, ``("write", path, text)``
+to create a file first, or ``("edit", manifest, new_path, changes)`` to
+copy a manifest with some of its entries replaced (a dotted key such as
+``params.grid`` names a nested entry).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+SCENARIOS = {
+    "boosted.txt": "sigma_r_sq=1e-19\n",
+    "bad.txt": "h1_gain=oops\n",
+    "noisy.txt": "sigma1_sq=1e-9\n",        # breaks the SIC ordering
+    "noisier.txt": "sigma1_sq_dbm=-100\n",  # keeps it, 5 dB ahead
+}
+MC = ["--delay", "6.2832e-6", "--trials", "150", "--seed", "5"]
+COMMANDS = ("sweep", "starpoints", "fairness", "asymmetry", "waveform-validate",
+            "mc-delay", "rerun")
+
+# Base runs: name -> (argv without --out, primary output).
+BASE = {
+    "sweep": (["sweep", "baseline.txt"], "s.csv"),
+    "sweep-parabolic": (["sweep", "baseline.txt", "--waveform", "parabolic"], "s.csv"),
+    "starpoints": (["starpoints", "baseline.txt"], "p.csv"),
+    "fairness": (["fairness", "baseline.txt"], "f.csv"),
+    "asymmetry": (["asymmetry", "baseline.txt"], "a.json"),
+    "waveform-validate": (["waveform-validate"], "w.csv"),
+    "mc-delay": (["mc-delay", "boosted.txt", "--delay", "6.2832e-6"], "mc.json"),
+    "mc-delay-split": (["mc-delay", "boosted.txt", *MC, "--alloc", "0.01:0.04:0.95"],
+                       "mc.json"),
+    "waveform-validate-coarse": (["waveform-validate", "--oversampling", "8"], "w.csv"),
+}
+
+# Hand-edited manifests: name -> (base run, changed entries).
+EDITED = {
+    "gaps-empty": ("asymmetry", {"params.gaps_db": []}),
+    "gaps-zero": ("asymmetry", {"params.gaps_db": [0.0, 5.0]}),
+    "qos-single": ("starpoints", {"params.qos": [[1.5]]}),
+    "qos-triple": ("starpoints", {"params.qos": [[1.5, 0.7, 3]]}),
+    "qos-empty": ("starpoints", {"params.qos": []}),
+    "alloc-over-budget": ("mc-delay-split", {"params.alloc": [0.5, 0.5, 0.5]}),
+    "alloc-short": ("mc-delay-split", {"params.alloc": [0.5, 0.5]}),
+    "seed-negative": ("mc-delay-split", {"params.seed": -1}),
+    "waveform-sine": ("sweep", {"params.waveform": "sine"}),
+    "grid-reversed": ("sweep", {"params.grid": {"lo": 0.5, "hi": 0.1, "count": 10}}),
+    "grid-missing-count": ("sweep", {"params.grid": {"lo": 0.01, "hi": 0.99}}),
+    "grid-unknown-key": ("sweep", {"params.grid": {"lo": 0.01, "hi": 0.99,
+                                                   "count": 200, "step": 1}}),
+    "r02-list-empty": ("fairness", {"params.r02_list": []}),
+    "tw-list-empty": ("waveform-validate", {"params.tw_list": []}),
+    "command-bogus": ("sweep", {"command": "bogus"}),
+    "outputs-empty": ("sweep", {"outputs": []}),
+    "scenario-h1-negative": ("sweep", {"scenario.h1_gain": -1}),
+    "scenario-sigma1-1e-9": ("sweep", {"scenario.sigma1_sq": 1e-9}),
+    "scenario-sigma1-1e-10": ("sweep", {"scenario.sigma1_sq": 1e-10}),
+}
+
+# Usage errors (exit 3): name -> argv.
+USAGE = {
+    "sweep-waveform-triangular": ["sweep", "baseline.txt", "--waveform", "triangular"],
+    "sweep-grid-reversed": ["sweep", "baseline.txt", "--grid", "0.5:0.1:10"],
+    "sweep-grid-nope": ["sweep", "baseline.txt", "--grid", "nope"],
+    "sweep-grid-zero-count": ["sweep", "baseline.txt", "--grid", "0.1:0.5:0"],
+    "sweep-r02-abc": ["sweep", "baseline.txt", "--r02", "abc"],
+    "sweep-r02-negative": ["sweep", "baseline.txt", "--r02", "-1"],
+    "sweep-missing-scenario": ["sweep", "missing.txt"],
+    "sweep-bad-scenario": ["sweep", "bad.txt"],
+    "sweep-bad-scenario-and-waveform": ["sweep", "bad.txt", "--waveform", "nope"],
+    "starpoints-qos-empty": ["starpoints", "baseline.txt", "--qos", ""],
+    "starpoints-qos-single": ["starpoints", "baseline.txt", "--qos", "1.5"],
+    "starpoints-qos-triple": ["starpoints", "baseline.txt", "--qos", "1.5:0.7:3"],
+    "starpoints-qos-letters": ["starpoints", "baseline.txt", "--qos", "a:b"],
+    "fairness-r02-empty": ["fairness", "baseline.txt", "--r02-list", ""],
+    "fairness-r02-letter": ["fairness", "baseline.txt", "--r02-list", "0.7,x"],
+    "asymmetry-gaps-empty": ["asymmetry", "baseline.txt", "--gaps-db", ""],
+    "asymmetry-gap-zero": ["asymmetry", "baseline.txt", "--gaps-db", "0,5"],
+    "asymmetry-gap-negative": ["asymmetry", "baseline.txt", "--gaps-db", "-3"],
+    "asymmetry-gap-nan": ["asymmetry", "baseline.txt", "--gaps-db", "nan"],
+    "waveform-validate-tw-empty": ["waveform-validate", "--tw-list", ""],
+    "waveform-validate-undersampled": ["waveform-validate", "--oversampling", "4"],
+    "waveform-validate-sine": ["waveform-validate", "--waveform", "sine"],
+    "mc-delay-alloc-over-budget": ["mc-delay", "boosted.txt", *MC, "--alloc", "0.5:0.5:0.5"],
+    "mc-delay-alloc-letter": ["mc-delay", "boosted.txt", *MC, "--alloc", "x"],
+    "mc-delay-alloc-short": ["mc-delay", "boosted.txt", *MC, "--alloc", "0.1:0.2"],
+    "mc-delay-alloc-negative": ["mc-delay", "boosted.txt", *MC,
+                                "--alloc", "-0.1:0.2:0.5"],
+    "mc-delay-seed-negative": ["mc-delay", "boosted.txt", *MC, "--seed", "-1"],
+    "mc-delay-few-trials": ["mc-delay", "boosted.txt", *MC, "--trials", "10"],
+}
+
+# Domain infeasibility (exit 2): name -> (argv without --out, output).
+INFEASIBLE = {
+    "sweep": (["sweep", "baseline.txt", "--r02", "1.5", "--grid", "0.5:0.9:50"], "s.csv"),
+    "starpoints": (["starpoints", "baseline.txt", "--qos", "5:5"], "p.csv"),
+    "fairness": (["fairness", "baseline.txt", "--r02-list", "3"], "f.csv"),
+    "mc-delay": (["mc-delay", "baseline.txt", *MC], "mc.json"),
+    "asymmetry": (["asymmetry", "baseline.txt", "--r02", "3"], "a.json"),
+}
+
+# An existing output wins over every outcome (exit 3): name -> (argv, output).
+EXISTING_OUTPUT = {
+    "starpoints-infeasible": INFEASIBLE["starpoints"],
+    "mc-delay-guard": INFEASIBLE["mc-delay"],
+    "fairness": BASE["fairness"],
+    "waveform-validate": BASE["waveform-validate"],
+}
+
+# Every command of a scenario-file study: name -> (argv after the scenario, output).
+STUDY = {
+    "sweep": (["sweep"], "s.csv"),
+    "sweep-parabolic": (["sweep", "--waveform", "parabolic"], "s.csv"),
+    "starpoints": (["starpoints"], "p.csv"),
+    "starpoints-pairs": (["starpoints", "--qos", "1.5:0.7", "--qos", "0.7:0.7"], "p.csv"),
+    "fairness": (["fairness"], "f.csv"),
+    "asymmetry": (["asymmetry"], "a.json"),
+    "asymmetry-10-15": (["asymmetry", "--gaps-db", "10,15"], "a.json"),
+    "asymmetry-10-3": (["asymmetry", "--gaps-db", "10,3"], "a.json"),
+    "mc-delay": (["mc-delay", *MC], "mc.json"),
+}
+
+
+def _with_out(argv: list[str], out: str) -> list[str]:
+    return [*argv, "--out", out]
+
+
+def _cases() -> dict[str, list]:
+    cases: dict[str, list] = {
+        "help": [["--help"]],
+        "version": [["--version"]],
+        "no-arguments": [[]],
+        "bogus-command": [["bogus-command"]],
+        "sweep-without-out": [["sweep", "baseline.txt"]],
+        "mc-delay-without-delay": [_with_out(
+            ["mc-delay", "boosted.txt", "--trials", "150", "--seed", "5"], "mc.json")],
+        "rerun-missing-manifest": [["rerun", "nope.json"]],
+        "manifest-list": [("write", "m.json", "[1, 2]\n"),
+                          ["rerun", "m.json", "--out", "r/s.csv"]],
+        "manifest-not-json": [("write", "m.json", "not json\n"),
+                              ["rerun", "m.json", "--out", "r/s.csv"]],
+        # refusals to overwrite (exit 3)
+        "refuse-sweep-rerun": [_with_out(["sweep", "baseline.txt"], "s.csv"),
+                               _with_out(["sweep", "baseline.txt"], "s.csv"),
+                               _with_out(["sweep", "baseline.txt", "--r02", "3"], "s.csv")],
+        "refuse-existing-manifest": [("write", "s.csv.manifest.json", "keep\n"),
+                                     _with_out(["sweep", "baseline.txt"], "s.csv")],
+        "refuse-existing-gap-csv": [("write", "a_gap15db.csv", "keep\n"),
+                                    _with_out(["asymmetry", "baseline.txt"], "a.json")],
+        "refuse-repeated-gap": [
+            _with_out(["asymmetry", "baseline.txt", "--gaps-db", "5,5"], "a.json"),
+            _with_out(["asymmetry", "baseline.txt", "--gaps-db", "5,5", "--force"],
+                      "a.json")],
+        # two distinct gaps whose CSV names round to the same text
+        "gap-collision": [
+            _with_out(["asymmetry", "baseline.txt", "--gaps-db", "10,10.0000001"],
+                      "a.json"),
+            _with_out(["asymmetry", "baseline.txt", "--gaps-db", "10,10.0000001",
+                       "--force"], "a.json")],
+        # ar_sq = 0 on the grid, and a QoS that leaves both rates at zero
+        "sweep-parabolic-dense-from-zero": [_with_out(
+            ["sweep", "baseline.txt", "--waveform", "parabolic",
+             "--grid", "0:0.99:20000"], "s.csv")],
+        "fairness-from-zero": [_with_out(
+            ["fairness", "baseline.txt", "--grid", "0:0.9:37"], "f.csv")],
+        "starpoints-zero-qos": [_with_out(
+            ["starpoints", "baseline.txt", "--qos", "0:0", "--qos", "1.5:0.7"], "p.csv")],
+    }
+    for command in COMMANDS:
+        cases[f"help-{command}"] = [[command, "--help"]]
+    for name, (argv, out) in BASE.items():
+        manifest = f"{out}.manifest.json"
+        cases[f"base-{name}"] = [_with_out(argv, out)]
+        cases[f"replay-{name}"] = [_with_out(argv, out),
+                                   ["rerun", manifest, "--out", f"replay/{out}"],
+                                   ["rerun", manifest],
+                                   ["rerun", manifest, "--force"]]
+    for name, (base, changes) in EDITED.items():
+        argv, out = BASE[base]
+        cases[f"edited-{name}"] = [_with_out(argv, out),
+                                   ("edit", f"{out}.manifest.json", "m.json", changes),
+                                   ["rerun", "m.json", "--out", f"r/{out}"]]
+    for name, argv in USAGE.items():
+        cases[f"usage-{name}"] = [_with_out(argv, "out")]
+    for name, (argv, out) in INFEASIBLE.items():
+        cases[f"infeasible-{name}"] = [_with_out(argv, out)]
+    for name, (argv, out) in EXISTING_OUTPUT.items():
+        cases[f"refuse-existing-{name}"] = [("write", out, "keep\n"),
+                                            _with_out(argv, out)]
+    for scenario in ("noisy.txt", "noisier.txt"):
+        stem = scenario[:-4]
+        for name, (argv, out) in STUDY.items():
+            cases[f"{stem}-{name}"] = [_with_out([argv[0], scenario, *argv[1:]], out)]
+        cases[f"{stem}-sweep-rerun"] = [_with_out(["sweep", scenario], "s.csv"),
+                                        ["rerun", "s.csv.manifest.json",
+                                         "--out", "r/s.csv"]]
+    return cases
+
+
+def _edit(case_dir: Path, source: str, target: str, changes: dict) -> None:
+    manifest = json.loads((case_dir / source).read_text(encoding="utf-8"))
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        entry = manifest
+        for parent in parents:
+            entry = entry[parent]
+        entry[key] = value
+    (case_dir / target).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                   encoding="utf-8")
+
+
+def run_case(src: Path, case_dir: Path, steps: list) -> None:
+    case_dir.mkdir(parents=True)
+    shutil.copyfile(src / "scenarios" / "baseline.txt", case_dir / "baseline.txt")
+    for name, text in SCENARIOS.items():
+        (case_dir / name).write_text(text, encoding="utf-8")
+    # A fixed width keeps argparse's --help layout independent of the terminal.
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "COLUMNS": "80"}
+    codes, stdout, stderr = [], [], []
+    for step in steps:
+        if isinstance(step, tuple) and step[0] == "write":
+            (case_dir / step[1]).write_text(step[2], encoding="utf-8")
+            continue
+        if isinstance(step, tuple) and step[0] == "edit":
+            _edit(case_dir, *step[1:])
+            continue
+        proc = subprocess.run([sys.executable, "-m", "radcom.cli", *step], cwd=case_dir,
+                              env=env, capture_output=True, text=True, check=False)
+        header = "$ radcom " + " ".join(repr(a) if not a or " " in a else a for a in step)
+        codes.append(f"{proc.returncode}\n")
+        stdout.append(f"{header}\n{proc.stdout}")
+        stderr.append(f"{header}\n{proc.stderr}")
+    (case_dir / "rc").write_text("".join(codes), encoding="utf-8")
+    (case_dir / "stdout").write_text("".join(stdout), encoding="utf-8")
+    (case_dir / "stderr").write_text("".join(stderr), encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    if not (src / "src" / "radcom").is_dir():
+        print(f"{src} holds no src/radcom", file=sys.stderr)
+        return 2
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    cases = _cases()
+    for name, steps in cases.items():
+        run_case(src, out / name, steps)
+    print(f"{len(cases)} cases -> {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
