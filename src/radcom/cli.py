@@ -236,13 +236,13 @@ def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
     """The summary JSON, then one sweep CSV per gap beside it."""
     gaps = params["gaps_db"]
     csvs = [out.with_name(f"{out.stem}_gap{g:g}db.csv") for g in gaps]
-    # A name keeps 6 digits of its gap, so distinct gaps (by repr: a repeated
-    # nan repeats like a repeated 5) may not share one.
-    last_gap = dict(zip(csvs, map(repr, gaps)))
+    # A name keeps 6 digits of its gap, so two gaps, equal or not, may share one.
+    first_gap = {}
     for gap, csv in zip(gaps, csvs):
-        if repr(gap) != last_gap[csv]:
+        if csv in first_gap:
             raise ValidationError(
-                f"gaps {gap!r} and {last_gap[csv]} dB would both write {csv.name}")
+                f"gaps {first_gap[csv]!r} and {gap!r} dB would both write {csv.name}")
+        first_gap[csv] = gap
     return [out, *csvs]
 
 
@@ -265,7 +265,6 @@ def _asymmetry(cfg, params, paths):
         "curves": curves,
     }
     files = {paths[0]: _json_content(payload)}
-    # A repeated gap names one CSV, written once.
     files.update((path, _sweep_csv(result)) for path, result in zip(paths[1:], results))
     return files, f"asymmetry: {len(gaps)} gaps -> {paths[0]}", EXIT_OK
 
@@ -395,10 +394,9 @@ def _run(name: str, raw: dict, load_cfg: Callable, out: str, force: bool) -> int
     params = {key: check(raw[key]) for key, _, check, _ in command.options}
     cfg = load_cfg() if command.scenario else None
     paths = command.outputs(Path(out), params)
-    # Without --force, refuse before any work if an output exists or repeats.
-    claimed = [*paths, _manifest_path(paths[0])]
-    for i, path in enumerate(claimed):
-        if not force and (path.exists() or path in claimed[:i]):
+    # Without --force, refuse before any work if an output exists.
+    for path in [*paths, _manifest_path(paths[0])]:
+        if not force and path.exists():
             raise ValidationError(f"refusing to overwrite {path} (use --force)")
     files, line, code = command.compute(cfg, params, paths)
     _write_outputs(name, cfg, params, files)

@@ -153,8 +153,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     Each trial superposes the delayed radar echo with fresh circular
     Gaussian communications interference and radar noise, cross-correlates
     against the known pulse, and refines the peak with a three-point
-    parabolic fit.  Per-trial noise streams come from spawned sub-seeds, so
-    the result is independent of evaluation order.
+    parabolic fit.  Every trial draws from one generator seeded by ``seed``.
 
     The estimator is only compared against the bound in its asymptotic
     region; runs below a 10 dB post-integration SNR are refused.
@@ -187,14 +186,14 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
 
     eta, h_gain = cfg.target(k)
     amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
-    a1 = math.sqrt(alloc.a1_sq)
-    a2 = math.sqrt(alloc.a2_sq)
-    ar = math.sqrt(alloc.ar_sq)
     # White noise across the full sampling band carrying sigma_r_sq in-band
     # power per real dimension: the complex envelope of a real receiver's
     # noise carries twice the passband power, which is what makes the
-    # closed-form bound attainable here.
-    noise_scale = math.sqrt(cfg.sigma_r_sq * (fs / w_hz))
+    # closed-form bound attainable here.  The comm signals s1 and s2 are
+    # independent white circular Gaussians too, so with the noise they sum
+    # to one circular Gaussian whose variance per real dimension is the sum.
+    scale = math.sqrt(cfg.sigma_r_sq * (fs / w_hz)
+                      + amp ** 2 * (alloc.a1_sq + alloc.a2_sq) / 2.0)
 
     # corr[m] sums z[m + j] * conj(x[j]) over j < n; for every kept lag
     # m <= max_lag, m + j <= n_obs - 1 < fft_len, so no term wraps around.
@@ -203,22 +202,14 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     max_lag = n_obs - n
     crlb = crlb_delay(cfg, alloc, spec, k)
 
-    # z = amp * (a1 * s1 + a2 * s2 + ar * echo) + noise, where s1, s2 are
-    # unit circular Gaussians (g0 + i g1) / sqrt(2), (g2 + i g3) / sqrt(2)
-    # and the noise is noise_scale * (g4 + i g5): real parts from the even
-    # rows of g, imaginary parts from the odd rows.
-    coef = np.array([amp * a1 / math.sqrt(2.0), amp * a2 / math.sqrt(2.0), noise_scale])
-    signal = amp * ar * echo
-    g = np.empty((6, n_obs))
-    z = np.empty(n_obs, dtype=complex)
-    root = np.random.SeedSequence(seed)
+    signal = amp * math.sqrt(alloc.ar_sq) * echo
+    g = np.empty(2 * n_obs)
+    z = g.view(complex)      # real parts at even indices, imaginary at odd
+    rng = np.random.default_rng(seed)
     errors_sq = np.empty(trials)
     for trial in range(trials):
-        rng = np.random.default_rng(root.spawn(1)[0])
-        # Always draw every stream so equal seeds stay aligned across allocs.
         rng.standard_normal(out=g)
-        np.matmul(coef, g[0::2], out=z.real)
-        np.matmul(coef, g[1::2], out=z.imag)
+        g *= scale
         z += signal
         corr = np.fft.ifft(np.fft.fft(z, fft_len) * template_fft)
         mag = np.abs(corr[:max_lag + 1])

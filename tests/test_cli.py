@@ -366,11 +366,11 @@ def test_distinct_gaps_sharing_a_csv_name_exit_3(tmp_path, scenario, capsys, for
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
     assert capsys.readouterr().err == (
         "error: gaps 10.0 and 10.0000001 dB would both write asym_gap10db.csv\n")
-    # an exact repeat names one CSV, written once under --force
-    assert main(["asymmetry", scenario, "--gaps-db", "5,5", "--out", str(out)]) == 3
-    assert main(["asymmetry", scenario, "--gaps-db", "5,5", "--out", str(out),
-                 "--force"]) == 0
-    assert json.loads(out.read_text())["curves"][1]["csv"].endswith("asym_gap5db.csv")
+    # an exact repeat names one CSV too
+    assert main(["asymmetry", scenario, "--gaps-db", "5,5", "--out", str(out)] + force) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
+    assert capsys.readouterr().err == (
+        "error: gaps 5.0 and 5.0 dB would both write asym_gap5db.csv\n")
 
 
 def test_csv_cells_match_fixed_scientific_formatting():

@@ -145,8 +145,8 @@ def test_mc_parabolic_variance_tracks_the_closed_form_ratio():
 
 
 def test_comm_interference_never_helps():
-    # 30 dB so the interference is visible over the radar noise; paired
-    # seeds keep the noise realizations identical across the two runs.
+    # 30 dB so the interference is visible over the radar noise; with one
+    # seed both runs use identical normals, only at different scales.
     cfg = ScenarioConfig(sigma_r_sq=1e-21)
     quiet = PowerAllocation(0.0, 0.0, 0.25)
     loud = PowerAllocation(0.2, 0.55, 0.25)
@@ -156,9 +156,29 @@ def test_comm_interference_never_helps():
         assert with_comm.empirical_var >= without.empirical_var
 
 
+def test_comm_echoes_act_as_extra_radar_noise():
+    # With identical normals the two runs differ only in the noise scale, so
+    # each squared error, and so the variance, scales by the total noise
+    # power over the radar noise alone: 1 + INR.
+    cfg = ScenarioConfig(sigma_r_sq=1e-21)
+    quiet = PowerAllocation(0.0, 0.0, 0.25)
+    loud = PowerAllocation(0.2, 0.55, 0.25)
+    eta, h_gain = cfg.target(1)
+    amp_sq = (eta * h_gain) ** 2 * cfg.total_power_mw
+    noise = cfg.sigma_r_sq * 8.0    # per real dimension, white over fs = 8 W
+    inr = amp_sq * (loud.a1_sq + loud.a2_sq) / (2.0 * noise)
+    for spec in (LINEAR, PARABOLIC):
+        for seed in range(5):
+            without = mc_delay_estimation(cfg, quiet, spec, 1, DELAY_S, 200, seed)
+            with_comm = mc_delay_estimation(cfg, loud, spec, 1, DELAY_S, 200, seed)
+            assert with_comm.empirical_var / without.empirical_var == pytest.approx(
+                1.0 + inr, rel=0.02)
+
+
 def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
-    """Mean squared delay error from the original trial loop: six separate
-    draws per trial and a power-of-two correlation length >= n_obs + n - 1."""
+    """Mean squared delay error from a plain trial loop: one generator, one
+    draw of 2 n_obs normals per trial read as (real, imaginary) pairs, and a
+    power-of-two correlation length >= n_obs + n - 1."""
     fs = 8.0 * spec.bandwidth_hz
     xt = synthesize(spec, fs).samples
     n = len(xt)
@@ -167,17 +187,18 @@ def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
     eta, h_gain = cfg.target(1)
     amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
     a1, a2, ar = (math.sqrt(v) for v in (alloc.a1_sq, alloc.a2_sq, alloc.ar_sq))
-    noise_scale = math.sqrt(cfg.sigma_r_sq * (fs / spec.bandwidth_hz))
+    # Per real dimension: the radar noise, then s1 and s2 as unit circular
+    # Gaussians, each independent, so their variances add.
+    variance = (cfg.sigma_r_sq * (fs / spec.bandwidth_hz)
+                + (amp * a1) ** 2 / 2.0 + (amp * a2) ** 2 / 2.0)
     fft_len = 1 << (n_obs + n - 1).bit_length()
     template_fft = np.conj(np.fft.fft(xt, fft_len))
     max_lag = n_obs - n
     errors_sq = np.empty(trials)
-    for trial, child_seed in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child_seed)
-        s1 = (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs)) / math.sqrt(2.0)
-        s2 = (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs)) / math.sqrt(2.0)
-        noise = noise_scale * (rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs))
-        z = amp * (a1 * s1 + a2 * s2 + ar * echo) + noise
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        g = rng.standard_normal(2 * n_obs)
+        z = math.sqrt(variance) * (g[0::2] + 1j * g[1::2]) + amp * ar * echo
         corr = np.fft.ifft(np.fft.fft(z, fft_len) * template_fft)
         mag = np.abs(corr[:max_lag + 1])
         peak = int(np.argmax(mag))
