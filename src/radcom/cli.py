@@ -167,6 +167,17 @@ def _qos_pair(item) -> list[float]:
         raise ValidationError(f"QoS pair must look like r01:r02, got {item!r}") from None
 
 
+def _number(name: str, kind: type) -> Callable:
+    """Check a manifest's value for an option that argparse reads with ``type=kind``."""
+    accepted = int if kind is int else (int, float)
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(f"{name} must be {what}, got {value!r}")
+        return value
+    return check
+
+
 def _alloc(value) -> list[float]:
     """a1_sq:a2_sq:ar_sq text, or a manifest's split, within the unit power budget."""
     try:
@@ -309,10 +320,14 @@ def _mc_delay(cfg, params, paths):
     return {paths[0]: _json_content(asdict(report))}, line, EXIT_OK
 
 
-def _opt(flag: str, check: Callable = lambda value: value, **argparse_options) -> tuple:
-    """An option: its manifest name, flag, param check and argparse keywords."""
+def _opt(flag: str, check: Callable | None = None, **argparse_options) -> tuple:
+    """An option: its manifest name, flag, param check and argparse keywords.
+
+    Without a check of its own, an option gets the type check of its argparse
+    ``type`` (int or float), which a manifest's value must pass too.
+    """
     name = argparse_options.get("dest", flag[2:].replace("-", "_"))
-    return name, flag, check, argparse_options
+    return name, flag, check or _number(name, argparse_options["type"]), argparse_options
 
 
 GRID_TEXT = f"{DEFAULT_GRID_LO}:{DEFAULT_GRID_HI}:{DEFAULT_GRID_COUNT}"

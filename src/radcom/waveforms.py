@@ -153,7 +153,9 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     Each trial superposes the delayed radar echo with fresh circular
     Gaussian communications interference and radar noise, cross-correlates
     against the known pulse, and refines the peak with a three-point
-    parabolic fit.  Every trial draws from one generator seeded by ``seed``.
+    parabolic fit.  The noise is drawn directly as its spectrum, so a trial
+    costs one inverse FFT.  Every trial draws from one generator seeded by
+    ``seed``.
 
     The estimator is only compared against the bound in its asymptotic
     region; runs below a 10 dB post-integration SNR are refused.
@@ -196,22 +198,27 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
                       + amp ** 2 * (alloc.a1_sq + alloc.a2_sq) / 2.0)
 
     # corr[m] sums z[m + j] * conj(x[j]) over j < n; for every kept lag
-    # m <= max_lag, m + j <= n_obs - 1 < fft_len, so no term wraps around.
+    # m <= max_lag, m + j <= n_obs - 1 < fft_len, so no term wraps around
+    # and no noise sample at index n_obs or later reaches a kept lag.
     fft_len = _smooth_len(n_obs)
     template_fft = np.conj(np.fft.fft(xt, fft_len))
     max_lag = n_obs - n
     crlb = crlb_delay(cfg, alloc, spec, k)
 
-    signal = amp * math.sqrt(alloc.ar_sq) * echo
-    g = np.empty(2 * n_obs)
+    # The noise is drawn as its spectrum: the unitary DFT maps white circular
+    # Gaussians to white circular Gaussians, so the unscaled DFT of fft_len
+    # noise samples is white with fft_len times their variance.
+    signal_fft = np.fft.fft(amp * math.sqrt(alloc.ar_sq) * echo, fft_len) * template_fft
+    noise_gain = scale * math.sqrt(fft_len) * template_fft
+    g = np.empty(2 * fft_len)
     z = g.view(complex)      # real parts at even indices, imaginary at odd
     rng = np.random.default_rng(seed)
     errors_sq = np.empty(trials)
     for trial in range(trials):
         rng.standard_normal(out=g)
-        g *= scale
-        z += signal
-        corr = np.fft.ifft(np.fft.fft(z, fft_len) * template_fft)
+        z *= noise_gain
+        z += signal_fft
+        corr = np.fft.ifft(z)
         mag = np.abs(corr[:max_lag + 1])
         peak = int(np.argmax(mag))
         delta = 0.0

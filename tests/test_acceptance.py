@@ -59,7 +59,7 @@ def test_criterion_1_closed_form_allocation():
     for cfg, r02, ar_sq in cases:
         alloc = optimal_allocation_for_sumrate(cfg, r02, ar_sq)
         assert alloc.a1_sq + alloc.a2_sq == 1.0 - ar_sq
-        assert rate_report(cfg, alloc).r2 == pytest.approx(r02, rel=1e-9)
+        assert rate_report(cfg, alloc).r2 == pytest.approx(r02, rel=1e-9, abs=0)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"1000 closed-form evaluations took {elapsed:.2f}s"
 
@@ -136,7 +136,7 @@ def test_criterion_5_waveform_closed_forms():
         sampled = synthesize(spec, 8 * spec.bandwidth_hz)
         closed = analytic_rms_bandwidth_sq(spec)
         instfreq = numeric_rms_bandwidth_sq(sampled, MomentMethod.INST_FREQ)
-        assert instfreq == pytest.approx(closed, rel=1e-6)
+        assert instfreq == pytest.approx(closed, rel=1e-6, abs=0)
         spectrum_errors = {}
         for tw in (100.0, 1000.0):
             short = WaveformSpec(spec.kind, spec.bandwidth_hz, tw)
@@ -153,7 +153,7 @@ def test_criterion_5_waveform_closed_forms():
     alloc = PowerAllocation(0.1, 0.3, 0.5)
     ratio = total_estimation_variance(CFG, alloc, PARABOLIC).sigma_eps_sq \
         / total_estimation_variance(CFG, alloc, LINEAR).sigma_eps_sq
-    assert ratio == pytest.approx(15.0 / 16.0, rel=1e-12)
+    assert ratio == pytest.approx(15.0 / 16.0, rel=1e-12, abs=0)
 
 
 @verdict(6, "Monte Carlo delay variance sits within [0.8, 3.0] of the bound")

@@ -237,13 +237,30 @@ BAD_MANIFEST_PARAMS = {
     "grid-unknown-key": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "grid",
                          {"lo": 0.01, "hi": 0.99, "count": 20, "step": 0.05}),
 }
+MC_RUN = ["mc-delay", "--delay", "6.2832e-6", "--trials", "100"]
+WAVEFORM_RUN = ["waveform-validate", "--tw-list", "100"]
+# Values of int and float options that argparse would not turn into their type.
+MISTYPED_PARAMS = {
+    "seed-true": (MC_RUN, "mc.json", "seed", True),
+    "seed-fraction": (MC_RUN, "mc.json", "seed", 1.5),
+    "trials-text": (MC_RUN, "mc.json", "trials", "100"),
+    "delay-text": (MC_RUN, "mc.json", "delay_s", "6e-6"),
+    "r02-true": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r02", True),
+    "r02-text": (["asymmetry", "--gaps-db", "5", "--grid", "0.01:0.99:20"], "asym.json",
+                 "r02", "0.7"),
+    "bandwidth-true": (WAVEFORM_RUN, "w.csv", "bandwidth_hz", True),
+    "oversampling-text": (WAVEFORM_RUN, "w.csv", "oversampling", "16"),
+}
+BAD_MANIFEST_PARAMS.update(MISTYPED_PARAMS)
 
 
 @pytest.mark.parametrize("case", list(BAD_MANIFEST_PARAMS))
-def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, boosted, case):
+def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, capsys, boosted,
+                                                            case):
     (command, *flags), name, param, value = BAD_MANIFEST_PARAMS[case]
     out = tmp_path / name
-    assert main([command, boosted, *flags, "--out", str(out)]) == 0
+    scenario = [boosted] if cli.COMMANDS[command].scenario else []
+    assert main([command, *scenario, *flags, "--out", str(out)]) == 0
     manifest_path = tmp_path / (name + ".manifest.json")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     manifest["params"][param] = value
@@ -251,6 +268,8 @@ def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, boosted, c
     replay = tmp_path / "replay"
     assert main(["rerun", str(manifest_path), "--out", str(replay / name)]) == 3
     assert not replay.exists()
+    if case in MISTYPED_PARAMS:
+        assert f"error: {param} must be " in capsys.readouterr().err
 
 
 def test_mc_delay_rejects_a_negative_seed(tmp_path, boosted):
@@ -404,7 +423,7 @@ def test_noisier_strong_user_keeping_the_ordering_runs_quietly(tmp_path, capsys)
                      "--out", str(tmp_path / "a.json")]) == 0
     assert capsys.readouterr().err == ""
     _, rows = _rows(tmp_path / "s.csv")
-    assert min(float(row[4]) for row in rows) == pytest.approx(0.7, rel=1e-8)
+    assert min(float(row[4]) for row in rows) == pytest.approx(0.7, rel=1e-8, abs=0)
 
 
 def test_asymmetry_gap_breaking_the_ordering_exits_3(tmp_path, capsys):

@@ -17,10 +17,10 @@ OPT_HALF = optimal_allocation_for_sumrate(CFG, 1.0, 0.5)
 
 def test_sinr_at_the_half_radar_optimum():
     gamma1, gamma2, gamma2_bar = compute_sinr(CFG, OPT_HALF)
-    assert gamma1 == pytest.approx(2.9057, rel=1e-3)
+    assert gamma1 == pytest.approx(2.9057, rel=1e-3, abs=0)
     # the weak user's QoS of 1 bit/s/Hz pins its SINR to exactly 2^1 - 1
-    assert gamma2 == pytest.approx(1.0, rel=1e-9)
-    assert gamma2_bar == pytest.approx(3.3040, rel=1e-3)
+    assert gamma2 == pytest.approx(1.0, rel=1e-9, abs=0)
+    assert gamma2_bar == pytest.approx(3.3040, rel=1e-3, abs=0)
 
 
 def test_sinr_zero_power_degenerate_cases():
@@ -28,7 +28,7 @@ def test_sinr_zero_power_degenerate_cases():
     gamma1, gamma2, _ = compute_sinr(CFG, no_s1)
     assert gamma1 == 0.0
     assert gamma2 == pytest.approx(
-        0.3 * CFG.h2_gain * CFG.total_power_mw / CFG.sigma2_sq, rel=1e-12)
+        0.3 * CFG.h2_gain * CFG.total_power_mw / CFG.sigma2_sq, rel=1e-12, abs=0)
 
     no_s2 = PowerAllocation(0.3, 0.0, 0.5)
     _, gamma2, gamma2_bar = compute_sinr(CFG, no_s2)
@@ -83,13 +83,13 @@ def test_rates_invariant_to_joint_power_and_noise_rescaling():
         )
         scaled = rate_report(scaled_cfg, alloc)
         scaled_sinr = compute_sinr(scaled_cfg, alloc)
-        assert scaled_sinr == pytest.approx(base_sinr, rel=1e-12)
-        assert scaled.r_sum == pytest.approx(base.r_sum, rel=1e-12)
+        assert scaled_sinr == pytest.approx(base_sinr, rel=1e-12, abs=0)
+        assert scaled.r_sum == pytest.approx(base.r_sum, rel=1e-12, abs=0)
 
 
 def test_jain_fairness_reference_values():
     assert jain_fairness([1.0, 1.0]) == 1.0
-    assert jain_fairness([3.0, 1.0]) == pytest.approx(0.8, rel=1e-12)
+    assert jain_fairness([3.0, 1.0]) == pytest.approx(0.8, rel=1e-12, abs=0)
 
 
 def test_jain_fairness_at_the_no_radar_optimum():
@@ -115,7 +115,7 @@ def test_jain_fairness_scale_invariance():
             continue
         c = 10.0 ** rng.uniform(-3, 3)
         assert jain_fairness([c * r for r in rates]) == pytest.approx(
-            jain_fairness(rates), rel=1e-12)
+            jain_fairness(rates), rel=1e-12, abs=0)
 
 
 def test_sum_rate_strictly_decreasing_in_weak_user_power():

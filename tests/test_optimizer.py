@@ -23,7 +23,7 @@ def test_optimal_allocation_reference_split():
     assert alloc.a2_sq == pytest.approx(0.40811, abs=1e-5)
     assert alloc.ar_sq == 0.5
     assert alloc.a1_sq + alloc.a2_sq == 0.5
-    assert rate_report(CFG, alloc).r2 == pytest.approx(1.0, rel=1e-9)
+    assert rate_report(CFG, alloc).r2 == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_optimal_allocation_infeasible_when_budget_too_small():
@@ -52,8 +52,8 @@ def test_min_power_reference_values():
     assert alloc.a2_sq == pytest.approx(0.233598, abs=1e-5)
     report = rate_report(CFG, PowerAllocation(alloc.a1_sq, alloc.a2_sq,
                                               1 - alloc.a1_sq - alloc.a2_sq))
-    assert report.r1 == pytest.approx(1.5, rel=1e-9)
-    assert report.r2 == pytest.approx(0.7, rel=1e-9)
+    assert report.r1 == pytest.approx(1.5, rel=1e-9, abs=0)
+    assert report.r2 == pytest.approx(0.7, rel=1e-9, abs=0)
 
     alloc = max_radar_allocation(CFG, QosRequirement(0.7, 0.7))
     assert alloc.a1_sq == pytest.approx(0.019749, abs=1e-5)
@@ -86,7 +86,7 @@ def test_max_radar_allocation_reference_values(qos, ar_expected):
 def test_star_point_reference_values(qos, norm_expected, rsum_expected):
     pt = star_point(CFG, QosRequirement(*qos), LINEAR)
     assert pt.sigma_eps_sq_normalized == pytest.approx(norm_expected, abs=1e-3)
-    assert pt.r_sum == pytest.approx(rsum_expected, rel=1e-9)
+    assert pt.r_sum == pytest.approx(rsum_expected, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("r02,tail_expected", [
@@ -113,16 +113,16 @@ def test_sweep_points_are_ordered_and_monotone():
 def test_sweep_holds_the_weak_user_at_its_qos():
     result = tradeoff_sweep(CFG, 1.0, LINEAR)
     for pt in result.curve.split():
-        assert pt.r2 == pytest.approx(1.0, rel=1e-9)
+        assert pt.r2 == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_sweep_points_recompute_consistently():
     result = tradeoff_sweep(CFG, 0.7, LINEAR, np.linspace(0.05, 0.75, 15))
     for pt in result.curve.split():
         fresh = rate_report(CFG, pt.alloc)
-        assert pt.r_sum == pytest.approx(fresh.r_sum, rel=1e-9)
+        assert pt.r_sum == pytest.approx(fresh.r_sum, rel=1e-9, abs=0)
         bound = total_estimation_variance(CFG, pt.alloc, LINEAR)
-        assert pt.sigma_eps_sq == pytest.approx(bound.sigma_eps_sq, rel=1e-9)
+        assert pt.sigma_eps_sq == pytest.approx(bound.sigma_eps_sq, rel=1e-9, abs=0)
 
 
 def test_sweep_zero_radar_share_is_flagged_infinite():
@@ -193,7 +193,7 @@ def test_swapping_waveforms_rescales_only_the_radar_side():
         assert b.r_sum == a.r_sum
         assert b.r1 == a.r1
         assert b.fairness == a.fairness
-        assert b.sigma_eps_sq / a.sigma_eps_sq == pytest.approx(15 / 16, rel=1e-12)
+        assert b.sigma_eps_sq / a.sigma_eps_sq == pytest.approx(15 / 16, rel=1e-12, abs=0)
 
 
 def test_asymmetry_ten_db_gap_reproduces_the_baseline():
@@ -202,8 +202,8 @@ def test_asymmetry_ten_db_gap_reproduces_the_baseline():
     swept = asymmetry_sweep(CFG, 0.7, LINEAR, [10.0], grid)[0]
     assert len(swept.curve.r_sum) == len(baseline.curve.r_sum)
     for mine, ref in zip(swept.curve.split(), baseline.curve.split()):
-        assert mine.r_sum == pytest.approx(ref.r_sum, rel=1e-9)
-        assert mine.sigma_eps_sq == pytest.approx(ref.sigma_eps_sq, rel=1e-9)
+        assert mine.r_sum == pytest.approx(ref.r_sum, rel=1e-9, abs=0)
+        assert mine.sigma_eps_sq == pytest.approx(ref.sigma_eps_sq, rel=1e-9, abs=0)
 
 
 def test_asymmetry_rejects_non_positive_gaps():
@@ -235,7 +235,7 @@ def test_random_configs_keep_the_qos_equality():
         except InfeasibleError:
             continue
         assert alloc.a1_sq + alloc.a2_sq == 1.0 - ar_sq
-        assert rate_report(cfg, alloc).r2 == pytest.approx(r02, rel=1e-9)
+        assert rate_report(cfg, alloc).r2 == pytest.approx(r02, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("kind", list(WaveformKind))

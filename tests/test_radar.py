@@ -23,32 +23,34 @@ def test_waveform_spec_validation():
         WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 0.5)
     with pytest.raises(ValidationError):
         WaveformSpec("linear", 2e7, 1000.0)
-    assert LINEAR.duration_s == pytest.approx(5e-5, rel=1e-12)
+    assert LINEAR.duration_s == pytest.approx(5e-5, rel=1e-12, abs=0)
 
 
 def test_analytic_energy_is_half_the_duration():
-    assert analytic_energy(LINEAR) == pytest.approx(2.5e-5, rel=1e-12)
-    assert analytic_energy(PARABOLIC) == pytest.approx(2.5e-5, rel=1e-12)
+    assert analytic_energy(LINEAR) == pytest.approx(2.5e-5, rel=1e-12, abs=0)
+    assert analytic_energy(PARABOLIC) == pytest.approx(2.5e-5, rel=1e-12, abs=0)
     short = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 100.0)
-    assert analytic_energy(short) == pytest.approx(2.5e-6, rel=1e-12)
+    assert analytic_energy(short) == pytest.approx(2.5e-6, rel=1e-12, abs=0)
 
 
 def test_analytic_rms_bandwidth_closed_forms():
     w = 2e7
     assert analytic_rms_bandwidth_sq(LINEAR) == pytest.approx(
-        math.pi ** 2 * w ** 2 / 3.0, rel=1e-15)
-    assert analytic_rms_bandwidth_sq(LINEAR) == pytest.approx(1.3159e15, rel=1e-4)
+        math.pi ** 2 * w ** 2 / 3.0, rel=1e-15, abs=0)
+    assert analytic_rms_bandwidth_sq(LINEAR) == pytest.approx(1.3159e15, rel=1e-4, abs=0)
     assert analytic_rms_bandwidth_sq(PARABOLIC) == pytest.approx(
-        16.0 * math.pi ** 2 * w ** 2 / 45.0, rel=1e-15)
-    assert analytic_rms_bandwidth_sq(PARABOLIC) == pytest.approx(1.4036e15, rel=1e-4)
+        16.0 * math.pi ** 2 * w ** 2 / 45.0, rel=1e-15, abs=0)
+    assert analytic_rms_bandwidth_sq(PARABOLIC) == pytest.approx(1.4036e15, rel=1e-4, abs=0)
     ratio = analytic_rms_bandwidth_sq(PARABOLIC) / analytic_rms_bandwidth_sq(LINEAR)
     assert ratio == 16.0 / 15.0
 
 
 def test_delay_bound_reference_values():
-    assert crlb_delay(CFG, RADAR_ONLY, LINEAR, 1) == pytest.approx(7.599e-10, rel=1e-3)
+    assert crlb_delay(CFG, RADAR_ONLY, LINEAR, 1) == pytest.approx(
+        7.599e-10, rel=1e-3, abs=0)
     # weaker echo despite the larger cross-section: the channel enters ^4
-    assert crlb_delay(CFG, RADAR_ONLY, LINEAR, 2) == pytest.approx(3.0396e-9, rel=1e-3)
+    assert crlb_delay(CFG, RADAR_ONLY, LINEAR, 2) == pytest.approx(
+        3.0396e-9, rel=1e-3, abs=0)
 
 
 def test_delay_bound_against_numeric_moments():
@@ -59,7 +61,8 @@ def test_delay_bound_against_numeric_moments():
     expected = CFG.sigma_r_sq / (
         2.0 * CFG.eta1 ** 2 * CFG.h1_gain ** 2 * 1.0 * CFG.total_power_mw
         * e_num * LINEAR.bandwidth_hz * b_num)
-    assert crlb_delay(CFG, RADAR_ONLY, LINEAR, 1) == pytest.approx(expected, rel=1e-6)
+    assert crlb_delay(CFG, RADAR_ONLY, LINEAR, 1) == pytest.approx(
+        expected, rel=1e-6, abs=0)
 
 
 def test_delay_bound_inverse_in_radar_power():
@@ -77,7 +80,7 @@ def test_delay_bound_guards():
 def test_total_variance_at_full_radar_power():
     report = total_estimation_variance(CFG, RADAR_ONLY, LINEAR)
     bounds = [crlb_delay(CFG, RADAR_ONLY, LINEAR, k) for k in (1, 2)]
-    assert report.sigma_eps_sq == pytest.approx(3.7995e-9, rel=1e-3)
+    assert report.sigma_eps_sq == pytest.approx(3.7995e-9, rel=1e-3, abs=0)
     assert report.sigma_eps_sq == sum(bounds)
     assert report.sigma_eps_sq_normalized == 1.0
     # target 1's bound is the smaller one for the baseline parameters
@@ -94,7 +97,8 @@ def test_parabolic_to_linear_bound_ratio():
     alloc = PowerAllocation(0.1, 0.3, 0.4)
     lin = total_estimation_variance(CFG, alloc, LINEAR)
     par = total_estimation_variance(CFG, alloc, PARABOLIC)
-    assert par.sigma_eps_sq / lin.sigma_eps_sq == pytest.approx(15.0 / 16.0, rel=1e-12)
+    assert par.sigma_eps_sq / lin.sigma_eps_sq == pytest.approx(
+        15.0 / 16.0, rel=1e-12, abs=0)
 
 
 def test_bound_depends_on_allocation_only_through_radar_share():
@@ -113,5 +117,5 @@ def test_normalized_bound_at_least_one():
             assert r.sigma_eps_sq_normalized == 1.0
         else:
             assert r.sigma_eps_sq_normalized > 1.0
-        assert r.sigma_eps_sq_normalized == pytest.approx(1.0 / ar, rel=1e-12)
+        assert r.sigma_eps_sq_normalized == pytest.approx(1.0 / ar, rel=1e-12, abs=0)
 

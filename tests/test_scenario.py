@@ -31,9 +31,9 @@ def _pulse(cfg):
 
 def test_db_to_linear_reference_points():
     assert db_to_linear(0.0) == 1.0
-    assert db_to_linear(-90.0) == pytest.approx(1e-9, rel=1e-12)
+    assert db_to_linear(-90.0) == pytest.approx(1e-9, rel=1e-12, abs=0)
     # -105 dBm, the baseline receiver noise power in mW
-    assert db_to_linear(-105.0) == pytest.approx(3.1623e-11, rel=1e-4)
+    assert db_to_linear(-105.0) == pytest.approx(3.1623e-11, rel=1e-4, abs=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -52,22 +52,22 @@ def test_db_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = 10.0 ** rng.uniform(-30.0, 30.0)
-        assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)
+        assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12, abs=0)
 
 
 def test_empty_source_gives_baseline_defaults():
     cfg = load_scenario("")
-    assert cfg.h1_gain == pytest.approx(1e-9, rel=1e-12)
-    assert cfg.h2_gain == pytest.approx(1e-10, rel=1e-12)
-    assert cfg.sigma1_sq == pytest.approx(3.1623e-11, rel=1e-4)
+    assert cfg.h1_gain == pytest.approx(1e-9, rel=1e-12, abs=0)
+    assert cfg.h2_gain == pytest.approx(1e-10, rel=1e-12, abs=0)
+    assert cfg.sigma1_sq == pytest.approx(3.1623e-11, rel=1e-4, abs=0)
     assert cfg.sigma2_sq == cfg.sigma1_sq
-    assert cfg.sigma_r_sq == pytest.approx(1e-11, rel=1e-12)
+    assert cfg.sigma_r_sq == pytest.approx(1e-11, rel=1e-12, abs=0)
     assert cfg.eta1 == 0.1
     assert cfg.eta2 == 0.5
     assert cfg.bandwidth_hz == 2e7
     assert cfg.time_bandwidth == 1000.0
     assert cfg.total_power_mw == 1.0
-    assert _pulse(cfg).duration_s == pytest.approx(5e-5, rel=1e-12)
+    assert _pulse(cfg).duration_s == pytest.approx(5e-5, rel=1e-12, abs=0)
 
 
 def test_defaults_pass_their_own_validation():
@@ -84,7 +84,7 @@ def test_swapped_gains_rejected():
 def test_time_bandwidth_override_sets_duration():
     cfg = load_scenario("time_bandwidth=100")
     assert cfg.time_bandwidth == 100.0
-    assert _pulse(cfg).duration_s == pytest.approx(100 / 2e7, rel=1e-12)
+    assert _pulse(cfg).duration_s == pytest.approx(100 / 2e7, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -113,8 +113,8 @@ def test_comments_blank_lines_and_dbm_keys():
         "h1_gain_db = -90   # strong user\n"
         "sigma1_sq_dbm = -105\n"
         "total_power_dbm = 0\n")
-    assert cfg.h1_gain == pytest.approx(1e-9, rel=1e-12)
-    assert cfg.sigma1_sq == pytest.approx(10.0 ** -10.5, rel=1e-12)
+    assert cfg.h1_gain == pytest.approx(1e-9, rel=1e-12, abs=0)
+    assert cfg.sigma1_sq == pytest.approx(10.0 ** -10.5, rel=1e-12, abs=0)
     assert cfg.total_power_mw == 1.0
 
 
@@ -192,7 +192,7 @@ def test_validate_allocation_accepts_the_optimal_split():
         assert alloc.a2_sq == pytest.approx(0.40811, abs=1e-5)
         assert PowerAllocation(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq) == alloc
         assert alloc.power_sum <= 1.0
-        assert rate_report(cfg, alloc).r2 == pytest.approx(1.0, rel=1e-9)
+        assert rate_report(cfg, alloc).r2 == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_power_allocation_rejects_negative_and_non_finite():

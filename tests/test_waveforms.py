@@ -53,7 +53,7 @@ def test_numeric_energy_is_half_duration():
     for spec in (LINEAR, PARABOLIC):
         sampled = synthesize(spec, 8 * W_HZ)
         assert numeric_energy(sampled) == pytest.approx(
-            spec.duration_s / 2.0, rel=1e-9)
+            spec.duration_s / 2.0, rel=1e-9, abs=0)
 
 
 def test_numeric_energy_scales_quadratically_with_amplitude():
@@ -61,21 +61,21 @@ def test_numeric_energy_scales_quadratically_with_amplitude():
     scaled = SampledWaveform(samples=3.0 * sampled.samples,
                              sample_rate_hz=sampled.sample_rate_hz, spec=sampled.spec)
     assert numeric_energy(scaled) == pytest.approx(
-        9.0 * numeric_energy(sampled), rel=1e-12)
+        9.0 * numeric_energy(sampled), rel=1e-12, abs=0)
 
 
 def test_numeric_energy_linear_in_duration():
     short = synthesize(WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 100.0), 8 * W_HZ)
     long = synthesize(LINEAR, 8 * W_HZ)
     assert numeric_energy(long) == pytest.approx(10.0 * numeric_energy(short),
-                                                 rel=1e-9)
+                                                 rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("spec", [LINEAR, PARABOLIC])
 def test_instfreq_moment_matches_closed_form(spec):
     sampled = synthesize(spec, 8 * W_HZ)
     numeric = numeric_rms_bandwidth_sq(sampled, MomentMethod.INST_FREQ)
-    assert numeric == pytest.approx(analytic_rms_bandwidth_sq(spec), rel=1e-6)
+    assert numeric == pytest.approx(analytic_rms_bandwidth_sq(spec), rel=1e-6, abs=0)
 
 
 @pytest.mark.parametrize("kind", [WaveformKind.LINEAR_FM,
@@ -140,7 +140,7 @@ def test_mc_efficiency_in_the_asymptotic_region():
 def test_mc_parabolic_variance_tracks_the_closed_form_ratio():
     lin = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 1500, 7)
     par = mc_delay_estimation(BOOSTED, RADAR_ONLY, PARABOLIC, 1, DELAY_S, 1500, 7)
-    assert par.crlb / lin.crlb == pytest.approx(15.0 / 16.0, rel=1e-12)
+    assert par.crlb / lin.crlb == pytest.approx(15.0 / 16.0, rel=1e-12, abs=0)
     assert 0.8 <= par.empirical_var / lin.empirical_var <= 1.1
 
 
@@ -172,13 +172,16 @@ def test_comm_echoes_act_as_extra_radar_noise():
             without = mc_delay_estimation(cfg, quiet, spec, 1, DELAY_S, 200, seed)
             with_comm = mc_delay_estimation(cfg, loud, spec, 1, DELAY_S, 200, seed)
             assert with_comm.empirical_var / without.empirical_var == pytest.approx(
-                1.0 + inr, rel=0.02)
+                1.0 + inr, rel=0.02, abs=0)
 
 
 def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
-    """Mean squared delay error from a plain trial loop: one generator, one
-    draw of 2 n_obs normals per trial read as (real, imaginary) pairs, and a
-    power-of-two correlation length >= n_obs + n - 1."""
+    """Mean squared delay error from a plain trial loop in the time domain.
+
+    One generator; per trial, 2 L normals read as (real, imaginary) pairs,
+    with L the 5-smooth length >= n_obs.  The noise is their inverse DFT,
+    scaled to the summed variance and cut to its first n_obs samples, and
+    the correlation runs at a power-of-two length >= n_obs + n - 1."""
     fs = 8.0 * spec.bandwidth_hz
     xt = synthesize(spec, fs).samples
     n = len(xt)
@@ -191,14 +194,17 @@ def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
     # Gaussians, each independent, so their variances add.
     variance = (cfg.sigma_r_sq * (fs / spec.bandwidth_hz)
                 + (amp * a1) ** 2 / 2.0 + (amp * a2) ** 2 / 2.0)
+    draw_len = _smooth_len(n_obs)
     fft_len = 1 << (n_obs + n - 1).bit_length()
     template_fft = np.conj(np.fft.fft(xt, fft_len))
     max_lag = n_obs - n
     errors_sq = np.empty(trials)
     rng = np.random.default_rng(seed)
     for trial in range(trials):
-        g = rng.standard_normal(2 * n_obs)
-        z = math.sqrt(variance) * (g[0::2] + 1j * g[1::2]) + amp * ar * echo
+        g = rng.standard_normal(2 * draw_len)
+        # The inverse DFT divides the variance of L white values by L.
+        noise = np.fft.ifft(math.sqrt(variance * draw_len) * (g[0::2] + 1j * g[1::2]))
+        z = noise[:n_obs] + amp * ar * echo
         corr = np.fft.ifft(np.fft.fft(z, fft_len) * template_fft)
         mag = np.abs(corr[:max_lag + 1])
         peak = int(np.argmax(mag))
@@ -233,9 +239,9 @@ def test_mc_matches_the_original_trial_loop(kind, alloc, tw, w_hz, sigma_r_sq, d
     spec = WaveformSpec(kind, w_hz, tw)
     report = mc_delay_estimation(cfg, alloc, spec, 1, delay_s, 100, 2024)
     reference = _reference_mc_var(cfg, alloc, spec, delay_s, 100, 2024)
-    assert report.empirical_var == pytest.approx(reference, rel=1e-9)
+    assert report.empirical_var == pytest.approx(reference, rel=1e-9, abs=0)
     assert report.efficiency == pytest.approx(
-        reference / crlb_delay(cfg, alloc, spec, 1), rel=1e-9)
+        reference / crlb_delay(cfg, alloc, spec, 1), rel=1e-9, abs=0)
 
 
 def test_smooth_fft_length_is_the_least_5_smooth_bound():

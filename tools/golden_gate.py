@@ -66,6 +66,13 @@ EDITED = {
     "alloc-over-budget": ("mc-delay-split", {"params.alloc": [0.5, 0.5, 0.5]}),
     "alloc-short": ("mc-delay-split", {"params.alloc": [0.5, 0.5]}),
     "seed-negative": ("mc-delay-split", {"params.seed": -1}),
+    "seed-true": ("mc-delay-split", {"params.seed": True}),
+    "seed-fraction": ("mc-delay-split", {"params.seed": 1.5}),
+    "trials-text": ("mc-delay-split", {"params.trials": "150"}),
+    "delay-text": ("mc-delay-split", {"params.delay_s": "6e-6"}),
+    "r02-true": ("sweep", {"params.r02": True}),
+    "bandwidth-true": ("waveform-validate", {"params.bandwidth_hz": True}),
+    "oversampling-text": ("waveform-validate", {"params.oversampling": "16"}),
     "waveform-sine": ("sweep", {"params.waveform": "sine"}),
     "grid-reversed": ("sweep", {"params.grid": {"lo": 0.5, "hi": 0.1, "count": 10}}),
     "grid-missing-count": ("sweep", {"params.grid": {"lo": 0.01, "hi": 0.99}}),
