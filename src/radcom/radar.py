@@ -1,11 +1,11 @@
 """Radar side: closed-form waveform moments, link budget and delay bounds.
 
-Target k's echo power feeds both the delay bound, whose Fisher information
-comes from the radar waveform, and the post-integration SNR.  Both take
-their noise from sigma_r_sq alone and leave out the reflected
-communications signals, which the Monte Carlo in :mod:`radcom.waveforms`
-adds as white Gaussian interference, so with strong communications echoes
-the bound is optimistic, not conservative (ROADMAP item 2).
+The link budget lives in :func:`echo_power` alone; the delay bound, the
+post-integration SNR and the Monte Carlo in :mod:`radcom.waveforms` read it.
+The bound and the SNR take their noise from sigma_r_sq alone and leave out
+the reflected communications signals, which the Monte Carlo adds as white
+Gaussian interference, so with strong communications echoes the bound is
+optimistic, not conservative (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ def analytic_rms_bandwidth_sq(spec: WaveformSpec) -> float:
     return 16.0 * w_sq / 45.0
 
 
-def _echo_power(cfg: ScenarioConfig, alloc: PowerAllocation, k: int) -> float:
-    """Target k's echo power eta^2 h^2 ar_sq P, mW; the two-way link squares h."""
+def echo_power(cfg: ScenarioConfig, share: float, k: int) -> float:
+    """Target k's two-way echo of a power ``share``: eta^2 h^2 share P, mW."""
     eta, h_gain = cfg.target(k)
-    return eta ** 2 * h_gain ** 2 * alloc.ar_sq * cfg.total_power_mw
+    return eta ** 2 * h_gain ** 2 * share * cfg.total_power_mw
 
 
 def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
@@ -91,7 +91,7 @@ def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
     ar_sq = 0 gives zero Fisher information and an inf bound, for a float
     ar_sq as for each entry of an array.
     """
-    echo = _echo_power(cfg, alloc, k)
+    echo = echo_power(cfg, alloc.ar_sq, k)
     energy = analytic_energy(spec)
     brms_sq = analytic_rms_bandwidth_sq(spec)
     denom = 2.0 * echo * energy * spec.bandwidth_hz * brms_sq
@@ -103,7 +103,7 @@ def post_integration_snr_db(cfg: ScenarioConfig, alloc: PowerAllocation,
                             spec: WaveformSpec, k: int) -> float:
     """Matched-filter output SNR for target k's echo, dB: the echo power times
     the pulse-compression gain TW over the radar noise power."""
-    snr = _echo_power(cfg, alloc, k) * spec.time_bandwidth / cfg.sigma_r_sq
+    snr = echo_power(cfg, alloc.ar_sq, k) * spec.time_bandwidth / cfg.sigma_r_sq
     return 10.0 * math.log10(snr)
 
 

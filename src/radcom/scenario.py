@@ -54,7 +54,6 @@ class ScenarioConfig:
     bandwidth_hz: float = 2e7        # sweep bandwidth W, Hz
     time_bandwidth: float = 1000.0   # TW product, dimensionless
     total_power_mw: float = 1.0      # total transmit power P, mW (0 dBm)
-    si_suppression_db: float = 110.0  # self-interference suppression, dB (metadata)
 
     def __post_init__(self):
         for name in ("sigma1_sq", "sigma2_sq", "sigma_r_sq", "eta1", "eta2",
@@ -77,8 +76,6 @@ class ScenarioConfig:
         if not (math.isfinite(self.time_bandwidth) and self.time_bandwidth >= 1.0):
             raise ValidationError(
                 f"time_bandwidth must be >= 1, got {self.time_bandwidth!r}")
-        if not math.isfinite(self.si_suppression_db):
-            raise ValidationError("si_suppression_db must be finite")
 
     def target(self, k: int) -> tuple[float, float]:
         """(eta, h_gain) of radar target k: user k's cross-section and channel gain."""

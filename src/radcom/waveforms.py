@@ -3,8 +3,8 @@
 Everything here exists to check the closed forms in :mod:`radcom.radar`
 against discretized signals, and to verify by simulation that a matched
 filter with sub-sample interpolation approaches the delay bound once the
-post-integration SNR is high enough.  The bound and the SNR both come from
-the radar link budget in :mod:`radcom.radar`.
+post-integration SNR is high enough.  The bound, the SNR and every echo's
+power come from the radar link budget in :mod:`radcom.radar`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .radar import WaveformKind, WaveformSpec, crlb_delay, post_integration_snr_db
+from .radar import (WaveformKind, WaveformSpec, crlb_delay, echo_power,
+                    post_integration_snr_db)
 from .scenario import PowerAllocation, ScenarioConfig
 
 MIN_OVERSAMPLING = 8.0          # sample_rate_hz >= MIN_OVERSAMPLING * W
@@ -82,9 +83,7 @@ def synthesize(spec: WaveformSpec, sample_rate_hz: float) -> SampledWaveform:
             f"undersampled: sample_rate_hz = {sample_rate_hz!r} but the law "
             f"needs at least {MIN_OVERSAMPLING:g} x W = "
             f"{MIN_OVERSAMPLING * spec.bandwidth_hz:.6g} Hz")
-    n = round(sample_rate_hz * spec.duration_s)
-    t = (np.arange(n) + 0.5) / sample_rate_hz
-    samples = np.exp(1j * _phase(spec, t))
+    samples = _pulse(spec, sample_rate_hz, round(sample_rate_hz * spec.duration_s), 0.0)
     return SampledWaveform(
         samples=samples,
         sample_rate_hz=sample_rate_hz,
@@ -92,8 +91,21 @@ def synthesize(spec: WaveformSpec, sample_rate_hz: float) -> SampledWaveform:
     )
 
 
-def _midpoint_times(w: SampledWaveform) -> np.ndarray:
-    return (np.arange(len(w.samples)) + 0.5) / w.sample_rate_hz
+def _midpoints(sample_rate_hz: float, n: int) -> np.ndarray:
+    return (np.arange(n) + 0.5) / sample_rate_hz
+
+
+def _pulse(spec: WaveformSpec, sample_rate_hz: float, n: int,
+           delay_s: float) -> np.ndarray:
+    """x(t - delay) at the n cell midpoints, zero off the pulse.  The support
+    test counts in samples, so each of synthesize's round(fs T) midpoints is
+    on it, also at a half-integer fs T, where the last one falls on T."""
+    cells = np.arange(n) + 0.5 - delay_s * sample_rate_hz
+    inside = (cells >= 0.0) & (cells <= sample_rate_hz * spec.duration_s)
+    shifted = _midpoints(sample_rate_hz, n)[inside] - delay_s
+    out = np.zeros(n, dtype=complex)
+    out[inside] = np.exp(1j * _phase(spec, shifted))
+    return out
 
 
 def numeric_energy(w: SampledWaveform) -> float:
@@ -112,7 +124,7 @@ def numeric_rms_bandwidth_sq(w: SampledWaveform,
     approximation and converges toward the closed form as TW grows.
     """
     if method is MomentMethod.INST_FREQ:
-        f = instantaneous_frequency(w.spec, _midpoint_times(w))
+        f = instantaneous_frequency(w.spec, _midpoints(w.sample_rate_hz, len(w.samples)))
         return float(np.mean((2.0 * math.pi * f) ** 2))
     spectrum = np.fft.fft(w.samples)
     freqs = np.fft.fftfreq(len(w.samples), d=1.0 / w.sample_rate_hz)
@@ -121,15 +133,6 @@ def numeric_rms_bandwidth_sq(w: SampledWaveform,
     weight = float(np.sum(power[mask]))
     moment = float(np.sum((freqs[mask] ** 2) * power[mask]))
     return 4.0 * math.pi ** 2 * moment / weight
-
-
-def _delayed_pulse(spec: WaveformSpec, t: np.ndarray, delay_s: float) -> np.ndarray:
-    """Echo samples x(t - delay) with zero outside the pulse support."""
-    shifted = t - delay_s
-    inside = (shifted >= 0.0) & (shifted < spec.duration_s)
-    out = np.zeros(len(t), dtype=complex)
-    out[inside] = np.exp(1j * _phase(spec, shifted[inside]))
-    return out
 
 
 def _smooth_len(m: int) -> int:
@@ -183,11 +186,9 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     xt = template.samples
     n = len(xt)
     n_obs = n + int(math.ceil(true_delay_s * fs)) + 8
-    t_obs = (np.arange(n_obs) + 0.5) / fs
-    echo = _delayed_pulse(spec, t_obs, true_delay_s)
+    echo = (math.sqrt(echo_power(cfg, alloc.ar_sq, k))
+            * _pulse(spec, fs, n_obs, true_delay_s))
 
-    eta, h_gain = cfg.target(k)
-    amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
     # White noise across the full sampling band carrying sigma_r_sq in-band
     # power per real dimension: the complex envelope of a real receiver's
     # noise carries twice the passband power, which is what makes the
@@ -195,7 +196,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     # independent white circular Gaussians too, so with the noise they sum
     # to one circular Gaussian whose variance per real dimension is the sum.
     scale = math.sqrt(cfg.sigma_r_sq * (fs / w_hz)
-                      + amp ** 2 * (alloc.a1_sq + alloc.a2_sq) / 2.0)
+                      + echo_power(cfg, alloc.a1_sq + alloc.a2_sq, k) / 2.0)
 
     # corr[m] sums z[m + j] * conj(x[j]) over j < n; for every kept lag
     # m <= max_lag, m + j <= n_obs - 1 < fft_len, so no term wraps around
@@ -208,13 +209,13 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     # The noise is drawn as its spectrum: the unitary DFT maps white circular
     # Gaussians to white circular Gaussians, so the unscaled DFT of fft_len
     # noise samples is white with fft_len times their variance.
-    signal_fft = np.fft.fft(amp * math.sqrt(alloc.ar_sq) * echo, fft_len) * template_fft
+    signal_fft = np.fft.fft(echo, fft_len) * template_fft
     noise_gain = scale * math.sqrt(fft_len) * template_fft
     g = np.empty(2 * fft_len)
     z = g.view(complex)      # real parts at even indices, imaginary at odd
     rng = np.random.default_rng(seed)
-    errors_sq = np.empty(trials)
-    for trial in range(trials):
+    sum_sq = 0.0
+    for _ in range(trials):
         rng.standard_normal(out=g)
         z *= noise_gain
         z += signal_fft
@@ -227,9 +228,9 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
             curvature = left - 2.0 * mid + right
             if curvature < 0.0:
                 delta = 0.5 * (left - right) / curvature
-        errors_sq[trial] = ((peak + delta) / fs - true_delay_s) ** 2
+        sum_sq += ((peak + delta) / fs - true_delay_s) ** 2
 
-    empirical_var = float(np.mean(errors_sq))
+    empirical_var = float(sum_sq / trials)
     return McDelayReport(
         trials=trials,
         true_delay_s=true_delay_s,

@@ -67,6 +67,13 @@ def test_sweep_malformed_scenario_exits_3_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_on_the_deleted_si_suppression_key_exits_3(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "si_suppression_db=110\n")
+    assert main(["sweep", path, "--out", str(tmp_path / "sweep.csv")]) == 3
+    assert "line 1: unknown key 'si_suppression_db'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
+
+
 def test_sweep_restricted_grid_is_infeasible(tmp_path, scenario):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", scenario, "--r02", "1.5", "--grid", "0.5:0.9:50",
@@ -182,6 +189,9 @@ def test_mc_delay_guard_and_success(tmp_path, scenario, boosted):
 RERUN_CASES = {
     "sweep": (["sweep", "{scenario}", "--r02", "1.0", "--grid", "0.01:0.99:20"],
               "sweep.csv", 0),
+    # its manifest gets the deleted si_suppression_db, which the rerun drops
+    "sweep-old-manifest": (["sweep", "{scenario}", "--r02", "1.0",
+                            "--grid", "0.01:0.99:20"], "sweep.csv", 0),
     "starpoints": (["starpoints", "{scenario}", "--qos", "1.5:0.7", "--qos", "0.7:0.7"],
                    "stars.csv", 0),
     "fairness": (["fairness", "{scenario}", "--r02-list", "0.7,1.5",
@@ -210,6 +220,10 @@ def test_rerun_reproduces_every_output(tmp_path, scenario, boosted, case):
                                             "asym_gap10db.csv"]
     written = {p: p.read_bytes() for p in [*listed, manifest]}
     assert sorted(out.parent.iterdir()) == sorted(written)
+    if case == "sweep-old-manifest":
+        old = json.loads(written[manifest])
+        old["scenario"]["si_suppression_db"] = 110.0
+        manifest.write_text(json.dumps(old), encoding="utf-8")
     for path in listed:
         path.unlink()
     # The manifest replays onto its own listed paths, so it must be byte-identical too.

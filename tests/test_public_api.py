@@ -12,14 +12,21 @@ ROOT = Path(__file__).resolve().parent.parent
 def _loaded_names(path):
     """Names a module reads: bare names in load context and attribute names.
 
-    Definitions (def, class, assignment targets) and imports are not reads.
+    Definitions (def, class, assignment targets) and imports are not reads,
+    and neither is a ``__post_init__`` body: a field that only its own
+    check reads does nothing.
     """
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    todo = [ast.parse(path.read_text(encoding="utf-8"))]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
     return names
 
 

@@ -12,7 +12,7 @@ from radcom import (InfeasibleError, MomentMethod, PowerAllocation,
                     instantaneous_frequency, mc_delay_estimation, numeric_energy,
                     numeric_rms_bandwidth_sq, post_integration_snr_db, synthesize)
 from radcom.radar import crlb_delay
-from radcom.waveforms import _delayed_pulse, _smooth_len
+from radcom.waveforms import _phase, _smooth_len
 
 W_HZ = 2e7
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 1000.0)
@@ -122,6 +122,19 @@ def test_mc_is_deterministic_for_a_seed():
     assert c.empirical_var != a.empirical_var
 
 
+def test_mc_keeps_no_per_trial_buffer(monkeypatch):
+    # A trial count no array could hold still reaches the first trial.
+    class FirstTrial(Exception):
+        pass
+
+    def first_trial(*args, **kwargs):
+        raise FirstTrial
+
+    monkeypatch.setattr(np.fft, "ifft", first_trial)
+    with pytest.raises(FirstTrial):
+        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 10 ** 20, 0)
+
+
 def test_mc_noiseless_peak_is_sub_sample_accurate():
     quiet = ScenarioConfig(sigma_r_sq=1e-30)
     report = mc_delay_estimation(quiet, RADAR_ONLY, LINEAR, 1, DELAY_S, 100, 3)
@@ -178,15 +191,19 @@ def test_comm_echoes_act_as_extra_radar_noise():
 def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
     """Mean squared delay error from a plain trial loop in the time domain.
 
-    One generator; per trial, 2 L normals read as (real, imaginary) pairs,
-    with L the 5-smooth length >= n_obs.  The noise is their inverse DFT,
-    scaled to the summed variance and cut to its first n_obs samples, and
-    the correlation runs at a power-of-two length >= n_obs + n - 1."""
+    The pulse and its echo are sampled here from the phase law, not by the
+    sampler under test.  One generator; per trial, 2 L normals read as
+    (real, imaginary) pairs, with L the 5-smooth length >= n_obs.  The noise
+    is their inverse DFT, scaled to the summed variance and cut to its first
+    n_obs samples, and the correlation runs at a power-of-two length
+    >= n_obs + n - 1."""
     fs = 8.0 * spec.bandwidth_hz
-    xt = synthesize(spec, fs).samples
-    n = len(xt)
+    n = round(fs * spec.duration_s)
+    xt = np.exp(1j * _phase(spec, (np.arange(n) + 0.5) / fs))
     n_obs = n + int(math.ceil(delay_s * fs)) + 8
-    echo = _delayed_pulse(spec, (np.arange(n_obs) + 0.5) / fs, delay_s)
+    shifted = (np.arange(n_obs) + 0.5) / fs - delay_s
+    on_pulse = (shifted >= 0.0) & (shifted <= spec.duration_s)
+    echo = np.where(on_pulse, np.exp(1j * _phase(spec, shifted)), 0.0)
     eta, h_gain = cfg.target(1)
     amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
     a1, a2, ar = (math.sqrt(v) for v in (alloc.a1_sq, alloc.a2_sq, alloc.ar_sq))

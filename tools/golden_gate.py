@@ -37,6 +37,7 @@ SCENARIOS = {
     "bad.txt": "h1_gain=oops\n",
     "noisy.txt": "sigma1_sq=1e-9\n",        # breaks the SIC ordering
     "noisier.txt": "sigma1_sq_dbm=-100\n",  # keeps it, 5 dB ahead
+    "si.txt": "si_suppression_db=110\n",   # a key that is no longer a field
 }
 MC = ["--delay", "6.2832e-6", "--trials", "150", "--seed", "5"]
 COMMANDS = ("sweep", "starpoints", "fairness", "asymmetry", "waveform-validate",
@@ -162,6 +163,7 @@ def _cases() -> dict[str, list]:
         "no-arguments": [[]],
         "bogus-command": [["bogus-command"]],
         "sweep-without-out": [["sweep", "baseline.txt"]],
+        "sweep-si-suppression": [_with_out(["sweep", "si.txt"], "s.csv")],
         "mc-delay-without-delay": [_with_out(
             ["mc-delay", "boosted.txt", "--trials", "150", "--seed", "5"], "mc.json")],
         "rerun-missing-manifest": [["rerun", "nope.json"]],
