@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ from .optimizer import (DEFAULT_GRID_COUNT, DEFAULT_GRID_HI, DEFAULT_GRID_LO,
                         lowered_h2_gain, star_point, tradeoff_sweep)
 from .radar import (WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq)
-from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
-                       load_scenario, scenario_report_fields)
+from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
+                       load_scenario, scenario_from_report, scenario_report_fields)
 from .waveforms import (MomentMethod, mc_delay_estimation, numeric_energy,
                         numeric_rms_bandwidth_sq, synthesize)
 
@@ -65,13 +65,6 @@ def _load_scenario_file(path: str) -> ScenarioConfig:
     except OSError as err:
         raise ValidationError(f"cannot read scenario file {path}: {err}") from err
     return load_scenario(text)
-
-
-def _scenario_from_manifest(entry) -> ScenarioConfig:
-    if not isinstance(entry, dict):
-        raise ValidationError("manifest holds no scenario")
-    names = {f.name for f in fields(ScenarioConfig)}
-    return ScenarioConfig(**{k: v for k, v in entry.items() if k in names})
 
 
 def _manifest_path(out_path: Path) -> Path:
@@ -128,8 +121,10 @@ def _grid(value) -> dict:
         except ValueError:
             raise ValidationError(
                 f"grid must look like lo:hi:count, got {value!r}") from None
-    if set(value) != {"lo", "hi", "count"}:
+    if not isinstance(value, dict) or set(value) != {"lo", "hi", "count"}:
         raise ValidationError(f"grid must hold lo, hi and count, got {value!r}")
+    for key, entry in value.items():
+        checked_number(f"grid {key}", entry, integer=key == "count")
     default_grid(**value)  # bounds check
     return value
 
@@ -137,12 +132,13 @@ def _grid(value) -> dict:
 def _floats(what: str) -> Callable:
     """Check for a non-empty list of numbers, comma-separated on the command line."""
     def check(value) -> list[float]:
+        text = isinstance(value, str)
         items = ([item.strip() for item in value.split(",") if item.strip()]
-                 if isinstance(value, str) else value)
+                 if text else value)
         if not items:
             raise ValidationError(f"empty {what} list")
         try:
-            return [float(item) for item in items]
+            return [float(item if text else checked_number(what, item)) for item in items]
         except ValueError:
             raise ValidationError(f"bad {what} list {value!r}") from None
     return check
@@ -161,27 +157,18 @@ def _qos(value) -> list[list[float]]:
 
 def _qos_pair(item) -> list[float]:
     try:
-        r01, r02 = item.split(":") if isinstance(item, str) else item
+        r01, r02 = (item.split(":") if isinstance(item, str)
+                    else [checked_number("QoS rate", rate) for rate in item])
         return [float(r01), float(r02)]
     except (ValueError, TypeError):
         raise ValidationError(f"QoS pair must look like r01:r02, got {item!r}") from None
 
 
-def _number(name: str, kind: type) -> Callable:
-    """Check a manifest's value for an option that argparse reads with ``type=kind``."""
-    accepted = int if kind is int else (int, float)
-    def check(value):
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            what = "an integer" if kind is int else "a number"
-            raise ValidationError(f"{name} must be {what}, got {value!r}")
-        return value
-    return check
-
-
 def _alloc(value) -> list[float]:
     """a1_sq:a2_sq:ar_sq text, or a manifest's split, within the unit power budget."""
     try:
-        a1, a2, ar = value.split(":") if isinstance(value, str) else value
+        a1, a2, ar = (value.split(":") if isinstance(value, str)
+                      else [checked_number("share", share) for share in value])
         alloc = PowerAllocation(float(a1), float(a2), float(ar))
     except (ValueError, TypeError):   # ValidationError is a ValueError
         raise ValidationError(
@@ -327,7 +314,9 @@ def _opt(flag: str, check: Callable | None = None, **argparse_options) -> tuple:
     ``type`` (int or float), which a manifest's value must pass too.
     """
     name = argparse_options.get("dest", flag[2:].replace("-", "_"))
-    return name, flag, check or _number(name, argparse_options["type"]), argparse_options
+    integer = argparse_options.get("type") is int
+    check = check or (lambda value: checked_number(name, value, integer))
+    return name, flag, check, argparse_options
 
 
 GRID_TEXT = f"{DEFAULT_GRID_LO}:{DEFAULT_GRID_HI}:{DEFAULT_GRID_COUNT}"
@@ -460,7 +449,7 @@ def _rerun(path: str, out: str | None, force: bool) -> int:
         raise ValidationError(f"manifest names unknown command {command!r}")
     try:
         return _run(command, manifest.get("params", {}),
-                    lambda: _scenario_from_manifest(manifest.get("scenario")),
+                    lambda: scenario_from_report(manifest.get("scenario")),
                     out if out is not None else outputs[0], force)
     except (KeyError, TypeError) as err:
         raise ValidationError(f"manifest is missing or mistypes a field: {err}") from err

@@ -8,7 +8,7 @@ the parsing boundary and re-emitted only in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,14 @@ def linear_to_db(value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValidationError(f"linear value must be finite and > 0, got {value!r}")
     return 10.0 * math.log10(value)
+
+
+def checked_number(name: str, value, integer: bool = False):
+    """``value`` if JSON gave it as a number (an integer if ``integer``), never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        what = "an integer" if integer else "a number"
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,7 @@ _DB_KEYS = {
 # file key -> (field, whether the value is in dB/dBm)
 _KEY_TO_FIELD = {f.name: (f.name, False) for f in fields(ScenarioConfig)}
 _KEY_TO_FIELD.update((db_key, (name, True)) for name, db_key in _DB_KEYS.items())
+_RETIRED_KEYS = frozenset({"si_suppression_db"})  # deleted fields old manifests hold
 
 
 def load_scenario(source: str) -> ScenarioConfig:
@@ -182,14 +191,39 @@ def load_scenario(source: str) -> ScenarioConfig:
 def scenario_report_fields(cfg: ScenarioConfig) -> dict:
     """Serialize a config for reports: exact linear values plus dB/dBm views.
 
-    The logarithmic entries are rounded to 6 significant digits and exist
-    for human consumption; the linear entries round-trip exactly.
+    The logarithmic entries are views rounded to 6 significant digits, which
+    ``scenario_from_report`` checks; the linear entries round-trip exactly.
     """
-    out: dict[str, float] = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = value
-        db_key = _DB_KEYS.get(f.name)
-        if db_key is not None and value > 0.0:
-            out[db_key] = float(f"{linear_to_db(value):.6g}")
+    out = asdict(cfg)
+    out.update((db_key, float(f"{linear_to_db(out[name]):.6g}"))
+               for name, db_key in _DB_KEYS.items())
     return out
+
+
+def scenario_from_report(report) -> ScenarioConfig:
+    """Read a manifest's scenario: scenario-file keys, each holding a number.
+
+    A dB/dBm key alone sets its field; beside its linear key it must equal the
+    view ``scenario_report_fields`` writes.  Keys of deleted fields are skipped.
+    """
+    if not isinstance(report, dict):
+        raise ValidationError("manifest holds no scenario")
+    assigned, views = {}, {}
+    for key, value in report.items():
+        if key in _RETIRED_KEYS:
+            continue
+        if key not in _KEY_TO_FIELD:
+            raise ValidationError(f"unknown scenario key {key!r}")
+        field, is_db = _KEY_TO_FIELD[key]
+        checked_number(key, value)
+        if is_db and field in report:
+            views[key] = (field, value)
+        else:
+            assigned[field] = db_to_linear(value) if is_db else value
+    cfg = ScenarioConfig(**assigned)
+    written = scenario_report_fields(cfg)
+    for key, (field, view) in views.items():
+        if view != written[key]:
+            raise ValidationError(f"{key}={view!r} is not the view {written[key]!r} "
+                                  f"of {field}={written[field]!r}")
+    return cfg

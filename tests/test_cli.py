@@ -250,6 +250,8 @@ BAD_MANIFEST_PARAMS = {
                            {"lo": 0.01, "hi": 0.99}),
     "grid-unknown-key": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "grid",
                          {"lo": 0.01, "hi": 0.99, "count": 20, "step": 0.05}),
+    "grid-list": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
+                  ["lo", "hi", "count"]),
 }
 MC_RUN = ["mc-delay", "--delay", "6.2832e-6", "--trials", "100"]
 WAVEFORM_RUN = ["waveform-validate", "--tw-list", "100"]
@@ -264,8 +266,25 @@ MISTYPED_PARAMS = {
                  "r02", "0.7"),
     "bandwidth-true": (WAVEFORM_RUN, "w.csv", "bandwidth_hz", True),
     "oversampling-text": (WAVEFORM_RUN, "w.csv", "oversampling", "16"),
+    # The entries of lists, pairs, splits and grids take the same number rule.
+    "r02-list-true": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "r02_list",
+                      [0.7, True]),
+    "qos-true": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos", [[True, 0.7]]),
+    "alloc-true": (MC_RUN, "mc.json", "alloc", [0, 0, True]),
+    "grid-count-true": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
+                        {"lo": 0.01, "hi": 0.99, "count": True}),
+    "grid-lo-false": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
+                      {"lo": False, "hi": 0.99, "count": 20}),
 }
 BAD_MANIFEST_PARAMS.update(MISTYPED_PARAMS)
+# A mistyped entry's error; a list, pair or split keeps its own wording.
+ENTRY_ERRORS = {
+    "r02-list-true": "bad r02 list [0.7, True]",
+    "qos-true": "QoS pair must look like r01:r02, got [True, 0.7]",
+    "alloc-true": "allocation must look like a1_sq:a2_sq:ar_sq, got [0, 0, True]",
+    "grid-count-true": "grid count must be an integer, got True",
+    "grid-lo-false": "grid lo must be a number, got False",
+}
 
 
 @pytest.mark.parametrize("case", list(BAD_MANIFEST_PARAMS))
@@ -283,7 +302,64 @@ def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, capsys, bo
     assert main(["rerun", str(manifest_path), "--out", str(replay / name)]) == 3
     assert not replay.exists()
     if case in MISTYPED_PARAMS:
-        assert f"error: {param} must be " in capsys.readouterr().err
+        expected = ENTRY_ERRORS.get(case, f"{param} must be ")
+        assert f"error: {expected}" in capsys.readouterr().err
+
+
+DELETE = object()  # an edit that removes the key
+# Hand edits of a sweep manifest's scenario, each refused with exit 3 and this error.
+REFUSED_SCENARIOS = {
+    "edited-view": ({"sigma_r_sq_dbm": -80.0},
+                    "sigma_r_sq_dbm=-80.0 is not the view -110.0 of sigma_r_sq=1e-11"),
+    "misspelt-key": ({"sigma_r_sq": DELETE, "sigma_r_sqq": 1e-11},
+                     "unknown scenario key 'sigma_r_sqq'"),
+    "unknown-key": ({"bogus": 1.0}, "unknown scenario key 'bogus'"),
+    "true": ({"eta1": True}, "eta1 must be a number, got True"),
+    "text": ({"h1_gain": "1e-9"}, "h1_gain must be a number, got '1e-9'"),
+    "null": ({"eta2": None}, "eta2 must be a number, got None"),
+}
+# Hand edits that rerun as a scenario file holding the given text would run.
+ACCEPTED_SCENARIOS = {
+    "linear-without-view": ({"sigma_r_sq": 1e-10, "sigma_r_sq_dbm": DELETE},
+                            "sigma_r_sq=1e-10"),
+    "db-key-alone": ({"sigma_r_sq": DELETE, "sigma_r_sq_dbm": -100.0},
+                     "sigma_r_sq_dbm=-100"),
+}
+
+
+def _edit_scenario(manifest_path, target, changes):
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        if value is DELETE:
+            del manifest["scenario"][key]
+        else:
+            manifest["scenario"][key] = value
+    target.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_rerun_reads_the_manifest_scenario_like_a_scenario_file(tmp_path, scenario, capsys):
+    grid = ["--grid", "0.01:0.99:20"]
+    original = tmp_path / "run" / "s.csv"
+    assert main(["sweep", scenario, *grid, "--out", str(original)]) == 0
+    manifest = tmp_path / "run" / "s.csv.manifest.json"
+    edited = tmp_path / "edited.json"
+    capsys.readouterr()
+    for case, (changes, error) in REFUSED_SCENARIOS.items():
+        _edit_scenario(manifest, edited, changes)
+        assert main(["rerun", str(edited), "--out", str(tmp_path / "r" / "s.csv")]) == 3, case
+        assert not (tmp_path / "r").exists()
+        assert capsys.readouterr().err == f"error: {error}\n"
+    for case, (changes, text) in ACCEPTED_SCENARIOS.items():
+        _edit_scenario(manifest, edited, changes)
+        rerun, direct = tmp_path / case / "rerun.csv", tmp_path / case / "direct.csv"
+        assert main(["rerun", str(edited), "--out", str(rerun)]) == 0
+        path = tmp_path / f"{case}.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert main(["sweep", str(path), *grid, "--out", str(direct)]) == 0
+        assert rerun.read_bytes() == direct.read_bytes() != original.read_bytes()
+        written = [json.loads(Path(f"{p}.manifest.json").read_text(encoding="utf-8"))
+                   for p in (rerun, direct)]
+        assert written[0]["scenario"] == written[1]["scenario"]
 
 
 def test_mc_delay_rejects_a_negative_seed(tmp_path, boosted):

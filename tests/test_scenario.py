@@ -11,7 +11,7 @@ from radcom import (PowerAllocation, QosRequirement, ScenarioConfig,
                     ScenarioParseError, ValidationError, WaveformKind, WaveformSpec,
                     db_to_linear, linear_to_db, load_scenario,
                     optimal_allocation_for_sumrate, rate_report)
-from radcom.scenario import scenario_report_fields
+from radcom.scenario import scenario_from_report, scenario_report_fields
 
 # The scenario file's dB/dBm keys and the field each one sets.
 DB_KEYS = {
@@ -104,6 +104,7 @@ def test_every_file_key_sets_its_field(key):
     report = scenario_report_fields(cfg)
     assert set(report) == {f.name for f in fields(ScenarioConfig)} | set(DB_KEYS)
     assert report[field] == expected
+    assert scenario_from_report(report) == cfg
 
 
 def test_comments_blank_lines_and_dbm_keys():

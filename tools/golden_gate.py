@@ -20,7 +20,7 @@ directly:
 A case is a list of steps: a command-line argv, ``("write", path, text)``
 to create a file first, or ``("edit", manifest, new_path, changes)`` to
 copy a manifest with some of its entries replaced (a dotted key such as
-``params.grid`` names a nested entry).
+``params.grid`` names a nested entry; the value ``DELETE`` removes it).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ BASE = {
 }
 
 # Hand-edited manifests: name -> (base run, changed entries).
+DELETE = object()  # a changed entry's value that removes the entry
 EDITED = {
     "gaps-empty": ("asymmetry", {"params.gaps_db": []}),
     "gaps-zero": ("asymmetry", {"params.gaps_db": [0.0, 5.0]}),
@@ -86,6 +87,21 @@ EDITED = {
     "scenario-h1-negative": ("sweep", {"scenario.h1_gain": -1}),
     "scenario-sigma1-1e-9": ("sweep", {"scenario.sigma1_sq": 1e-9}),
     "scenario-sigma1-1e-10": ("sweep", {"scenario.sigma1_sq": 1e-10}),
+    "scenario-sigma1-1e-10-with-view": ("sweep", {"scenario.sigma1_sq": 1e-10,
+                                                  "scenario.sigma1_sq_dbm": -100.0}),
+    "scenario-view-edited": ("sweep", {"scenario.sigma_r_sq_dbm": -80.0}),
+    "scenario-key-misspelt": ("sweep", {"scenario.sigma_r_sq": DELETE,
+                                        "scenario.sigma_r_sqq": 1e-11}),
+    "scenario-eta1-true": ("sweep", {"scenario.eta1": True}),
+    "scenario-db-key-alone": ("sweep", {"scenario.sigma_r_sq": DELETE,
+                                        "scenario.sigma_r_sq_dbm": -100.0}),
+    "scenario-retired-key": ("sweep", {"scenario.si_suppression_db": 110.0}),
+    "r02-list-true": ("fairness", {"params.r02_list": [0.7, True]}),
+    "gaps-true": ("asymmetry", {"params.gaps_db": [5.0, True]}),
+    "qos-true": ("starpoints", {"params.qos": [[True, 0.7]]}),
+    "alloc-true": ("mc-delay-split", {"params.alloc": [0, 0, True]}),
+    "grid-count-true": ("sweep", {"params.grid": {"lo": 0.01, "hi": 0.99, "count": True}}),
+    "grid-lo-false": ("sweep", {"params.grid": {"lo": False, "hi": 0.99, "count": 200}}),
 }
 
 # Usage errors (exit 3): name -> argv.
@@ -236,7 +252,10 @@ def _edit(case_dir: Path, source: str, target: str, changes: dict) -> None:
         entry = manifest
         for parent in parents:
             entry = entry[parent]
-        entry[key] = value
+        if value is DELETE:
+            del entry[key]
+        else:
+            entry[key] = value
     (case_dir / target).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                    encoding="utf-8")
 
