@@ -437,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _rerun(path: str, out: str | None, force: bool) -> int:
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:   # ValueError: bad JSON, UTF-8 or a huge integer
         raise ValidationError(f"cannot load manifest: {err}") from err
     if not isinstance(manifest, dict):
         raise ValidationError("manifest must be a JSON object")

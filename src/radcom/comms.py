@@ -1,10 +1,9 @@
 """Communications side: SINRs, achievable rates, sum rate, and Jain fairness.
 
-The weak user's signal is decoded under interference from the strong
-user's signal; the strong user first decodes and strips the weak user's
-signal (SIC), so its own rate is interference-free while the strippable
-rate of s2 at user 1 can bind instead.  The radar waveform is known at
-both terminals and already removed, so it never appears as interference.
+The weak user decodes its signal under interference from the strong
+user's; the strong user first decodes and strips the weak user's signal
+(SIC), so its own rate is interference-free.  The radar waveform is known
+at both terminals and already removed, so it never appears as interference.
 """
 
 from __future__ import annotations
@@ -24,33 +23,31 @@ class RateReport:
     """Rate bounds for one scenario and power split, bits/s/Hz."""
 
     r1: float      # rate bound of user 1
-    r2: float      # rate bound of user 2 (min of both branches)
+    r2: float      # rate bound of user 2, set by its own SINR
     r_sum: float   # r1 + r2
 
 
 def compute_sinr(cfg: ScenarioConfig,
-                 alloc: PowerAllocation) -> tuple[float, float, float]:
-    """Return (gamma1, gamma2, gamma2_bar) for the given power split(s).
+                 alloc: PowerAllocation) -> tuple[float, float]:
+    """Return (gamma1, gamma2) for the given power split(s).
 
     gamma1 is interference-free (s2 already stripped, radar known);
-    gamma2 sees s1 as interference at the weak user's receiver;
-    gamma2_bar is the SINR of s2 while user 1 decodes it for stripping,
-    taking user 1's own noise floor.
+    gamma2 sees s1 as interference at the weak user's receiver.
     """
     p = cfg.total_power_mw
     gamma1 = alloc.a1_sq * cfg.h1_gain * p / cfg.sigma1_sq
     gamma2 = (alloc.a2_sq * cfg.h2_gain * p
               / (cfg.h2_gain * alloc.a1_sq * p + cfg.sigma2_sq))
-    gamma2_bar = (alloc.a2_sq * cfg.h1_gain * p
-                  / (cfg.h1_gain * alloc.a1_sq * p + cfg.sigma1_sq))
-    return gamma1, gamma2, gamma2_bar
+    return gamma1, gamma2
 
 
 def rate_report(cfg: ScenarioConfig, alloc: PowerAllocation) -> RateReport:
     """Evaluate the rate bounds of both users for one power split or an array of them."""
-    gamma1, gamma2, gamma2_bar = compute_sinr(cfg, alloc)
+    gamma1, gamma2 = compute_sinr(cfg, alloc)
     r1 = np.log2(1.0 + gamma1)
-    r2 = np.minimum(np.log2(1.0 + gamma2), np.log2(1.0 + gamma2_bar))
+    # The scenario's SIC ordering makes user 1 decode s2 (to strip it) at least
+    # as well as user 2 does, so user 2's own SINR sets r2.
+    r2 = np.log2(1.0 + gamma2)
     return RateReport(r1=r1, r2=r2, r_sum=r1 + r2)
 
 

@@ -19,7 +19,7 @@ from .comms import jain_fairness, rate_report
 from .errors import InfeasibleError, ValidationError
 from .radar import WaveformSpec, total_estimation_variance
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
-                       holds_everywhere)
+                       db_to_linear, holds_everywhere)
 
 DEFAULT_GRID_LO = 0.01
 DEFAULT_GRID_HI = 0.99
@@ -65,7 +65,18 @@ def default_grid(lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI,
                               f"got [{lo!r}, {hi!r}]")
     if count < 1:
         raise ValidationError(f"grid needs at least one point, got {count}")
-    return np.linspace(lo, hi, count)
+    try:
+        return np.linspace(lo, hi, count)
+    except ValueError as err:   # numpy refuses a count beyond its array size limit
+        raise ValidationError(f"grid count {count} is too large: {err}") from None
+
+
+def _least_sinr(rate: float) -> float:
+    """2^rate - 1, the least SINR carrying rate; inf where 2^rate overflows a float."""
+    try:
+        return 2.0 ** rate - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def _weak_user_need(cfg: ScenarioConfig, r02: float) -> float:
@@ -73,7 +84,7 @@ def _weak_user_need(cfg: ScenarioConfig, r02: float) -> float:
     if not (math.isfinite(r02) and r02 > 0.0):
         raise ValidationError(f"r02 must be > 0, got {r02!r}")
     noise2 = cfg.sigma2_sq / cfg.total_power_mw
-    return noise2 * (2.0 ** r02 - 1.0)
+    return noise2 * _least_sinr(r02)
 
 
 def optimal_allocation_for_sumrate(cfg: ScenarioConfig, r02: float,
@@ -94,7 +105,7 @@ def optimal_allocation_for_sumrate(cfg: ScenarioConfig, r02: float,
         raise InfeasibleError(
             f"QoS r02 = {r02:g} needs a communications budget of at least "
             f"kappa_min = {need / h2:.6g}, but 1 - ar_sq = {np.min(kappa):.6g}")
-    a1 = np.maximum((kappa * h2 - need) / (h2 * 2.0 ** r02), 0.0)
+    a1 = np.divide(kappa * h2 - need, h2 * 2.0 ** r02)
     # Pair the two fractions so their sum reproduces kappa bitwise.
     a2 = kappa - a1
     a1 = np.where(a1 < 0.5 * kappa, kappa - a2, a1)[()]
@@ -109,9 +120,10 @@ def max_radar_allocation(cfg: ScenarioConfig,
     """
     noise1 = cfg.sigma1_sq / cfg.total_power_mw
     noise2 = cfg.sigma2_sq / cfg.total_power_mw
-    a1_min = (2.0 ** qos.r01 - 1.0) * noise1 / cfg.h1_gain
-    a2_min = (2.0 ** qos.r02 - 1.0) * (a1_min + noise2 / cfg.h2_gain)
-    if a1_min + a2_min >= 1.0:
+    a1_min = _least_sinr(qos.r01) * noise1 / cfg.h1_gain
+    a2_min = _least_sinr(qos.r02) * (a1_min + noise2 / cfg.h2_gain)
+    # An overflowing least share is inf, or nan where it meets a zero rate.
+    if not (a1_min + a2_min < 1.0):
         raise InfeasibleError(
             f"QoS ({qos.r01:g}, {qos.r02:g}) needs communications power "
             f"{a1_min + a2_min:.6g} >= 1: nothing left for the radar waveform")
@@ -182,9 +194,8 @@ def sample_feasible_region(cfg: ScenarioConfig, spec: WaveformSpec, n: int,
     """n tradeoff points with splits drawn uniformly over the whole power simplex.
 
     Sorted-uniform spacings give exact uniformity over
-    {a1_sq + a2_sq + ar_sq <= 1, all >= 0}; the rates take the weak user's
-    SIC branch where it binds, so every draw is kept.  Deterministic for a
-    given seed.
+    {a1_sq + a2_sq + ar_sq <= 1, all >= 0}; every draw is kept, whichever
+    user gets more power.  Deterministic for a given seed.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
@@ -223,4 +234,4 @@ def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
 
 def lowered_h2_gain(cfg: ScenarioConfig, gap_db: float) -> float:
     """The weak user's gain gap_db below the strong user's: h1_gain * 10^(-gap/10)."""
-    return cfg.h1_gain * 10.0 ** (-gap_db / 10.0)
+    return cfg.h1_gain * db_to_linear(-gap_db)

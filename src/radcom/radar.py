@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .scenario import PowerAllocation, ScenarioConfig
+from .scenario import PowerAllocation, ScenarioConfig, linear_to_db
 
 
 class WaveformKind(Enum):
@@ -104,7 +104,7 @@ def post_integration_snr_db(cfg: ScenarioConfig, alloc: PowerAllocation,
     """Matched-filter output SNR for target k's echo, dB: the echo power times
     the pulse-compression gain TW over the radar noise power."""
     snr = echo_power(cfg, alloc.ar_sq, k) * spec.time_bandwidth / cfg.sigma_r_sq
-    return 10.0 * math.log10(snr)
+    return linear_to_db(snr)
 
 
 def total_estimation_variance(cfg: ScenarioConfig, alloc: PowerAllocation,

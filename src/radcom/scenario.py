@@ -24,7 +24,10 @@ def db_to_linear(value_db: float) -> float:
     """Convert a dB (or dBm) value to its linear ratio (or mW power)."""
     if not math.isfinite(value_db):
         raise ValidationError(f"dB value must be finite, got {value_db!r}")
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValidationError(f"dB value {value_db!r} is too large for a float") from None
 
 
 def linear_to_db(value: float) -> float:
@@ -35,10 +38,17 @@ def linear_to_db(value: float) -> float:
 
 
 def checked_number(name: str, value, integer: bool = False):
-    """``value`` if JSON gave it as a number (an integer if ``integer``), never a bool."""
+    """``value`` if JSON gave it as a number (an integer if ``integer``, else one
+    a float can hold), never a bool."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         what = "an integer" if integer else "a number"
         raise ValidationError(f"{name} must be {what}, got {value!r}")
+    if not integer:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(
+                f"{name} is too large for a float, got {value!r}") from None
     return value
 
 
@@ -73,7 +83,7 @@ class ScenarioConfig:
             raise ValidationError("channel gains must be finite")
         # User 1 strips s2 by SIC before decoding s1, which is sound only when
         # it hears s2 better than user 2 does (the larger effective gain
-        # h/sigma^2); then gamma2_bar >= gamma2 for every split.
+        # h/sigma^2); then user 2's own SINR sets its rate for every split.
         if not (self.h2_gain > 0.0
                 and self.h1_gain / self.sigma1_sq > self.h2_gain / self.sigma2_sq):
             raise ValidationError(

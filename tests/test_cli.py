@@ -139,6 +139,46 @@ def test_fairness_unreachable_qos(tmp_path, scenario):
     assert main(["fairness", scenario, "--r02-list", "3", "--out", str(out)]) == 2
 
 
+SWEEP_OVERFLOW = "no grid point is feasible for r02 = 2000 (kappa_min = inf)"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--r02", "2000"], SWEEP_OVERFLOW),
+    (["fairness", "--r02-list", "0.7,2000"], SWEEP_OVERFLOW),
+    (["asymmetry", "--r02", "2000"], SWEEP_OVERFLOW),
+    (["sweep", "--r02", "1024"],
+     "no grid point is feasible for r02 = 1024 (kappa_min = inf)"),
+    (["starpoints", "--qos", "2000:0.7"],
+     "QoS (2000, 0.7) needs communications power inf"),
+    (["starpoints", "--qos", "1e308:1"],
+     "QoS (1e+308, 1) needs communications power inf"),
+    (["starpoints", "--qos", "2000:0"],
+     "QoS (2000, 0) needs communications power nan"),
+], ids=["sweep", "fairness", "asymmetry", "sweep-1024", "starpoints-r01",
+        "starpoints-1e308", "starpoints-zero-r02"])
+def test_qos_whose_power_overflows_a_float_exits_2(tmp_path, scenario, capsys, argv,
+                                                   error):
+    # 2^r overflows a float from r = 1024 bits/s/Hz on.
+    out = tmp_path / "out" / "data"
+    assert main([argv[0], scenario, *argv[1:], "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+def test_numbers_too_large_for_their_field_exit_3(tmp_path, scenario, capsys):
+    out = tmp_path / "out" / "s.csv"
+    huge_db = tmp_path / "huge.txt"
+    huge_db.write_text("h1_gain_db=4000\n", encoding="utf-8")
+    assert main(["sweep", str(huge_db), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: dB value 4000.0 is too large for a float\n"
+    # numpy refuses this count before allocating anything
+    assert main(["sweep", scenario, "--grid", "0:0.5:99999999999999999999",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: grid count 99999999999999999999 is too "
+                                       "large: Maximum allowed size exceeded\n")
+    assert not out.parent.exists()
+
+
 def test_asymmetry_outputs(tmp_path, scenario):
     out = tmp_path / "asym.json"
     assert main(["asymmetry", scenario, "--out", str(out)]) == 0
@@ -252,6 +292,12 @@ BAD_MANIFEST_PARAMS = {
                          {"lo": 0.01, "hi": 0.99, "count": 20, "step": 0.05}),
     "grid-list": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
                   ["lo", "hi", "count"]),
+    # numbers too large for their field
+    "r02-huge": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r02", 10 ** 400),
+    "r02-list-huge": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "r02_list",
+                      [0.7, 10 ** 400]),
+    "grid-count-huge": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
+                        {"lo": 0.0, "hi": 0.5, "count": 10 ** 20}),
 }
 MC_RUN = ["mc-delay", "--delay", "6.2832e-6", "--trials", "100"]
 WAVEFORM_RUN = ["waveform-validate", "--tw-list", "100"]
@@ -317,6 +363,10 @@ REFUSED_SCENARIOS = {
     "true": ({"eta1": True}, "eta1 must be a number, got True"),
     "text": ({"h1_gain": "1e-9"}, "h1_gain must be a number, got '1e-9'"),
     "null": ({"eta2": None}, "eta2 must be a number, got None"),
+    "huge-integer": ({"eta1": 10 ** 400},
+                     f"eta1 is too large for a float, got {10 ** 400}"),
+    "huge-db-key-alone": ({"h1_gain": DELETE, "h1_gain_db": 4000.0},
+                          "dB value 4000.0 is too large for a float"),
 }
 # Hand edits that rerun as a scenario file holding the given text would run.
 ACCEPTED_SCENARIOS = {
@@ -419,6 +469,19 @@ def test_failed_forced_write_keeps_the_old_outputs(tmp_path, scenario, monkeypat
 
 def test_rerun_missing_manifest(tmp_path):
     assert main(["rerun", str(tmp_path / "nope.json")]) == 3
+
+
+def test_rerun_of_an_unreadable_manifest_exits_3(tmp_path, capsys):
+    # json refuses to convert an integer of more than 4300 digits
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"r02": ' + "1" * 5000 + "}\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"command": "sweep\xe9"}\n')
+    for manifest, error in [(huge, "Exceeds the limit (4300 digits)"),
+                            (latin1, "'utf-8' codec can't decode byte 0xe9")]:
+        assert main(["rerun", str(manifest), "--out", str(tmp_path / "r" / "s.csv")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot load manifest: {error}")
+    assert not (tmp_path / "r").exists()
 
 
 def test_version_flag():

@@ -16,24 +16,22 @@ OPT_HALF = optimal_allocation_for_sumrate(CFG, 1.0, 0.5)
 
 
 def test_sinr_at_the_half_radar_optimum():
-    gamma1, gamma2, gamma2_bar = compute_sinr(CFG, OPT_HALF)
+    gamma1, gamma2 = compute_sinr(CFG, OPT_HALF)
     assert gamma1 == pytest.approx(2.9057, rel=1e-3, abs=0)
     # the weak user's QoS of 1 bit/s/Hz pins its SINR to exactly 2^1 - 1
     assert gamma2 == pytest.approx(1.0, rel=1e-9, abs=0)
-    assert gamma2_bar == pytest.approx(3.3040, rel=1e-3, abs=0)
 
 
 def test_sinr_zero_power_degenerate_cases():
     no_s1 = PowerAllocation(0.0, 0.3, 0.5)
-    gamma1, gamma2, _ = compute_sinr(CFG, no_s1)
+    gamma1, gamma2 = compute_sinr(CFG, no_s1)
     assert gamma1 == 0.0
     assert gamma2 == pytest.approx(
         0.3 * CFG.h2_gain * CFG.total_power_mw / CFG.sigma2_sq, rel=1e-12, abs=0)
 
     no_s2 = PowerAllocation(0.3, 0.0, 0.5)
-    _, gamma2, gamma2_bar = compute_sinr(CFG, no_s2)
+    _, gamma2 = compute_sinr(CFG, no_s2)
     assert gamma2 == 0.0
-    assert gamma2_bar == 0.0
 
 
 def test_rate_report_at_the_half_radar_optimum():
@@ -42,7 +40,7 @@ def test_rate_report_at_the_half_radar_optimum():
     assert report.r1 == pytest.approx(1.9657, abs=1e-3)
     assert report.r_sum == pytest.approx(2.9657, abs=1e-3)
     assert report.r_sum == report.r1 + report.r2
-    # the weak user's own branch binds, not the SIC branch at user 1
+    # the weak user's own SINR sets its rate
     assert report.r2 == np.log2(1.0 + compute_sinr(CFG, OPT_HALF)[1])
 
 
@@ -58,16 +56,43 @@ def test_rate_report_zero_comm_power():
     assert report.r_sum == 0.0
 
 
+# Scenarios at the edge of the SIC ordering: h1 = h2 (1 + eps) at equal noise.
+NEAR_TIES = [ScenarioConfig(h1_gain=CFG.h2_gain * (1.0 + eps))
+             for eps in (1e-15, 1e-14, 1e-12, 1e-9)]
+
+
+def _r2_of_both_sic_branches(cfg, alloc):
+    """The weak user's rate as the min of its own SINR and the SINR with which
+    user 1 decodes s2 to strip it: the reference the one-SINR rate must match."""
+    p = cfg.total_power_mw
+    gamma2 = (alloc.a2_sq * cfg.h2_gain * p
+              / (cfg.h2_gain * alloc.a1_sq * p + cfg.sigma2_sq))
+    gamma2_bar = (alloc.a2_sq * cfg.h1_gain * p
+                  / (cfg.h1_gain * alloc.a1_sq * p + cfg.sigma1_sq))
+    assert np.all(gamma2_bar >= gamma2)
+    return np.minimum(np.log2(1.0 + gamma2), np.log2(1.0 + gamma2_bar))
+
+
 def test_sic_never_binds_for_table_like_configs():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        cfg = random_table_like_config(rng)
-        u = rng.uniform(0.0, 1.0, size=3)
-        u /= max(u.sum(), 1.0) * rng.uniform(1.0, 2.0)
-        alloc = PowerAllocation(*u)
-        _, gamma2, gamma2_bar = compute_sinr(cfg, alloc)
-        assert gamma2_bar >= gamma2
-        assert rate_report(cfg, alloc).r2 == np.log2(1.0 + gamma2)
+    configs = [CFG, ScenarioConfig(sigma1_sq=1e-10), *NEAR_TIES,
+               *(random_table_like_config(rng) for _ in range(100))]
+    for cfg in configs:
+        # splits drawn over the power simplex
+        u = rng.uniform(0.0, 1.0, size=(3, 2000))
+        splits = [u / (np.maximum(u.sum(axis=0), 1.0) * rng.uniform(1.0, 2.0, size=2000))]
+        # and the sum-rate-optimal splits of sweeps, where r2 meets the QoS exactly
+        for r02 in (0.01, 0.3, 0.7, 1.5):
+            need = cfg.sigma2_sq / cfg.total_power_mw * (2.0 ** r02 - 1.0)
+            if need < cfg.h2_gain:
+                grid = np.linspace(0.0, 1.0 - need / cfg.h2_gain, 1000, endpoint=False)
+                a = optimal_allocation_for_sumrate(cfg, r02, grid)
+                splits.append([a.a1_sq, a.a2_sq, a.ar_sq])
+        u = np.hstack(splits)
+        for alloc in (PowerAllocation(*u), PowerAllocation(*u[:, 0])):
+            r2 = rate_report(cfg, alloc).r2
+            assert np.array_equal(r2, _r2_of_both_sic_branches(cfg, alloc))
+            assert np.array_equal(r2, np.log2(1.0 + compute_sinr(cfg, alloc)[1]))
 
 
 def test_rates_invariant_to_joint_power_and_noise_rescaling():

@@ -66,6 +66,12 @@ def test_min_power_reference_values():
 def test_min_power_infeasible_qos():
     with pytest.raises(InfeasibleError, match="nothing left"):
         max_radar_allocation(CFG, QosRequirement(5.0, 5.0))
+    # 2^r overflows a float from r = 1024 on: the least share is inf, or
+    # 0 * inf = nan beside a zero rate, and either is out of reach
+    for qos, power in [((2000.0, 0.7), "inf"), ((1e308, 1.0), "inf"),
+                       ((0.7, 1024.0), "inf"), ((2000.0, 0.0), "nan")]:
+        with pytest.raises(InfeasibleError, match=f"communications power {power} >= 1"):
+            max_radar_allocation(CFG, QosRequirement(*qos))
 
 
 @pytest.mark.parametrize("qos,ar_expected", [
@@ -140,6 +146,12 @@ def test_sweep_with_no_feasible_point_raises():
     # a QoS no budget can carry fails even on the full default grid
     with pytest.raises(InfeasibleError):
         tradeoff_sweep(CFG, 3.0, LINEAR)
+    # so does one whose least power overflows a float
+    for r02 in (1024.0, 2000.0):
+        with pytest.raises(InfeasibleError, match=r"kappa_min = inf\)"):
+            tradeoff_sweep(CFG, r02, LINEAR)
+        with pytest.raises(InfeasibleError, match="kappa_min = inf,"):
+            optimal_allocation_for_sumrate(CFG, r02, 0.5)
 
 
 def test_sweep_grid_validation():
@@ -149,6 +161,9 @@ def test_sweep_grid_validation():
         tradeoff_sweep(CFG, 0.7, LINEAR, [0.5, 1.0])
     with pytest.raises(ValidationError):
         tradeoff_sweep(CFG, 0.7, LINEAR, [])
+    # numpy refuses this count before allocating anything
+    with pytest.raises(ValidationError, match=f"grid count {10 ** 20} is too large"):
+        default_grid(0.0, 0.5, 10 ** 20)
 
 
 def test_region_samples_are_feasible_and_deterministic():

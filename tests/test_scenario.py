@@ -11,7 +11,7 @@ from radcom import (PowerAllocation, QosRequirement, ScenarioConfig,
                     ScenarioParseError, ValidationError, WaveformKind, WaveformSpec,
                     db_to_linear, linear_to_db, load_scenario,
                     optimal_allocation_for_sumrate, rate_report)
-from radcom.scenario import scenario_from_report, scenario_report_fields
+from radcom.scenario import checked_number, scenario_from_report, scenario_report_fields
 
 # The scenario file's dB/dBm keys and the field each one sets.
 DB_KEYS = {
@@ -36,10 +36,17 @@ def test_db_to_linear_reference_points():
     assert db_to_linear(-105.0) == pytest.approx(3.1623e-11, rel=1e-4, abs=0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 4000.0])
 def test_db_to_linear_rejects_non_finite(bad):
     with pytest.raises(ValidationError):
         db_to_linear(bad)
+
+
+def test_checked_number_refuses_an_integer_no_float_holds():
+    assert checked_number("eta1", 10 ** 300) == 10 ** 300
+    assert checked_number("trials", 10 ** 400, integer=True) == 10 ** 400
+    with pytest.raises(ValidationError, match="eta1 is too large for a float, got 1000"):
+        checked_number("eta1", 10 ** 400)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

@@ -99,6 +99,11 @@ def test_post_integration_snr_reference():
         == pytest.approx(20.0, abs=1e-9)
 
 
+def test_post_integration_snr_without_radar_power_is_a_validation_error():
+    with pytest.raises(ValidationError, match="linear value must be finite and > 0"):
+        post_integration_snr_db(BOOSTED, PowerAllocation(0.5, 0.5, 0.0), LINEAR, 1)
+
+
 def test_mc_guards():
     with pytest.raises(ValidationError, match="trials"):
         mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 50, 0)

@@ -102,6 +102,11 @@ EDITED = {
     "alloc-true": ("mc-delay-split", {"params.alloc": [0, 0, True]}),
     "grid-count-true": ("sweep", {"params.grid": {"lo": 0.01, "hi": 0.99, "count": True}}),
     "grid-lo-false": ("sweep", {"params.grid": {"lo": False, "hi": 0.99, "count": 200}}),
+    # numbers too large for their field
+    "scenario-eta1-huge": ("sweep", {"scenario.eta1": 10 ** 400}),
+    "scenario-db-key-alone-4000": ("sweep", {"scenario.h1_gain": DELETE,
+                                             "scenario.h1_gain_db": 4000.0}),
+    "r02-huge": ("sweep", {"params.r02": 10 ** 400}),
 }
 
 # Usage errors (exit 3): name -> argv.
@@ -135,6 +140,8 @@ USAGE = {
                                 "--alloc", "-0.1:0.2:0.5"],
     "mc-delay-seed-negative": ["mc-delay", "boosted.txt", *MC, "--seed", "-1"],
     "mc-delay-few-trials": ["mc-delay", "boosted.txt", *MC, "--trials", "10"],
+    "sweep-grid-huge-count": ["sweep", "baseline.txt", "--grid",
+                              "0:0.5:99999999999999999999"],
 }
 
 # Domain infeasibility (exit 2): name -> (argv without --out, output).
@@ -144,6 +151,13 @@ INFEASIBLE = {
     "fairness": (["fairness", "baseline.txt", "--r02-list", "3"], "f.csv"),
     "mc-delay": (["mc-delay", "baseline.txt", *MC], "mc.json"),
     "asymmetry": (["asymmetry", "baseline.txt", "--r02", "3"], "a.json"),
+    # QoS rates whose least power overflows a float
+    "sweep-r02-2000": (["sweep", "baseline.txt", "--r02", "2000"], "s.csv"),
+    "fairness-r02-2000": (["fairness", "baseline.txt", "--r02-list", "2000"], "f.csv"),
+    "asymmetry-r02-2000": (["asymmetry", "baseline.txt", "--r02", "2000"], "a.json"),
+    "starpoints-qos-2000": (["starpoints", "baseline.txt", "--qos", "2000:0.7"], "p.csv"),
+    "starpoints-qos-1e308": (["starpoints", "baseline.txt", "--qos", "1e308:1"], "p.csv"),
+    "starpoints-qos-2000-0": (["starpoints", "baseline.txt", "--qos", "2000:0"], "p.csv"),
 }
 
 # An existing output wins over every outcome (exit 3): name -> (argv, output).
@@ -187,6 +201,8 @@ def _cases() -> dict[str, list]:
                           ["rerun", "m.json", "--out", "r/s.csv"]],
         "manifest-not-json": [("write", "m.json", "not json\n"),
                               ["rerun", "m.json", "--out", "r/s.csv"]],
+        "manifest-huge-integer": [("write", "m.json", '{"r02": ' + "1" * 5000 + "}\n"),
+                                  ["rerun", "m.json", "--out", "r/s.csv"]],
         # refusals to overwrite (exit 3)
         "refuse-sweep-rerun": [_with_out(["sweep", "baseline.txt"], "s.csv"),
                                _with_out(["sweep", "baseline.txt"], "s.csv"),
@@ -213,6 +229,8 @@ def _cases() -> dict[str, list]:
             ["fairness", "baseline.txt", "--grid", "0:0.9:37"], "f.csv")],
         "starpoints-zero-qos": [_with_out(
             ["starpoints", "baseline.txt", "--qos", "0:0", "--qos", "1.5:0.7"], "p.csv")],
+        "usage-sweep-h1-gain-db-4000": [("write", "huge.txt", "h1_gain_db=4000\n"),
+                                        _with_out(["sweep", "huge.txt"], "s.csv")],
     }
     for command in COMMANDS:
         cases[f"help-{command}"] = [[command, "--help"]]
