@@ -121,8 +121,9 @@ def max_radar_allocation(cfg: ScenarioConfig,
     noise1 = cfg.sigma1_sq / cfg.total_power_mw
     noise2 = cfg.sigma2_sq / cfg.total_power_mw
     a1_min = _least_sinr(qos.r01) * noise1 / cfg.h1_gain
-    a2_min = _least_sinr(qos.r02) * (a1_min + noise2 / cfg.h2_gain)
-    # An overflowing least share is inf, or nan where it meets a zero rate.
+    sinr2 = _least_sinr(qos.r02)
+    # A zero rate needs no power, even beside an overflowing (inf) least share.
+    a2_min = sinr2 * (a1_min + noise2 / cfg.h2_gain) if sinr2 > 0.0 else 0.0
     if not (a1_min + a2_min < 1.0):
         raise InfeasibleError(
             f"QoS ({qos.r01:g}, {qos.r02:g}) needs communications power "

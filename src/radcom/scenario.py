@@ -193,7 +193,12 @@ def load_scenario(source: str) -> ScenarioConfig:
                 raise ScenarioParseError(
                     f"{key!r} conflicts with earlier {assigned[field][1]!r} "
                     "(field given twice)", line_no)
-            assigned[field] = (db_to_linear(value) if is_db else value, key)
+            if is_db:
+                try:
+                    value = db_to_linear(value)
+                except ValidationError as exc:
+                    raise ScenarioParseError(f"{key}={text}: {exc}", line_no) from None
+            assigned[field] = (value, key)
     kwargs = {field: value for field, (value, _key) in assigned.items()}
     return ScenarioConfig(**kwargs)
 

@@ -23,6 +23,7 @@ from .scenario import PowerAllocation, ScenarioConfig
 MIN_OVERSAMPLING = 8.0          # sample_rate_hz >= MIN_OVERSAMPLING * W
 MIN_MC_SNR_DB = 10.0            # asymptotic-region guard for the estimator
 MIN_MC_TRIALS = 100
+TRIAL_BATCH = 8                 # Monte Carlo trials per draw and inverse FFT
 
 
 class MomentMethod(Enum):
@@ -156,9 +157,10 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     Each trial superposes the delayed radar echo with fresh circular
     Gaussian communications interference and radar noise, cross-correlates
     against the known pulse, and refines the peak with a three-point
-    parabolic fit.  The noise is drawn directly as its spectrum, so a trial
-    costs one inverse FFT.  Every trial draws from one generator seeded by
-    ``seed``.
+    parabolic fit.  The noise is drawn directly as its spectrum, and the
+    trials run TRIAL_BATCH at a time: one draw and one batched inverse FFT
+    per batch, in one buffer whose size does not depend on ``trials``.
+    Every trial draws from one generator seeded by ``seed``, in trial order.
 
     The estimator is only compared against the bound in its asymptotic
     region; runs below a 10 dB post-integration SNR are refused.
@@ -211,24 +213,33 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     # noise samples is white with fft_len times their variance.
     signal_fft = np.fft.fft(echo, fft_len) * template_fft
     noise_gain = scale * math.sqrt(fft_len) * template_fft
-    g = np.empty(2 * fft_len)
-    z = g.view(complex)      # real parts at even indices, imaginary at odd
+    # Trials run in batches of TRIAL_BATCH rows through one buffer: one draw
+    # fills the rows in trial order, and each row of the batched inverse FFT
+    # is bitwise its own transform, so every trial matches a one-row loop.
+    g = np.empty((min(TRIAL_BATCH, trials), 2 * fft_len))
+    z = g.view(complex)      # real parts at even columns, imaginary at odd
     rng = np.random.default_rng(seed)
     sum_sq = 0.0
-    for _ in range(trials):
-        rng.standard_normal(out=g)
-        z *= noise_gain
-        z += signal_fft
-        corr = np.fft.ifft(z)
-        mag = np.abs(corr[:max_lag + 1])
-        peak = int(np.argmax(mag))
-        delta = 0.0
-        if 0 < peak < max_lag:
-            left, mid, right = mag[peak - 1], mag[peak], mag[peak + 1]
-            curvature = left - 2.0 * mid + right
-            if curvature < 0.0:
-                delta = 0.5 * (left - right) / curvature
-        sum_sq += ((peak + delta) / fs - true_delay_s) ** 2
+    for start in range(0, trials, TRIAL_BATCH):
+        b = min(TRIAL_BATCH, trials - start)
+        rng.standard_normal(out=g[:b])
+        z[:b] *= noise_gain
+        z[:b] += signal_fft
+        corr = np.fft.ifft(z[:b], axis=1, out=z[:b])
+        mag = np.abs(corr[:, :max_lag + 1])
+        rows = np.arange(b)
+        peak = np.argmax(mag, axis=1)
+        # The 3-point fit runs only off the lag edges and where the peak is
+        # concave; any other peak keeps its whole-sample lag.
+        mid = np.clip(peak, 1, max_lag - 1)
+        left, centre, right = mag[rows, mid - 1], mag[rows, mid], mag[rows, mid + 1]
+        curvature = left - 2.0 * centre + right
+        fit = (peak > 0) & (peak < max_lag) & (curvature < 0.0)
+        delta = np.divide(0.5 * (left - right), curvature,
+                          out=np.zeros(b), where=fit)
+        # One at a time in trial order, so the float sum is a one-row loop's.
+        for err in ((peak + delta) / fs - true_delay_s).tolist():
+            sum_sq += err ** 2
 
     empirical_var = float(sum_sq / trials)
     return McDelayReport(

@@ -153,7 +153,7 @@ SWEEP_OVERFLOW = "no grid point is feasible for r02 = 2000 (kappa_min = inf)"
     (["starpoints", "--qos", "1e308:1"],
      "QoS (1e+308, 1) needs communications power inf"),
     (["starpoints", "--qos", "2000:0"],
-     "QoS (2000, 0) needs communications power nan"),
+     "QoS (2000, 0) needs communications power inf >= 1"),
 ], ids=["sweep", "fairness", "asymmetry", "sweep-1024", "starpoints-r01",
         "starpoints-1e308", "starpoints-zero-r02"])
 def test_qos_whose_power_overflows_a_float_exits_2(tmp_path, scenario, capsys, argv,
@@ -170,7 +170,13 @@ def test_numbers_too_large_for_their_field_exit_3(tmp_path, scenario, capsys):
     huge_db = tmp_path / "huge.txt"
     huge_db.write_text("h1_gain_db=4000\n", encoding="utf-8")
     assert main(["sweep", str(huge_db), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: dB value 4000.0 is too large for a float\n"
+    assert capsys.readouterr().err == ("error: line 1: h1_gain_db=4000: dB value 4000.0 "
+                                       "is too large for a float\n")
+    # a non-finite dB value names its line and key the same way
+    huge_db.write_text("h1_gain_db=nan\n", encoding="utf-8")
+    assert main(["sweep", str(huge_db), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: line 1: h1_gain_db=nan: dB value must be "
+                                       "finite, got nan\n")
     # numpy refuses this count before allocating anything
     assert main(["sweep", scenario, "--grid", "0:0.5:99999999999999999999",
                  "--out", str(out)]) == 3

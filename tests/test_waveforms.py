@@ -11,8 +11,8 @@ from radcom import (InfeasibleError, MomentMethod, PowerAllocation,
                     WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
                     instantaneous_frequency, mc_delay_estimation, numeric_energy,
                     numeric_rms_bandwidth_sq, post_integration_snr_db, synthesize)
-from radcom.radar import crlb_delay
-from radcom.waveforms import _phase, _smooth_len
+from radcom.radar import crlb_delay, echo_power
+from radcom.waveforms import _phase, _pulse, _smooth_len
 
 W_HZ = 2e7
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 1000.0)
@@ -264,6 +264,69 @@ def test_mc_matches_the_original_trial_loop(kind, alloc, tw, w_hz, sigma_r_sq, d
     assert report.empirical_var == pytest.approx(reference, rel=1e-9, abs=0)
     assert report.efficiency == pytest.approx(
         reference / crlb_delay(cfg, alloc, spec, 1), rel=1e-9, abs=0)
+
+
+def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
+    """(empirical_var, lag-edge peaks) from the trial loop as it ran before
+    batching: per trial one frequency-domain draw into a one-row buffer, one
+    inverse FFT and a scalar three-point fit."""
+    fs = 8.0 * spec.bandwidth_hz
+    xt = synthesize(spec, fs).samples
+    n = len(xt)
+    n_obs = n + int(math.ceil(delay_s * fs)) + 8
+    echo = math.sqrt(echo_power(cfg, alloc.ar_sq, 1)) * _pulse(spec, fs, n_obs, delay_s)
+    scale = math.sqrt(cfg.sigma_r_sq * (fs / spec.bandwidth_hz)
+                      + echo_power(cfg, alloc.a1_sq + alloc.a2_sq, 1) / 2.0)
+    fft_len = _smooth_len(n_obs)
+    template_fft = np.conj(np.fft.fft(xt, fft_len))
+    max_lag = n_obs - n
+    signal_fft = np.fft.fft(echo, fft_len) * template_fft
+    noise_gain = scale * math.sqrt(fft_len) * template_fft
+    g = np.empty(2 * fft_len)
+    z = g.view(complex)
+    rng = np.random.default_rng(seed)
+    sum_sq = 0.0
+    edges = 0
+    for _ in range(trials):
+        rng.standard_normal(out=g)
+        z *= noise_gain
+        z += signal_fft
+        corr = np.fft.ifft(z)
+        mag = np.abs(corr[:max_lag + 1])
+        peak = int(np.argmax(mag))
+        delta = 0.0
+        if 0 < peak < max_lag:
+            left, mid, right = mag[peak - 1], mag[peak], mag[peak + 1]
+            curvature = left - 2.0 * mid + right
+            if curvature < 0.0:
+                delta = 0.5 * (left - right) / curvature
+        else:
+            edges += 1
+        sum_sq += ((peak + delta) / fs - delay_s) ** 2
+    return float(sum_sq / trials), edges
+
+
+@pytest.mark.parametrize("spec", [LINEAR, PARABOLIC], ids=["linear", "parabolic"])
+@pytest.mark.parametrize("trials", [100, 101, 107])
+def test_mc_batches_match_the_one_trial_loop_bitwise(spec, trials):
+    # 100, 101 and 107 trials end on batches of 4, 5 and 3 rows.
+    cfg = ScenarioConfig(sigma_r_sq=1e-21)
+    alloc = PowerAllocation(0.2, 0.55, 0.25)
+    report = mc_delay_estimation(cfg, alloc, spec, 1, DELAY_S, trials, 2024)
+    assert report.empirical_var == _one_trial_loop(cfg, alloc, spec, DELAY_S,
+                                                   trials, 2024)[0]
+
+
+def test_mc_batches_keep_the_lag_edge_rule():
+    # Near the 10 dB guard some peaks land on a lag edge, where no fit runs.
+    spec = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 250.0)
+    sigma_r_sq = echo_power(ScenarioConfig(), 1.0, 1) * 250.0 / 10.0 ** 1.05
+    cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq, time_bandwidth=250.0)
+    assert post_integration_snr_db(cfg, RADAR_ONLY, spec, 1) == pytest.approx(10.5)
+    expected, edges = _one_trial_loop(cfg, RADAR_ONLY, spec, 3e-6, 400, 1)
+    assert edges >= 1
+    report = mc_delay_estimation(cfg, RADAR_ONLY, spec, 1, 3e-6, 400, 1)
+    assert report.empirical_var == expected
 
 
 def test_smooth_fft_length_is_the_least_5_smooth_bound():

@@ -54,6 +54,9 @@ BASE = {
     "mc-delay": (["mc-delay", "boosted.txt", "--delay", "6.2832e-6"], "mc.json"),
     "mc-delay-split": (["mc-delay", "boosted.txt", *MC, "--alloc", "0.01:0.04:0.95"],
                        "mc.json"),
+    # 101 trials end on a short batch
+    "mc-delay-parabolic-101": (["mc-delay", "boosted.txt", "--delay", "6.2832e-6",
+                                "--waveform", "parabolic", "--trials", "101"], "mc.json"),
     "waveform-validate-coarse": (["waveform-validate", "--oversampling", "8"], "w.csv"),
 }
 
