@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .csvtext import csv_content
 from .errors import InfeasibleError, RadcomError, ValidationError
 from .optimizer import (DEFAULT_GRID_COUNT, DEFAULT_GRID_HI, DEFAULT_GRID_LO,
                         SweepResult, asymmetry_sweep, default_grid,
@@ -42,17 +43,6 @@ EXIT_USAGE = 3
 
 DEFAULT_QOS_PAIRS = ((1.5, 0.7), (0.7, 0.7), (1.5, 1.5))
 INSTFREQ_REL_TOL = 1e-6
-
-
-def _csv_content(header: str, rows) -> str:
-    """CSV text; every cell in fixed scientific notation, 9 significant digits."""
-    line = ",".join(["%.8e"] * (header.count(",") + 1))
-    return "\n".join([header, *(line % tuple(row) for row in rows)]) + "\n"
-
-
-def _column_rows(*columns):
-    """Rows of equal-length columns (arrays or sequences) as tuples of floats."""
-    return zip(*(np.asarray(c).tolist() for c in columns))
 
 
 def _json_content(payload: dict) -> str:
@@ -193,10 +183,10 @@ def _spec(cfg: ScenarioConfig, params: dict) -> WaveformSpec:
 
 def _sweep_csv(result: SweepResult) -> str:
     c = result.curve
-    return _csv_content(SWEEP_HEADER, _column_rows(
+    return csv_content(SWEEP_HEADER, np.column_stack([
         c.alloc.ar_sq, c.alloc.a1_sq, c.alloc.a2_sq, c.r1, c.r2, c.r_sum,
         c.sigma_eps_sq, c.sigma_eps_sq_normalized,
-        np.log10(c.sigma_eps_sq_normalized), c.fairness))
+        np.log10(c.sigma_eps_sq_normalized), c.fairness]))
 
 
 def _sweep(cfg, params, paths):
@@ -214,20 +204,21 @@ def _starpoints(cfg, params, paths):
     for r01, r02 in params["qos"]:
         pt = star_point(cfg, QosRequirement(r01=r01, r02=r02), spec)
         rows.append([r01, r02, pt.alloc.ar_sq, pt.r_sum, pt.sigma_eps_sq_normalized])
-    csv = _csv_content("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", rows)
+    csv = csv_content("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", rows)
     return {paths[0]: csv}, f"starpoints: {len(rows)} QoS pairs -> {paths[0]}", EXIT_OK
 
 
 def _fairness(cfg, params, paths):
     spec = _spec(cfg, params)
     grid = default_grid(**params["grid"])
-    rows = []
+    blocks = []
     for r02 in params["r02_list"]:
         c = tradeoff_sweep(cfg, r02, spec, grid).curve
-        rows.extend(_column_rows([r02] * len(c.r_sum), c.alloc.ar_sq, c.r_sum,
-                                 c.fairness))
+        blocks.append(np.column_stack([np.full(len(c.r_sum), r02), c.alloc.ar_sq,
+                                       c.r_sum, c.fairness]))
+    rows = np.concatenate(blocks)
     line = f"fairness: {len(params['r02_list'])} curves, {len(rows)} rows -> {paths[0]}"
-    return {paths[0]: _csv_content("r02,ar_sq,r_sum,fairness", rows)}, line, EXIT_OK
+    return {paths[0]: csv_content("r02,ar_sq,r_sum,fairness", rows)}, line, EXIT_OK
 
 
 def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
@@ -287,7 +278,7 @@ def _waveform_validate(cfg, params, paths):
                      b_spectrum, instfreq_err, spectrum_err])
     header = ("tw,energy_analytic,energy_numeric,brms_sq_analytic,"
               "brms_sq_instfreq,brms_sq_spectrum,instfreq_rel_err,spectrum_rel_err")
-    files = {paths[0]: _csv_content(header, rows)}
+    files = {paths[0]: csv_content(header, rows)}
     if worst > INSTFREQ_REL_TOL:
         line = (f"waveform-validate: FAILED, instantaneous-frequency moment off "
                 f"by {worst:.3e} (> {INSTFREQ_REL_TOL:g}) -> {paths[0]}")

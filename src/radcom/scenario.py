@@ -189,6 +189,9 @@ def load_scenario(source: str) -> ScenarioConfig:
                 raise ScenarioParseError(
                     f"value for {key!r} is not a number: {text!r}", line_no) from None
             field, is_db = _KEY_TO_FIELD[key]
+            if not (is_db or math.isfinite(value)):
+                raise ScenarioParseError(
+                    f"value for {key!r} must be finite: {text!r}", line_no)
             if field in assigned:
                 raise ScenarioParseError(
                     f"{key!r} conflicts with earlier {assigned[field][1]!r} "

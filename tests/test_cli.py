@@ -8,10 +8,12 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from radcom import cli
-from radcom.cli import _csv_content, main
+from radcom import cli, csvtext
+from radcom.cli import main
+from radcom.csvtext import csv_content
 
 NUMBER = re.compile(r"^(-?\d\.\d{8}e[+-]\d{2,3}|inf|nan)$")
 
@@ -177,6 +179,12 @@ def test_numbers_too_large_for_their_field_exit_3(tmp_path, scenario, capsys):
     assert main(["sweep", str(huge_db), "--out", str(out)]) == 3
     assert capsys.readouterr().err == ("error: line 1: h1_gain_db=nan: dB value must be "
                                        "finite, got nan\n")
+    # and so does a non-finite linear value
+    for text in ("inf", "-inf", "nan"):
+        huge_db.write_text(f"# gains\neta1=0.2, h1_gain={text}\n", encoding="utf-8")
+        assert main(["sweep", str(huge_db), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: value for 'h1_gain' must be finite: '{text}'\n")
     # numpy refuses this count before allocating anything
     assert main(["sweep", scenario, "--grid", "0:0.5:99999999999999999999",
                  "--out", str(out)]) == 3
@@ -552,13 +560,31 @@ def test_distinct_gaps_sharing_a_csv_name_exit_3(tmp_path, scenario, capsys, for
 
 
 def test_csv_cells_match_fixed_scientific_formatting():
-    values = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308,
-              0.123456789012345, 9.999999995, math.inf, -math.inf, math.nan]
-    text = _csv_content("a,b", [(v, -v) for v in values])
-    lines = text.split("\n")
-    assert lines[0] == "a,b" and lines[-1] == ""
-    for line, v in zip(lines[1:-1], values):
-        assert line.split(",") == [f"{v:.8e}", f"{-v:.8e}"]
+    # The fast path's error bound assumes each power of ten is within one ulp.
+    exact = np.array([float(f"1e{8 - e}") for e in range(-290, 291)])
+    pow10 = csvtext._format_tables()[0]
+    assert np.all(np.abs(pow10.view(np.int64) - exact.view(np.int64)) <= 1)
+    rng = np.random.default_rng(14)
+    exps = rng.integers(-300, 300, 20_000)
+    ties = (rng.integers(10**8, 10**9, 20_000) + 0.5) * 10.0 ** (exps - 8)
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    cells = np.concatenate([
+        [0.0, -0.0, 1.0, 2.5, 1e-300, 5e-324, 1.7976931348623157e308, 0.123456789012345,
+         9.999999995, math.inf, -math.inf, math.nan, 2.5e-308, 1e-100, 9.999999995e-100,
+         1.234567891e200],
+        rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-320, 308, 40_000),
+        ties, np.nextafter(ties, 0), np.nextafter(ties, math.inf),
+        decades, np.nextafter(decades, 0), np.nextafter(decades, math.inf),
+    ])
+    cells = np.concatenate([cells, -cells])
+    cells = np.concatenate([cells, np.ones(-len(cells) % 7)]).reshape(-1, 7)
+    assert len(cells) > 2 * csvtext.CSV_BLOCK_ROWS and len(cells) % csvtext.CSV_BLOCK_ROWS
+    header = "a,b,c,d,e,f,g"
+    assert csv_content(header, cells).split("\n") == [
+        header, *(",".join("%.8e" % v for v in row) for row in cells.tolist()), ""]
+    assert csv_content("a", [[2.0], [-0.5]]) == "a\n2.00000000e+00\n-5.00000000e-01\n"
+    assert csv_content(header, []) == csv_content(header, np.empty((0, 7))) == header + "\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "starpoints", "asymmetry"])

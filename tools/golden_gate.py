@@ -40,6 +40,7 @@ SCENARIOS = {
     "si.txt": "si_suppression_db=110\n",   # a key that is no longer a field
 }
 MC = ["--delay", "6.2832e-6", "--trials", "150", "--seed", "5"]
+DENSE_GRID = "0.01:0.99:20000"
 COMMANDS = ("sweep", "starpoints", "fairness", "asymmetry", "waveform-validate",
             "mc-delay", "rerun")
 
@@ -58,6 +59,9 @@ BASE = {
     "mc-delay-parabolic-101": (["mc-delay", "boosted.txt", "--delay", "6.2832e-6",
                                 "--waveform", "parabolic", "--trials", "101"], "mc.json"),
     "waveform-validate-coarse": (["waveform-validate", "--oversampling", "8"], "w.csv"),
+    # over 300 000 cells together, across many CSV row blocks
+    "sweep-dense": (["sweep", "baseline.txt", "--grid", DENSE_GRID], "s.csv"),
+    "fairness-dense": (["fairness", "baseline.txt", "--grid", DENSE_GRID], "f.csv"),
 }
 
 # Hand-edited manifests: name -> (base run, changed entries).
@@ -234,6 +238,8 @@ def _cases() -> dict[str, list]:
             ["starpoints", "baseline.txt", "--qos", "0:0", "--qos", "1.5:0.7"], "p.csv")],
         "usage-sweep-h1-gain-db-4000": [("write", "huge.txt", "h1_gain_db=4000\n"),
                                         _with_out(["sweep", "huge.txt"], "s.csv")],
+        "usage-sweep-h1-gain-inf": [("write", "inf.txt", "h1_gain=inf\n"),
+                                    _with_out(["sweep", "inf.txt"], "s.csv")],
     }
     for command in COMMANDS:
         cases[f"help-{command}"] = [[command, "--help"]]
