@@ -18,14 +18,14 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .csvtext import csv_content
+from .csvtext import csv_chunks
 from .errors import InfeasibleError, RadcomError, ValidationError
 from .optimizer import (DEFAULT_GRID_COUNT, DEFAULT_GRID_HI, DEFAULT_GRID_LO,
                         SweepResult, asymmetry_sweep, default_grid,
@@ -62,7 +62,7 @@ def _manifest_path(out_path: Path) -> Path:
 
 
 def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
-                   files: dict[Path, str]) -> None:
+                   files: dict[Path, str | Iterable[bytes]]) -> None:
     """Write the data files, then the manifest beside the first (primary) one."""
     manifest = {
         "command": command,
@@ -72,21 +72,24 @@ def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
         "outputs": [str(p) for p in files],
     }
     files = {**files, _manifest_path(next(iter(files))): _json_content(manifest)}
-    # Every file goes to a temp file beside its target first; the targets are
-    # replaced only once all of them are written, so a failed write leaves
-    # no output (and no temp file) behind.
+    # Every file streams to a temp file beside its target first; the targets
+    # are replaced only once all of them are written, so a write that fails
+    # or is interrupted leaves no output (and no temp file) behind.
     temps = {}
     try:
         for path, content in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(temps[path], "w", encoding="utf-8", newline="") as handle:
-                handle.write(content)
+            with open(temps[path], "wb") as handle:
+                handle.writelines([content.encode()] if isinstance(content, str)
+                                  else content)
         for path, temp in temps.items():
             os.replace(temp, path)
-    except OSError as err:
+    except BaseException as err:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        if not isinstance(err, OSError):
+            raise
         raise ValidationError(f"cannot write outputs: {err}") from err
 
 
@@ -168,8 +171,9 @@ def _alloc(value) -> list[float]:
     return [alloc.a1_sq, alloc.a2_sq, alloc.ar_sq]
 
 
-# Computations.  Each maps a scenario and checked params to the text of every
-# output path, the summary line and the exit code; none touches the disk.
+# Computations.  Each maps a scenario and checked params to the content of
+# every output path (a str, or a CSV's bytes chunks formatted as they are
+# written), the summary line and the exit code; none touches the disk.
 
 SWEEP_HEADER = ("ar_sq,a1_sq,a2_sq,r1,r2,r_sum,sigma_eps_sq,"
                 "sigma_eps_sq_norm,log10_norm,fairness")
@@ -181,9 +185,9 @@ def _spec(cfg: ScenarioConfig, params: dict) -> WaveformSpec:
                         time_bandwidth=cfg.time_bandwidth)
 
 
-def _sweep_csv(result: SweepResult) -> str:
+def _sweep_csv(result: SweepResult) -> Iterable[bytes]:
     c = result.curve
-    return csv_content(SWEEP_HEADER, np.column_stack([
+    return csv_chunks(SWEEP_HEADER, np.column_stack([
         c.alloc.ar_sq, c.alloc.a1_sq, c.alloc.a2_sq, c.r1, c.r2, c.r_sum,
         c.sigma_eps_sq, c.sigma_eps_sq_normalized,
         np.log10(c.sigma_eps_sq_normalized), c.fairness]))
@@ -204,7 +208,7 @@ def _starpoints(cfg, params, paths):
     for r01, r02 in params["qos"]:
         pt = star_point(cfg, QosRequirement(r01=r01, r02=r02), spec)
         rows.append([r01, r02, pt.alloc.ar_sq, pt.r_sum, pt.sigma_eps_sq_normalized])
-    csv = csv_content("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", rows)
+    csv = csv_chunks("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", rows)
     return {paths[0]: csv}, f"starpoints: {len(rows)} QoS pairs -> {paths[0]}", EXIT_OK
 
 
@@ -218,7 +222,7 @@ def _fairness(cfg, params, paths):
                                        c.r_sum, c.fairness]))
     rows = np.concatenate(blocks)
     line = f"fairness: {len(params['r02_list'])} curves, {len(rows)} rows -> {paths[0]}"
-    return {paths[0]: csv_content("r02,ar_sq,r_sum,fairness", rows)}, line, EXIT_OK
+    return {paths[0]: csv_chunks("r02,ar_sq,r_sum,fairness", rows)}, line, EXIT_OK
 
 
 def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
@@ -278,7 +282,7 @@ def _waveform_validate(cfg, params, paths):
                      b_spectrum, instfreq_err, spectrum_err])
     header = ("tw,energy_analytic,energy_numeric,brms_sq_analytic,"
               "brms_sq_instfreq,brms_sq_spectrum,instfreq_rel_err,spectrum_rel_err")
-    files = {paths[0]: csv_content(header, rows)}
+    files = {paths[0]: csv_chunks(header, rows)}
     if worst > INSTFREQ_REL_TOL:
         line = (f"waveform-validate: FAILED, instantaneous-frequency moment off "
                 f"by {worst:.3e} (> {INSTFREQ_REL_TOL:g}) -> {paths[0]}")
@@ -321,7 +325,7 @@ class Command:
 
     help: str
     options: tuple        # _opt entries, in --help order
-    compute: Callable     # (cfg, params, paths) -> ({path: text}, summary, exit code)
+    compute: Callable     # (cfg, params, paths) -> ({path: content}, summary, exit code)
     outputs: Callable = lambda out, params: [out]   # data paths, primary first
     scenario: bool = True
 

@@ -1,12 +1,14 @@
 """CSV text whose every cell is byte-identical to C's ``%.8e``.
 
-Cells are formatted with numpy in blocks of rows; the few cells whose digits
-the fast path cannot prove (see ``_csv_block``) are written by ``%`` itself.
+Cells are formatted with numpy in blocks of rows, one chunk of bytes per
+block, so a writer never holds a whole file; the few cells whose digits the
+fast path cannot prove (see ``_csv_block``) are written by ``%`` itself.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,12 +38,16 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     return 10.0 ** (8 - exps), quads, exp_head, exp_units
 
 
-def csv_content(header: str, rows) -> str:
-    """CSV text of a table of floats; every cell is exactly ``"%.8e" % x``."""
+def csv_chunks(header: str, rows) -> Iterator[bytes]:
+    """CSV bytes of a table of floats: the header, one chunk per row block, a newline.
+
+    Every cell is exactly ``"%.8e" % x``; no chunk holds more than one block.
+    """
     table = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-    blocks = [_csv_block(table[start:start + CSV_BLOCK_ROWS])
-              for start in range(0, len(table), CSV_BLOCK_ROWS)]
-    return b"".join([header.encode(), *blocks, b"\n"]).decode("ascii")
+    yield header.encode()
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        yield _csv_block(table[start:start + CSV_BLOCK_ROWS])
+    yield b"\n"
 
 
 def _csv_block(table: np.ndarray) -> bytes:

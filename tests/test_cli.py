@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from radcom import cli, csvtext
 from radcom.cli import main
-from radcom.csvtext import csv_content
+from radcom.csvtext import csv_chunks
 
 NUMBER = re.compile(r"^(-?\d\.\d{8}e[+-]\d{2,3}|inf|nan)$")
 
@@ -481,6 +482,61 @@ def test_failed_forced_write_keeps_the_old_outputs(tmp_path, scenario, monkeypat
     assert (tmp_path / "asym_gap5db.csv").read_bytes() != before["asym_gap5db.csv"]
 
 
+def _fail_second_csv_block(monkeypatch):
+    """Make the second CSV row block raise while the CLI streams it to disk."""
+    calls = []
+    block = csvtext._csv_block
+
+    def failing_block(table):
+        calls.append(len(table))
+        if len(calls) == 2:
+            raise RuntimeError("formatting failed")
+        return block(table)
+
+    monkeypatch.setattr(csvtext, "_csv_block", failing_block)
+    return calls
+
+
+def test_failure_while_streaming_a_csv_leaves_no_output(tmp_path, scenario, monkeypatch):
+    calls = _fail_second_csv_block(monkeypatch)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        main(["sweep", scenario, "--grid", "0.01:0.99:5000",
+              "--out", str(tmp_path / "s.csv")])
+    assert len(calls) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
+
+
+def test_failure_while_streaming_a_forced_csv_keeps_the_old_outputs(
+        tmp_path, scenario, monkeypatch):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", scenario, "--grid", "0.01:0.99:5000", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_second_csv_block(monkeypatch)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        main(["sweep", scenario, "--grid", "0.01:0.99:5000", "--r02", "1.0",
+              "--out", str(out), "--force"])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "0.01:0.99:20000"],
+    ["asymmetry", "--gaps-db", "5,10", "--grid", "0.01:0.99:20000"],
+], ids=["sweep", "asymmetry"])
+def test_dense_commands_hold_no_whole_csv(tmp_path, scenario, argv):
+    # The warm-up builds the formatter's tables, which every later call shares.
+    assert main([argv[0], scenario, "--out", str(tmp_path / "warm" / "out")]) == 0
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([argv[0], scenario, *argv[1:], "--out", str(out / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(p.stat().st_size for p in out.iterdir())
+    assert written > 2_000_000
+    assert peak < 2 * written
+
+
 def test_rerun_missing_manifest(tmp_path):
     assert main(["rerun", str(tmp_path / "nope.json")]) == 3
 
@@ -581,10 +637,15 @@ def test_csv_cells_match_fixed_scientific_formatting():
     cells = np.concatenate([cells, np.ones(-len(cells) % 7)]).reshape(-1, 7)
     assert len(cells) > 2 * csvtext.CSV_BLOCK_ROWS and len(cells) % csvtext.CSV_BLOCK_ROWS
     header = "a,b,c,d,e,f,g"
-    assert csv_content(header, cells).split("\n") == [
+    chunks = list(csv_chunks(header, cells))
+    # the header, one chunk per row block, the final newline
+    assert len(chunks) == 2 + -(-len(cells) // csvtext.CSV_BLOCK_ROWS)
+    assert b"".join(chunks).decode("ascii").split("\n") == [
         header, *(",".join("%.8e" % v for v in row) for row in cells.tolist()), ""]
-    assert csv_content("a", [[2.0], [-0.5]]) == "a\n2.00000000e+00\n-5.00000000e-01\n"
-    assert csv_content(header, []) == csv_content(header, np.empty((0, 7))) == header + "\n"
+    assert b"".join(csv_chunks("a", [[2.0], [-0.5]])) == (
+        b"a\n2.00000000e+00\n-5.00000000e-01\n")
+    assert (list(csv_chunks(header, [])) == list(csv_chunks(header, np.empty((0, 7))))
+            == [header.encode(), b"\n"])
 
 
 @pytest.mark.parametrize("command", ["sweep", "starpoints", "asymmetry"])

@@ -62,6 +62,9 @@ BASE = {
     # over 300 000 cells together, across many CSV row blocks
     "sweep-dense": (["sweep", "baseline.txt", "--grid", DENSE_GRID], "s.csv"),
     "fairness-dense": (["fairness", "baseline.txt", "--grid", DENSE_GRID], "f.csv"),
+    # several multi-block CSVs written as one output set
+    "asymmetry-dense": (["asymmetry", "baseline.txt", "--gaps-db", "5,10",
+                         "--grid", DENSE_GRID], "a.json"),
 }
 
 # Hand-edited manifests: name -> (base run, changed entries).
