@@ -20,14 +20,14 @@ from .radar import (CrlbReport, WaveformKind, WaveformSpec, analytic_energy,
                     total_estimation_variance)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
                        db_to_linear, linear_to_db, load_scenario)
-from .waveforms import (McDelayReport, MomentMethod, SampledWaveform,
-                        instantaneous_frequency, mc_delay_estimation,
-                        numeric_energy, numeric_rms_bandwidth_sq, synthesize)
+from .waveforms import (McDelayReport, SampledWaveform, instantaneous_frequency,
+                        mc_delay_estimation, numeric_energy, numeric_rms_bandwidth_sq,
+                        spectral_rms_bandwidth_sq, synthesize)
 
 __all__ = [
     "__version__",
     "CrlbReport", "InfeasibleError", "McDelayReport",
-    "MomentMethod", "PowerAllocation", "QosRequirement",
+    "PowerAllocation", "QosRequirement",
     "RadcomError", "RateReport", "SampledWaveform", "ScenarioConfig",
     "ScenarioParseError", "SweepResult", "TradeoffPoint", "ValidationError",
     "WaveformKind", "WaveformSpec",
@@ -38,6 +38,6 @@ __all__ = [
     "mc_delay_estimation", "numeric_energy",
     "numeric_rms_bandwidth_sq",
     "optimal_allocation_for_sumrate", "post_integration_snr_db", "rate_report",
-    "sample_feasible_region", "star_point", "synthesize",
+    "sample_feasible_region", "spectral_rms_bandwidth_sq", "star_point", "synthesize",
     "total_estimation_variance", "tradeoff_sweep",
 ]

@@ -34,8 +34,8 @@ from .radar import (WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
                        load_scenario, scenario_from_report, scenario_report_fields)
-from .waveforms import (MomentMethod, mc_delay_estimation, numeric_energy,
-                        numeric_rms_bandwidth_sq, synthesize)
+from .waveforms import (MIN_OVERSAMPLING, mc_delay_estimation, numeric_energy,
+                        numeric_rms_bandwidth_sq, spectral_rms_bandwidth_sq, synthesize)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -45,8 +45,8 @@ DEFAULT_QOS_PAIRS = ((1.5, 0.7), (0.7, 0.7), (1.5, 1.5))
 INSTFREQ_REL_TOL = 1e-6
 
 
-def _json_content(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_content(payload: dict) -> Iterable[bytes]:
+    yield (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _load_scenario_file(path: str) -> ScenarioConfig:
@@ -62,7 +62,7 @@ def _manifest_path(out_path: Path) -> Path:
 
 
 def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
-                   files: dict[Path, str | Iterable[bytes]]) -> None:
+                   files: dict[Path, Iterable[bytes]]) -> None:
     """Write the data files, then the manifest beside the first (primary) one."""
     manifest = {
         "command": command,
@@ -81,8 +81,7 @@ def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
             path.parent.mkdir(parents=True, exist_ok=True)
             temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             with open(temps[path], "wb") as handle:
-                handle.writelines([content.encode()] if isinstance(content, str)
-                                  else content)
+                handle.writelines(content)
         for path, temp in temps.items():
             os.replace(temp, path)
     except BaseException as err:
@@ -172,8 +171,8 @@ def _alloc(value) -> list[float]:
 
 
 # Computations.  Each maps a scenario and checked params to the content of
-# every output path (a str, or a CSV's bytes chunks formatted as they are
-# written), the summary line and the exit code; none touches the disk.
+# every output path (its bytes chunks, formatted as they are written), the
+# summary line and the exit code; none touches the disk.
 
 SWEEP_HEADER = ("ar_sq,a1_sq,a2_sq,r1,r2,r_sum,sigma_eps_sq,"
                 "sigma_eps_sq_norm,log10_norm,fairness")
@@ -273,8 +272,8 @@ def _waveform_validate(cfg, params, paths):
         e_analytic = analytic_energy(spec)
         e_numeric = numeric_energy(sampled)
         b_analytic = analytic_rms_bandwidth_sq(spec)
-        b_instfreq = numeric_rms_bandwidth_sq(sampled, MomentMethod.INST_FREQ)
-        b_spectrum = numeric_rms_bandwidth_sq(sampled, MomentMethod.SPECTRUM)
+        b_instfreq = numeric_rms_bandwidth_sq(sampled)
+        b_spectrum = spectral_rms_bandwidth_sq(sampled)
         instfreq_err = abs(b_instfreq - b_analytic) / b_analytic
         spectrum_err = abs(b_spectrum - b_analytic) / b_analytic
         worst = max(worst, instfreq_err)
@@ -294,8 +293,7 @@ def _waveform_validate(cfg, params, paths):
 
 def _mc_delay(cfg, params, paths):
     report = mc_delay_estimation(cfg, PowerAllocation(*params["alloc"]),
-                                 _spec(cfg, params), k=1,
-                                 true_delay_s=params["delay_s"],
+                                 _spec(cfg, params), true_delay_s=params["delay_s"],
                                  trials=params["trials"], seed=params["seed"])
     line = (f"mc-delay: efficiency {report.efficiency:.3f} at "
             f"{report.snr_post_db:.1f} dB -> {paths[0]}")
@@ -340,7 +338,8 @@ COMMANDS = {
     "starpoints": Command(
         "minimum estimation error under QoS pairs",
         (_opt("--qos", _qos, action="append", default=None, metavar="R01:R02",
-              help="QoS pair, repeatable (default: 1.5:0.7 0.7:0.7 1.5:1.5)"),
+              help="QoS pair, repeatable (default: "
+                   + " ".join(f"{r01:g}:{r02:g}" for r01, r02 in DEFAULT_QOS_PAIRS) + ")"),
          WAVEFORM),
         _starpoints),
     "fairness": Command(
@@ -365,7 +364,8 @@ COMMANDS = {
               help="comma-separated time-bandwidth products"),
          _opt("--bandwidth-hz", type=float, default=2e7),
          _opt("--oversampling", type=float, default=16.0,
-              help="sample rate as a multiple of the bandwidth (>= 8)")),
+              help="sample rate as a multiple of the bandwidth "
+                   f"(>= {MIN_OVERSAMPLING:g})")),
         _waveform_validate, scenario=False),
     "mc-delay": Command(
         "Monte Carlo delay estimation vs the bound",

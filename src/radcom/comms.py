@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,18 +50,15 @@ def rate_report(cfg: ScenarioConfig, alloc: PowerAllocation) -> RateReport:
     return RateReport(r1=r1, r2=r2, r_sum=r1 + r2)
 
 
-def jain_fairness(rates: Sequence[float]) -> float:
-    """Normalized Jain index (sum x)^2 / (n sum x^2), in (0, 1].
+def jain_fairness(r1: float, r2: float) -> float:
+    """Normalized Jain index of the two users' rates, in [1/2, 1]:
+    (r1 + r2)^2 / (2 (r1^2 + r2^2)).
 
-    1 means perfectly even rates; 1/n means one user takes everything.
+    1 means perfectly even rates; 1/2 means one user takes everything.
     Each rate may be a float or an array (one entry per split); all-zero
     rates give nan, for floats as for each entry of arrays.
     """
-    if len(rates) < 1:
-        raise ValidationError("fairness needs at least one rate")
-    if not all(holds_everywhere((0.0 <= r) & (r < math.inf)) for r in rates):
-        raise ValidationError(f"rates must be finite and >= 0, got {list(rates)!r}")
-    sum_sq = sum(r * r for r in rates)
-    total = sum(rates)
+    if not all(holds_everywhere((0.0 <= r) & (r < math.inf)) for r in (r1, r2)):
+        raise ValidationError(f"rates must be finite and >= 0, got {[r1, r2]!r}")
     with np.errstate(invalid="ignore"):
-        return np.divide(total * total, len(rates) * sum_sq)
+        return np.divide((r1 + r2) * (r1 + r2), 2 * (r1 * r1 + r2 * r2))

@@ -147,7 +147,7 @@ def _evaluate(cfg: ScenarioConfig, alloc: PowerAllocation,
         r2=rates.r2,
         sigma_eps_sq=crlb.sigma_eps_sq,
         sigma_eps_sq_normalized=crlb.sigma_eps_sq_normalized,
-        fairness=jain_fairness((rates.r1, rates.r2)),
+        fairness=jain_fairness(rates.r1, rates.r2),
     )
 
 

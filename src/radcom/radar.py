@@ -100,10 +100,10 @@ def crlb_delay(cfg: ScenarioConfig, alloc: PowerAllocation, spec: WaveformSpec,
 
 
 def post_integration_snr_db(cfg: ScenarioConfig, alloc: PowerAllocation,
-                            spec: WaveformSpec, k: int) -> float:
-    """Matched-filter output SNR for target k's echo, dB: the echo power times
+                            spec: WaveformSpec) -> float:
+    """Matched-filter output SNR for target 1's echo, dB: the echo power times
     the pulse-compression gain TW over the radar noise power."""
-    snr = echo_power(cfg, alloc.ar_sq, k) * spec.time_bandwidth / cfg.sigma_r_sq
+    snr = echo_power(cfg, alloc.ar_sq, 1) * spec.time_bandwidth / cfg.sigma_r_sq
     return linear_to_db(snr)
 
 

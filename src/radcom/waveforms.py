@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,13 +23,6 @@ MIN_OVERSAMPLING = 8.0          # sample_rate_hz >= MIN_OVERSAMPLING * W
 MIN_MC_SNR_DB = 10.0            # asymptotic-region guard for the estimator
 MIN_MC_TRIALS = 100
 TRIAL_BATCH = 8                 # Monte Carlo trials per draw and inverse FFT
-
-
-class MomentMethod(Enum):
-    """How to evaluate the squared rms bandwidth of a sampled pulse."""
-
-    INST_FREQ = "instfreq"   # time average of the squared frequency law (authoritative)
-    SPECTRUM = "spectrum"    # DFT moment truncated to |f| <= 2W (approximation)
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,11 @@ def _pulse(spec: WaveformSpec, sample_rate_hz: float, n: int,
     """x(t - delay) at the n cell midpoints, zero off the pulse.  The support
     test counts in samples, so each of synthesize's round(fs T) midpoints is
     on it, also at a half-integer fs T, where the last one falls on T."""
-    cells = np.arange(n) + 0.5 - delay_s * sample_rate_hz
+    try:
+        cells = np.arange(n) + 0.5 - delay_s * sample_rate_hz
+    except (MemoryError, ValueError) as err:   # ValueError: past numpy's size limit
+        raise ValidationError(
+            f"pulse of {n} samples is too large to sample: {err}") from None
     inside = (cells >= 0.0) & (cells <= sample_rate_hz * spec.duration_s)
     shifted = _midpoints(sample_rate_hz, n)[inside] - delay_s
     out = np.zeros(n, dtype=complex)
@@ -114,19 +110,19 @@ def numeric_energy(w: SampledWaveform) -> float:
     return float(np.sum(np.abs(w.samples) ** 2)) / (2.0 * w.sample_rate_hz)
 
 
-def numeric_rms_bandwidth_sq(w: SampledWaveform,
-                             method: MomentMethod = MomentMethod.INST_FREQ) -> float:
-    """Squared rms bandwidth of the sampled pulse, rad^2/s^2.
+def numeric_rms_bandwidth_sq(w: SampledWaveform) -> float:
+    """Squared rms bandwidth of the sampled pulse, rad^2/s^2: the average of
+    (2 pi f(t))^2 over the pulse, exact for a constant-modulus FM law up to
+    discretization."""
+    f = instantaneous_frequency(w.spec, _midpoints(w.sample_rate_hz, len(w.samples)))
+    return float(np.mean((2.0 * math.pi * f) ** 2))
 
-    INST_FREQ averages (2 pi f(t))^2 over the pulse and is exact for a
-    constant-modulus FM law up to discretization.  SPECTRUM evaluates the
-    DFT moment with integration truncated to |f| <= 2W; the rectangular
-    envelope makes the untruncated moment diverge, so this method is an
-    approximation and converges toward the closed form as TW grows.
-    """
-    if method is MomentMethod.INST_FREQ:
-        f = instantaneous_frequency(w.spec, _midpoints(w.sample_rate_hz, len(w.samples)))
-        return float(np.mean((2.0 * math.pi * f) ** 2))
+
+def spectral_rms_bandwidth_sq(w: SampledWaveform) -> float:
+    """Squared rms bandwidth of the sampled pulse, rad^2/s^2, as the DFT moment
+    truncated to |f| <= 2W.  The rectangular envelope makes the untruncated
+    moment diverge, so this is an approximation that converges toward the
+    closed form as TW grows."""
     spectrum = np.fft.fft(w.samples)
     freqs = np.fft.fftfreq(len(w.samples), d=1.0 / w.sample_rate_hz)
     power = np.abs(spectrum) ** 2
@@ -150,11 +146,11 @@ def _smooth_len(m: int) -> int:
 
 
 def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
-                        spec: WaveformSpec, k: int, true_delay_s: float,
+                        spec: WaveformSpec, true_delay_s: float,
                         trials: int, seed: int) -> McDelayReport:
-    """Monte Carlo delay estimation against the closed-form bound.
+    """Monte Carlo delay estimation of target 1 against its closed-form bound.
 
-    Each trial superposes the delayed radar echo with fresh circular
+    Each trial superposes target 1's delayed radar echo with fresh circular
     Gaussian communications interference and radar noise, cross-correlates
     against the known pulse, and refines the peak with a three-point
     parabolic fit.  The noise is drawn directly as its spectrum, and the
@@ -176,7 +172,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
         raise ValidationError(
             f"true_delay_s = {true_delay_s!r} outside [2/W, T/2] = "
             f"[{2.0 / w_hz:.6g}, {spec.duration_s / 2.0:.6g}]")
-    snr_db = post_integration_snr_db(cfg, alloc, spec, k)
+    snr_db = post_integration_snr_db(cfg, alloc, spec)
     if snr_db < MIN_MC_SNR_DB:
         raise InfeasibleError(
             f"post-integration SNR {snr_db:.2f} dB is below the "
@@ -188,7 +184,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     xt = template.samples
     n = len(xt)
     n_obs = n + int(math.ceil(true_delay_s * fs)) + 8
-    echo = (math.sqrt(echo_power(cfg, alloc.ar_sq, k))
+    echo = (math.sqrt(echo_power(cfg, alloc.ar_sq, 1))
             * _pulse(spec, fs, n_obs, true_delay_s))
 
     # White noise across the full sampling band carrying sigma_r_sq in-band
@@ -198,7 +194,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     # independent white circular Gaussians too, so with the noise they sum
     # to one circular Gaussian whose variance per real dimension is the sum.
     scale = math.sqrt(cfg.sigma_r_sq * (fs / w_hz)
-                      + echo_power(cfg, alloc.a1_sq + alloc.a2_sq, k) / 2.0)
+                      + echo_power(cfg, alloc.a1_sq + alloc.a2_sq, 1) / 2.0)
 
     # corr[m] sums z[m + j] * conj(x[j]) over j < n; for every kept lag
     # m <= max_lag, m + j <= n_obs - 1 < fft_len, so no term wraps around
@@ -206,7 +202,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     fft_len = _smooth_len(n_obs)
     template_fft = np.conj(np.fft.fft(xt, fft_len))
     max_lag = n_obs - n
-    crlb = crlb_delay(cfg, alloc, spec, k)
+    crlb = crlb_delay(cfg, alloc, spec, 1)
 
     # The noise is drawn as its spectrum: the unitary DFT maps white circular
     # Gaussians to white circular Gaussians, so the unscaled DFT of fft_len

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import random_table_like_config
-from radcom import (MomentMethod, PowerAllocation, QosRequirement,
+from radcom import (PowerAllocation, QosRequirement,
                     ScenarioConfig, WaveformKind, WaveformSpec,
                     analytic_rms_bandwidth_sq, asymmetry_sweep,
                     max_radar_allocation, mc_delay_estimation,
                     numeric_rms_bandwidth_sq, optimal_allocation_for_sumrate,
-                    rate_report, star_point, synthesize,
+                    rate_report, spectral_rms_bandwidth_sq, star_point, synthesize,
                     total_estimation_variance, tradeoff_sweep)
 from radcom.cli import main
 
@@ -135,13 +135,13 @@ def test_criterion_5_waveform_closed_forms():
     for spec in (LINEAR, PARABOLIC):
         sampled = synthesize(spec, 8 * spec.bandwidth_hz)
         closed = analytic_rms_bandwidth_sq(spec)
-        instfreq = numeric_rms_bandwidth_sq(sampled, MomentMethod.INST_FREQ)
+        instfreq = numeric_rms_bandwidth_sq(sampled)
         assert instfreq == pytest.approx(closed, rel=1e-6, abs=0)
         spectrum_errors = {}
         for tw in (100.0, 1000.0):
             short = WaveformSpec(spec.kind, spec.bandwidth_hz, tw)
-            spectrum = numeric_rms_bandwidth_sq(
-                synthesize(short, 8 * spec.bandwidth_hz), MomentMethod.SPECTRUM)
+            spectrum = spectral_rms_bandwidth_sq(
+                synthesize(short, 8 * spec.bandwidth_hz))
             spectrum_errors[tw] = abs(
                 spectrum - analytic_rms_bandwidth_sq(short)) \
                 / analytic_rms_bandwidth_sq(short)
@@ -161,7 +161,7 @@ def test_criterion_6_monte_carlo_attainment():
     boosted = ScenarioConfig(sigma_r_sq=1e-19)  # 20 dB post-integration SNR
     start = time.perf_counter()
     report = mc_delay_estimation(boosted, PowerAllocation(0.0, 0.0, 1.0),
-                                 LINEAR, 1, true_delay_s=6.2832e-6,
+                                 LINEAR, true_delay_s=6.2832e-6,
                                  trials=2000, seed=2026)
     elapsed = time.perf_counter() - start
     assert report.snr_post_db == pytest.approx(20.0, abs=1e-9)

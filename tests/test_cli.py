@@ -194,6 +194,40 @@ def test_numbers_too_large_for_their_field_exit_3(tmp_path, scenario, capsys):
     assert not out.parent.exists()
 
 
+# Command lines refused with exit 3 and this error ({tmp} is the test's directory).
+USAGE_ERRORS = {
+    "missing-scenario": (["sweep", "{tmp}/missing.txt"],
+                         "cannot read scenario file {tmp}/missing.txt: [Errno 2] "
+                         "No such file or directory: '{tmp}/missing.txt'"),
+    "grid-zero-count": (["sweep", "{scenario}", "--grid", "0.1:0.5:0"],
+                        "grid needs at least one point, got 0"),
+    # pulses too long to sample: numpy refuses each size without allocating it
+    "tw-1e15": (["waveform-validate", "--tw-list", "1e15"],
+                "pulse of 16000000000000000 samples is too large to sample: Unable to "
+                "allocate 114. PiB for an array with shape (16000000000000000,) and "
+                "data type int64"),
+    "oversampling-1e300": (["waveform-validate", "--oversampling", "1e300"],
+                           f"pulse of {round(1e300 * 2e7 * (100 / 2e7))} samples is too "
+                           "large to sample: Maximum allowed size exceeded"),
+    "mc-delay-tw-1e15": (["mc-delay", "{long}", "--delay", "6.2832e-6"],
+                         "pulse of 8000000000000000 samples is too large to sample: "
+                         "Unable to allocate 56.8 PiB for an array with shape "
+                         "(8000000000000000,) and data type int64"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_exit_3_and_write_nothing(tmp_path, scenario, capsys, case):
+    long = tmp_path / "long.txt"
+    long.write_text("time_bandwidth=1e15\nsigma_r_sq=1e-19\n", encoding="utf-8")
+    argv, error = USAGE_ERRORS[case]
+    names = {"tmp": tmp_path, "scenario": scenario, "long": long}
+    out = tmp_path / "out" / "data"
+    assert main([arg.format(**names) for arg in argv] + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {error.format(**names)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["long.txt", "scenario.txt"]
+
+
 def test_asymmetry_outputs(tmp_path, scenario):
     out = tmp_path / "asym.json"
     assert main(["asymmetry", scenario, "--out", str(out)]) == 0
@@ -291,10 +325,13 @@ def test_rerun_reproduces_every_output(tmp_path, scenario, boosted, case):
         assert (replay.parent / path.name).read_bytes() == written[path]
 
 
+DELETE = object()  # an edit that removes the key
 # Manifest params the command line refuses, as (command line, output, param, value):
 # the manifest of a valid run gets the param edited to the value.
 BAD_MANIFEST_PARAMS = {
     "empty-gap-list": (["asymmetry", "--gaps-db", "5"], "asym.json", "gaps_db", []),
+    "qos-empty": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos", []),
+    "r02-deleted": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r02", DELETE),
     "qos-single": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos", [[1.5]]),
     "qos-triple": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos",
                    [[1.5, 0.7, 3]]),
@@ -346,6 +383,11 @@ ENTRY_ERRORS = {
     "grid-count-true": "grid count must be an integer, got True",
     "grid-lo-false": "grid lo must be a number, got False",
 }
+# The whole stderr line of a refusal.
+PARAM_ERRORS = {
+    "qos-empty": "empty QoS list",
+    "r02-deleted": "manifest is missing or mistypes a field: 'r02'",
+}
 
 
 @pytest.mark.parametrize("case", list(BAD_MANIFEST_PARAMS))
@@ -357,7 +399,10 @@ def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, capsys, bo
     assert main([command, *scenario, *flags, "--out", str(out)]) == 0
     manifest_path = tmp_path / (name + ".manifest.json")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["params"][param] = value
+    if value is DELETE:
+        del manifest["params"][param]
+    else:
+        manifest["params"][param] = value
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     replay = tmp_path / "replay"
     assert main(["rerun", str(manifest_path), "--out", str(replay / name)]) == 3
@@ -365,9 +410,10 @@ def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, capsys, bo
     if case in MISTYPED_PARAMS:
         expected = ENTRY_ERRORS.get(case, f"{param} must be ")
         assert f"error: {expected}" in capsys.readouterr().err
+    if case in PARAM_ERRORS:
+        assert capsys.readouterr().err == f"error: {PARAM_ERRORS[case]}\n"
 
 
-DELETE = object()  # an edit that removes the key
 # Hand edits of a sweep manifest's scenario, each refused with exit 3 and this error.
 REFUSED_SCENARIOS = {
     "edited-view": ({"sigma_r_sq_dbm": -80.0},
@@ -382,6 +428,9 @@ REFUSED_SCENARIOS = {
                      f"eta1 is too large for a float, got {10 ** 400}"),
     "huge-db-key-alone": ({"h1_gain": DELETE, "h1_gain_db": 4000.0},
                           "dB value 4000.0 is too large for a float"),
+    # json writes it as Infinity
+    "infinite-gain": ({"h1_gain": math.inf, "h1_gain_db": DELETE},
+                      "channel gains must be finite"),
 }
 # Hand edits that rerun as a scenario file holding the given text would run.
 ACCEPTED_SCENARIOS = {
@@ -425,6 +474,32 @@ def test_rerun_reads_the_manifest_scenario_like_a_scenario_file(tmp_path, scenar
         written = [json.loads(Path(f"{p}.manifest.json").read_text(encoding="utf-8"))
                    for p in (rerun, direct)]
         assert written[0]["scenario"] == written[1]["scenario"]
+
+
+# Whole-manifest edits of a sweep's manifest, each refused with exit 3 and this error.
+MALFORMED_MANIFESTS = {
+    "list": (lambda manifest: [1, 2], "manifest must be a JSON object"),
+    "no-outputs": (lambda manifest: {**manifest, "outputs": []},
+                   "manifest lists no outputs"),
+    "unknown-command": (lambda manifest: {**manifest, "command": "bogus"},
+                        "manifest names unknown command 'bogus'"),
+    "no-scenario": (lambda manifest: {**manifest, "scenario": None},
+                    "manifest holds no scenario"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MANIFESTS))
+def test_rerun_refuses_a_malformed_manifest(tmp_path, scenario, capsys, case):
+    edit, error = MALFORMED_MANIFESTS[case]
+    assert main(["sweep", scenario, "--grid", "0.01:0.99:20",
+                 "--out", str(tmp_path / "run" / "s.csv")]) == 0
+    manifest = json.loads((tmp_path / "run" / "s.csv.manifest.json").read_text())
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["rerun", str(edited), "--out", str(tmp_path / "r" / "s.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_mc_delay_rejects_a_negative_seed(tmp_path, boosted):

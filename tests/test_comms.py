@@ -113,34 +113,32 @@ def test_rates_invariant_to_joint_power_and_noise_rescaling():
 
 
 def test_jain_fairness_reference_values():
-    assert jain_fairness([1.0, 1.0]) == 1.0
-    assert jain_fairness([3.0, 1.0]) == pytest.approx(0.8, rel=1e-12, abs=0)
+    assert jain_fairness(1.0, 1.0) == 1.0
+    assert jain_fairness(3.0, 1.0) == pytest.approx(0.8, rel=1e-12, abs=0)
 
 
 def test_jain_fairness_at_the_no_radar_optimum():
     # Rates from the closed-form split for r02 = 0.7 as ar_sq -> 0.
     alloc = optimal_allocation_for_sumrate(CFG, 0.7, 0.0)
     report = rate_report(CFG, alloc)
-    assert jain_fairness([report.r1, report.r2]) == pytest.approx(0.6678, abs=1e-3)
+    assert jain_fairness(report.r1, report.r2) == pytest.approx(0.6678, abs=1e-3)
 
 
 def test_jain_fairness_rejects_degenerate_inputs():
+    assert math.isnan(jain_fairness(0.0, 0.0))
     with pytest.raises(ValidationError):
-        jain_fairness([])
-    assert math.isnan(jain_fairness([0.0, 0.0]))
-    with pytest.raises(ValidationError):
-        jain_fairness([1.0, -0.5])
+        jain_fairness(1.0, -0.5)
 
 
 def test_jain_fairness_scale_invariance():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        rates = rng.uniform(0.0, 5.0, size=rng.integers(1, 6)).tolist()
-        if sum(rates) == 0.0:
+        r1, r2 = rng.uniform(0.0, 5.0, size=2).tolist()
+        if r1 + r2 == 0.0:
             continue
         c = 10.0 ** rng.uniform(-3, 3)
-        assert jain_fairness([c * r for r in rates]) == pytest.approx(
-            jain_fairness(rates), rel=1e-12, abs=0)
+        assert jain_fairness(c * r1, c * r2) == pytest.approx(
+            jain_fairness(r1, r2), rel=1e-12, abs=0)
 
 
 def test_sum_rate_strictly_decreasing_in_weak_user_power():
@@ -158,9 +156,9 @@ def test_sum_rate_strictly_decreasing_in_weak_user_power():
 def test_jain_fairness_over_arrays_marks_all_zero_entries_nan():
     r1 = np.array([1.0, 3.0, 0.0])
     r2 = np.array([1.0, 1.0, 0.0])
-    index = jain_fairness((r1, r2))
-    assert index[0] == jain_fairness([1.0, 1.0])
-    assert index[1] == jain_fairness([3.0, 1.0])
+    index = jain_fairness(r1, r2)
+    assert index[0] == jain_fairness(1.0, 1.0)
+    assert index[1] == jain_fairness(3.0, 1.0)
     assert math.isnan(index[2])
     with pytest.raises(ValidationError):
-        jain_fairness((r1, np.array([1.0, -1.0, 0.0])))
+        jain_fairness(r1, np.array([1.0, -1.0, 0.0]))

@@ -272,7 +272,7 @@ def test_sweep_columns_equal_the_scalar_api(kind):
                 assert pt.alloc == alloc
                 rates = rate_report(cfg, alloc)
                 assert (pt.r1, pt.r2, pt.r_sum) == (rates.r1, rates.r2, rates.r_sum)
-                assert pt.fairness == jain_fairness((rates.r1, rates.r2))
+                assert pt.fairness == jain_fairness(rates.r1, rates.r2)
                 bound = total_estimation_variance(cfg, alloc, spec)
                 assert pt.sigma_eps_sq == bound.sigma_eps_sq
                 assert pt.sigma_eps_sq_normalized == bound.sigma_eps_sq_normalized
@@ -295,7 +295,7 @@ def _same_tradeoff(pt, cfg, spec):
     _same(pt.r_sum, rates.r_sum)
     _same(pt.sigma_eps_sq, bound.sigma_eps_sq)
     _same(pt.sigma_eps_sq_normalized, bound.sigma_eps_sq_normalized)
-    _same(pt.fairness, jain_fairness((rates.r1, rates.r2)))
+    _same(pt.fairness, jain_fairness(rates.r1, rates.r2))
 
 
 def test_floats_and_one_entry_arrays_give_the_same_answer():
@@ -320,8 +320,8 @@ def test_floats_and_one_entry_arrays_give_the_same_answer():
             _same(rates.r1, rates_column.r1)
             _same(rates.r2, rates_column.r2)
             _same(rates.r_sum, rates_column.r_sum)
-            _same(jain_fairness((rates.r1, rates.r2)),
-                  jain_fairness((rates_column.r1, rates_column.r2)))
+            _same(jain_fairness(rates.r1, rates.r2),
+                  jain_fairness(rates_column.r1, rates_column.r2))
         # QoS rates whose least powers are a1_min = u1 and a2_min = u2
         u1, u2 = rng.uniform(0.0, 0.45, size=2)
         noise1, noise2 = (cfg.sigma1_sq / cfg.total_power_mw,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from radcom import (MomentMethod, PowerAllocation,
+from radcom import (PowerAllocation,
                     ScenarioConfig, ValidationError, WaveformKind, WaveformSpec,
                     analytic_energy, analytic_rms_bandwidth_sq, crlb_delay,
                     numeric_energy, numeric_rms_bandwidth_sq, synthesize,
@@ -57,7 +57,7 @@ def test_delay_bound_against_numeric_moments():
     # Independent route: the sampled pulse's energy and rms bandwidth.
     sampled = synthesize(LINEAR, 8 * LINEAR.bandwidth_hz)
     e_num = numeric_energy(sampled)
-    b_num = numeric_rms_bandwidth_sq(sampled, MomentMethod.INST_FREQ)
+    b_num = numeric_rms_bandwidth_sq(sampled)
     expected = CFG.sigma_r_sq / (
         2.0 * CFG.eta1 ** 2 * CFG.h1_gain ** 2 * 1.0 * CFG.total_power_mw
         * e_num * LINEAR.bandwidth_hz * b_num)

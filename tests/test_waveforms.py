@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from radcom import (InfeasibleError, MomentMethod, PowerAllocation,
+from radcom import (InfeasibleError, PowerAllocation,
                     SampledWaveform, ScenarioConfig, ValidationError,
                     WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
                     instantaneous_frequency, mc_delay_estimation, numeric_energy,
-                    numeric_rms_bandwidth_sq, post_integration_snr_db, synthesize)
+                    numeric_rms_bandwidth_sq, post_integration_snr_db,
+                    spectral_rms_bandwidth_sq, synthesize)
 from radcom.radar import crlb_delay, echo_power
 from radcom.waveforms import _phase, _pulse, _smooth_len
 
@@ -74,7 +75,7 @@ def test_numeric_energy_linear_in_duration():
 @pytest.mark.parametrize("spec", [LINEAR, PARABOLIC])
 def test_instfreq_moment_matches_closed_form(spec):
     sampled = synthesize(spec, 8 * W_HZ)
-    numeric = numeric_rms_bandwidth_sq(sampled, MomentMethod.INST_FREQ)
+    numeric = numeric_rms_bandwidth_sq(sampled)
     assert numeric == pytest.approx(analytic_rms_bandwidth_sq(spec), rel=1e-6, abs=0)
 
 
@@ -85,7 +86,7 @@ def test_spectrum_moment_converges_with_time_bandwidth(kind):
     for tw in (100.0, 1000.0):
         spec = WaveformSpec(kind, W_HZ, tw)
         sampled = synthesize(spec, 8 * W_HZ)
-        numeric = numeric_rms_bandwidth_sq(sampled, MomentMethod.SPECTRUM)
+        numeric = spectral_rms_bandwidth_sq(sampled)
         closed = analytic_rms_bandwidth_sq(spec)
         errors[tw] = abs(numeric - closed) / closed
     assert errors[1000.0] < 0.05
@@ -93,37 +94,37 @@ def test_spectrum_moment_converges_with_time_bandwidth(kind):
 
 
 def test_post_integration_snr_reference():
-    assert post_integration_snr_db(ScenarioConfig(), RADAR_ONLY, LINEAR, 1) \
+    assert post_integration_snr_db(ScenarioConfig(), RADAR_ONLY, LINEAR) \
         == pytest.approx(-60.0, abs=1e-9)
-    assert post_integration_snr_db(BOOSTED, RADAR_ONLY, LINEAR, 1) \
+    assert post_integration_snr_db(BOOSTED, RADAR_ONLY, LINEAR) \
         == pytest.approx(20.0, abs=1e-9)
 
 
 def test_post_integration_snr_without_radar_power_is_a_validation_error():
     with pytest.raises(ValidationError, match="linear value must be finite and > 0"):
-        post_integration_snr_db(BOOSTED, PowerAllocation(0.5, 0.5, 0.0), LINEAR, 1)
+        post_integration_snr_db(BOOSTED, PowerAllocation(0.5, 0.5, 0.0), LINEAR)
 
 
 def test_mc_guards():
     with pytest.raises(ValidationError, match="trials"):
-        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 50, 0)
+        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 50, 0)
     with pytest.raises(ValidationError, match="seed"):
-        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 100, -1)
+        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 100, -1)
     with pytest.raises(ValidationError, match="ar_sq"):
-        mc_delay_estimation(BOOSTED, PowerAllocation(0.5, 0.5, 0.0), LINEAR, 1,
+        mc_delay_estimation(BOOSTED, PowerAllocation(0.5, 0.5, 0.0), LINEAR,
                             DELAY_S, 200, 0)
     with pytest.raises(ValidationError, match="true_delay_s"):
-        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, 1e-8, 200, 0)
+        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1e-8, 200, 0)
     with pytest.raises(InfeasibleError, match="SNR"):
-        mc_delay_estimation(ScenarioConfig(), RADAR_ONLY, LINEAR, 1,
+        mc_delay_estimation(ScenarioConfig(), RADAR_ONLY, LINEAR,
                             DELAY_S, 200, 0)
 
 
 def test_mc_is_deterministic_for_a_seed():
-    a = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 150, 42)
-    b = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 150, 42)
+    a = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 150, 42)
+    b = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 150, 42)
     assert a == b
-    c = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 150, 43)
+    c = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 150, 43)
     assert c.empirical_var != a.empirical_var
 
 
@@ -137,27 +138,27 @@ def test_mc_keeps_no_per_trial_buffer(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifft", first_trial)
     with pytest.raises(FirstTrial):
-        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 10 ** 20, 0)
+        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 10 ** 20, 0)
 
 
 def test_mc_noiseless_peak_is_sub_sample_accurate():
     quiet = ScenarioConfig(sigma_r_sq=1e-30)
-    report = mc_delay_estimation(quiet, RADAR_ONLY, LINEAR, 1, DELAY_S, 100, 3)
+    report = mc_delay_estimation(quiet, RADAR_ONLY, LINEAR, DELAY_S, 100, 3)
     # interpolated peak lands within a quarter sample at 8x oversampling
     assert math.sqrt(report.empirical_var) < 1.0 / (32.0 * W_HZ)
 
 
 def test_mc_efficiency_in_the_asymptotic_region():
     for seed in (1, 2, 3):
-        report = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1,
+        report = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR,
                                      DELAY_S, 300, seed)
         assert report.efficiency >= 0.8
         assert report.efficiency <= 3.0
 
 
 def test_mc_parabolic_variance_tracks_the_closed_form_ratio():
-    lin = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, 1, DELAY_S, 1500, 7)
-    par = mc_delay_estimation(BOOSTED, RADAR_ONLY, PARABOLIC, 1, DELAY_S, 1500, 7)
+    lin = mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 1500, 7)
+    par = mc_delay_estimation(BOOSTED, RADAR_ONLY, PARABOLIC, DELAY_S, 1500, 7)
     assert par.crlb / lin.crlb == pytest.approx(15.0 / 16.0, rel=1e-12, abs=0)
     assert 0.8 <= par.empirical_var / lin.empirical_var <= 1.1
 
@@ -169,8 +170,8 @@ def test_comm_interference_never_helps():
     quiet = PowerAllocation(0.0, 0.0, 0.25)
     loud = PowerAllocation(0.2, 0.55, 0.25)
     for seed in range(10):
-        without = mc_delay_estimation(cfg, quiet, LINEAR, 1, DELAY_S, 200, seed)
-        with_comm = mc_delay_estimation(cfg, loud, LINEAR, 1, DELAY_S, 200, seed)
+        without = mc_delay_estimation(cfg, quiet, LINEAR, DELAY_S, 200, seed)
+        with_comm = mc_delay_estimation(cfg, loud, LINEAR, DELAY_S, 200, seed)
         assert with_comm.empirical_var >= without.empirical_var
 
 
@@ -187,8 +188,8 @@ def test_comm_echoes_act_as_extra_radar_noise():
     inr = amp_sq * (loud.a1_sq + loud.a2_sq) / (2.0 * noise)
     for spec in (LINEAR, PARABOLIC):
         for seed in range(5):
-            without = mc_delay_estimation(cfg, quiet, spec, 1, DELAY_S, 200, seed)
-            with_comm = mc_delay_estimation(cfg, loud, spec, 1, DELAY_S, 200, seed)
+            without = mc_delay_estimation(cfg, quiet, spec, DELAY_S, 200, seed)
+            with_comm = mc_delay_estimation(cfg, loud, spec, DELAY_S, 200, seed)
             assert with_comm.empirical_var / without.empirical_var == pytest.approx(
                 1.0 + inr, rel=0.02, abs=0)
 
@@ -259,7 +260,7 @@ MC_CASES = {
 def test_mc_matches_the_original_trial_loop(kind, alloc, tw, w_hz, sigma_r_sq, delay_s):
     cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq, bandwidth_hz=w_hz, time_bandwidth=tw)
     spec = WaveformSpec(kind, w_hz, tw)
-    report = mc_delay_estimation(cfg, alloc, spec, 1, delay_s, 100, 2024)
+    report = mc_delay_estimation(cfg, alloc, spec, delay_s, 100, 2024)
     reference = _reference_mc_var(cfg, alloc, spec, delay_s, 100, 2024)
     assert report.empirical_var == pytest.approx(reference, rel=1e-9, abs=0)
     assert report.efficiency == pytest.approx(
@@ -312,7 +313,7 @@ def test_mc_batches_match_the_one_trial_loop_bitwise(spec, trials):
     # 100, 101 and 107 trials end on batches of 4, 5 and 3 rows.
     cfg = ScenarioConfig(sigma_r_sq=1e-21)
     alloc = PowerAllocation(0.2, 0.55, 0.25)
-    report = mc_delay_estimation(cfg, alloc, spec, 1, DELAY_S, trials, 2024)
+    report = mc_delay_estimation(cfg, alloc, spec, DELAY_S, trials, 2024)
     assert report.empirical_var == _one_trial_loop(cfg, alloc, spec, DELAY_S,
                                                    trials, 2024)[0]
 
@@ -322,10 +323,10 @@ def test_mc_batches_keep_the_lag_edge_rule():
     spec = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 250.0)
     sigma_r_sq = echo_power(ScenarioConfig(), 1.0, 1) * 250.0 / 10.0 ** 1.05
     cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq, time_bandwidth=250.0)
-    assert post_integration_snr_db(cfg, RADAR_ONLY, spec, 1) == pytest.approx(10.5)
+    assert post_integration_snr_db(cfg, RADAR_ONLY, spec) == pytest.approx(10.5)
     expected, edges = _one_trial_loop(cfg, RADAR_ONLY, spec, 3e-6, 400, 1)
     assert edges >= 1
-    report = mc_delay_estimation(cfg, RADAR_ONLY, spec, 1, 3e-6, 400, 1)
+    report = mc_delay_estimation(cfg, RADAR_ONLY, spec, 3e-6, 400, 1)
     assert report.empirical_var == expected
 
 

@@ -152,6 +152,10 @@ USAGE = {
     "mc-delay-few-trials": ["mc-delay", "boosted.txt", *MC, "--trials", "10"],
     "sweep-grid-huge-count": ["sweep", "baseline.txt", "--grid",
                               "0:0.5:99999999999999999999"],
+    # pulses too long to sample: numpy refuses them without allocating
+    "waveform-validate-tw-1e15": ["waveform-validate", "--tw-list", "1e15"],
+    "waveform-validate-oversampling-1e300": ["waveform-validate",
+                                             "--oversampling", "1e300"],
 }
 
 # Domain infeasibility (exit 2): name -> (argv without --out, output).
@@ -243,6 +247,9 @@ def _cases() -> dict[str, list]:
                                         _with_out(["sweep", "huge.txt"], "s.csv")],
         "usage-sweep-h1-gain-inf": [("write", "inf.txt", "h1_gain=inf\n"),
                                     _with_out(["sweep", "inf.txt"], "s.csv")],
+        "usage-mc-delay-tw-1e15": [
+            ("write", "long.txt", "time_bandwidth=1e15\nsigma_r_sq=1e-19\n"),
+            _with_out(["mc-delay", "long.txt", "--delay", "6.2832e-6"], "mc.json")],
     }
     for command in COMMANDS:
         cases[f"help-{command}"] = [[command, "--help"]]
