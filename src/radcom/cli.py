@@ -27,9 +27,8 @@ import numpy as np
 from . import __version__
 from .csvtext import csv_chunks
 from .errors import InfeasibleError, RadcomError, ValidationError
-from .optimizer import (DEFAULT_GRID_COUNT, DEFAULT_GRID_HI, DEFAULT_GRID_LO,
-                        SweepResult, asymmetry_sweep, default_grid,
-                        lowered_h2_gain, star_point, tradeoff_sweep)
+from .optimizer import (SweepResult, asymmetry_sweep, lowered_h2_gain, star_point,
+                        tradeoff_sweep)
 from .radar import (WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
@@ -105,7 +104,7 @@ def _waveform(name) -> str:
 
 
 def _grid(value) -> dict:
-    """lo:hi:count text, or a manifest's grid, as a bounds-checked {lo, hi, count}."""
+    """lo:hi:count text, or a manifest's grid, as {lo, hi, count}; default_grid checks it."""
     if isinstance(value, str):
         try:
             lo_s, hi_s, count_s = value.split(":")
@@ -117,7 +116,6 @@ def _grid(value) -> dict:
         raise ValidationError(f"grid must hold lo, hi and count, got {value!r}")
     for key, entry in value.items():
         checked_number(f"grid {key}", entry, integer=key == "count")
-    default_grid(**value)  # bounds check
     return value
 
 
@@ -193,8 +191,7 @@ def _sweep_csv(result: SweepResult) -> Iterable[bytes]:
 
 
 def _sweep(cfg, params, paths):
-    result = tradeoff_sweep(cfg, params["r02"], _spec(cfg, params),
-                            default_grid(**params["grid"]))
+    result = tradeoff_sweep(cfg, params["r02"], _spec(cfg, params), params["grid"])
     tail = result.infeasible_tail_start
     line = (f"sweep: {len(result.curve.r_sum)} feasible points -> {paths[0]}"
             + (f" (infeasible for ar_sq > {tail:.6g})" if tail is not None else ""))
@@ -213,10 +210,9 @@ def _starpoints(cfg, params, paths):
 
 def _fairness(cfg, params, paths):
     spec = _spec(cfg, params)
-    grid = default_grid(**params["grid"])
     blocks = []
     for r02 in params["r02_list"]:
-        c = tradeoff_sweep(cfg, r02, spec, grid).curve
+        c = tradeoff_sweep(cfg, r02, spec, params["grid"]).curve
         blocks.append(np.column_stack([np.full(len(c.r_sum), r02), c.alloc.ar_sq,
                                        c.r_sum, c.fairness]))
     rows = np.concatenate(blocks)
@@ -241,7 +237,7 @@ def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
 def _asymmetry(cfg, params, paths):
     gaps = params["gaps_db"]
     results = asymmetry_sweep(cfg, params["r02"], _spec(cfg, params), gaps,
-                              default_grid(**params["grid"]))
+                              params["grid"])
     curves = [{
         "gap_db": gap,
         "h1_gain": cfg.h1_gain,
@@ -312,9 +308,8 @@ def _opt(flag: str, check: Callable | None = None, **argparse_options) -> tuple:
     return name, flag, check, argparse_options
 
 
-GRID_TEXT = f"{DEFAULT_GRID_LO}:{DEFAULT_GRID_HI}:{DEFAULT_GRID_COUNT}"
 WAVEFORM = _opt("--waveform", _waveform, default="linear", help="linear or parabolic")
-GRID = _opt("--grid", _grid, default=GRID_TEXT, help="radar-share grid lo:hi:count")
+GRID = _opt("--grid", _grid, default="0.01:0.99:200", help="radar-share grid lo:hi:count")
 
 
 @dataclass(frozen=True)

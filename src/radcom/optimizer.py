@@ -21,10 +21,6 @@ from .radar import WaveformSpec, total_estimation_variance
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
                        db_to_linear, holds_everywhere)
 
-DEFAULT_GRID_LO = 0.01
-DEFAULT_GRID_HI = 0.99
-DEFAULT_GRID_COUNT = 200
-
 
 @dataclass(frozen=True)
 class TradeoffPoint:
@@ -57,18 +53,22 @@ class SweepResult:
     infeasible_tail_start: float | None        # ar_sq beyond which no split exists
 
 
-def default_grid(lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI,
-                 count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
-    """Uniform radar-share grid avoiding the degenerate corners 0 and 1."""
+def default_grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """The radar-share grid {lo, hi, count}: count uniform values from lo to hi,
+    strictly increasing inside [0, 1).  The one place a grid is checked."""
     if not (0.0 <= lo <= hi < 1.0):
         raise ValidationError(f"grid bounds must satisfy 0 <= lo <= hi < 1, "
                               f"got [{lo!r}, {hi!r}]")
     if count < 1:
         raise ValidationError(f"grid needs at least one point, got {count}")
     try:
-        return np.linspace(lo, hi, count)
-    except ValueError as err:   # numpy refuses a count beyond its array size limit
+        grid = np.linspace(lo, hi, count)
+    except (MemoryError, ValueError) as err:   # ValueError: past numpy's size limit
         raise ValidationError(f"grid count {count} is too large: {err}") from None
+    # lo = hi, or a spacing below one ulp, repeats a value.
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValidationError("grid values must be strictly increasing")
+    return grid
 
 
 def _least_sinr(rate: float) -> float:
@@ -158,21 +158,14 @@ def star_point(cfg: ScenarioConfig, qos: QosRequirement,
 
 
 def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
-                   grid: Sequence[float] | None = None) -> SweepResult:
-    """Tradeoff curve over a radar-share grid at the weak user's QoS level.
+                   grid: dict) -> SweepResult:
+    """Tradeoff curve over the default_grid {lo, hi, count} at the weak user's QoS level.
 
     Grid values where the QoS cannot be met are dropped; the exact onset of
     infeasibility is recorded whenever the grid reaches it.  A grid value
     of 0 is kept but its estimation-error bound is flagged infinite.
     """
-    grid_arr = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid_arr.ndim != 1 or len(grid_arr) == 0:
-        raise ValidationError("grid must be a non-empty 1-D sequence")
-    if np.any((grid_arr < 0.0) | (grid_arr >= 1.0)):
-        raise ValidationError("grid values must lie in [0, 1)")
-    if np.any(np.diff(grid_arr) <= 0.0):
-        raise ValidationError("grid values must be strictly increasing")
-
+    grid_arr = default_grid(**grid)
     need = _weak_user_need(cfg, r02)
     # Larger radar shares only shrink the budget, so feasibility ends at the
     # first short grid point.
@@ -207,8 +200,7 @@ def sample_feasible_region(cfg: ScenarioConfig, spec: WaveformSpec, n: int,
 
 
 def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
-                    gaps_db: Sequence[float],
-                    grid: Sequence[float] | None = None) -> list[SweepResult]:
+                    gaps_db: Sequence[float], grid: dict) -> list[SweepResult]:
     """Tradeoff curves as the weak user's channel drops gap dB below the strong one.
 
     The strong user's gain stays at the configured value, isolating how the

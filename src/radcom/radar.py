@@ -38,9 +38,11 @@ class WaveformSpec:
     def __post_init__(self):
         if not isinstance(self.kind, WaveformKind):
             raise ValidationError(f"kind must be a WaveformKind, got {self.kind!r}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0.0):
-            raise ValidationError(
-                f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz!r}")
+        # The closed-form moments square pi W, which must neither overflow nor vanish.
+        pi_w = math.pi * self.bandwidth_hz
+        if not (self.bandwidth_hz > 0.0 and 0.0 < pi_w * pi_w < math.inf):
+            raise ValidationError(f"bandwidth_hz must be > 0 with (pi W)^2 finite and "
+                                  f"> 0, got {self.bandwidth_hz!r}")
         if not (math.isfinite(self.time_bandwidth) and self.time_bandwidth >= 1.0):
             raise ValidationError(
                 f"time_bandwidth must be >= 1, got {self.time_bandwidth!r}")

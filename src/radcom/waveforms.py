@@ -97,7 +97,7 @@ def _pulse(spec: WaveformSpec, sample_rate_hz: float, n: int,
         cells = np.arange(n) + 0.5 - delay_s * sample_rate_hz
     except (MemoryError, ValueError) as err:   # ValueError: past numpy's size limit
         raise ValidationError(
-            f"pulse of {n} samples is too large to sample: {err}") from None
+            f"pulse of {n:.6g} samples is too large to sample: {err}") from None
     inside = (cells >= 0.0) & (cells <= sample_rate_hz * spec.duration_s)
     shifted = _midpoints(sample_rate_hz, n)[inside] - delay_s
     out = np.zeros(n, dtype=complex)

@@ -4,6 +4,9 @@ import numpy as np
 
 from radcom import ScenarioConfig
 
+# The radar-share grid of the command line's --grid 0.01:0.99:200.
+GRID = {"lo": 0.01, "hi": 0.99, "count": 200}
+
 
 def random_table_like_config(rng: np.random.Generator) -> ScenarioConfig:
     """A random scenario respecting the baseline's standing assumptions.

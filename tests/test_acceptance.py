@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_table_like_config
+from conftest import GRID, random_table_like_config
 from radcom import (PowerAllocation, QosRequirement,
                     ScenarioConfig, WaveformKind, WaveformSpec,
                     analytic_rms_bandwidth_sq, asymmetry_sweep,
@@ -120,12 +120,12 @@ def test_criterion_4_feasibility_thresholds():
     expected = {0.7: 0.8025, 1.0: 0.6837, 1.5: 0.4218}
     start = time.perf_counter()
     for r02, tail in expected.items():
-        result = tradeoff_sweep(CFG, r02, LINEAR)
+        result = tradeoff_sweep(CFG, r02, LINEAR, GRID)
         assert result.infeasible_tail_start == pytest.approx(tail, abs=1e-3)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"three 200-point sweeps took {elapsed:.1f}s"
     # higher weak-user QoS curtails the feasible radar region
-    tails = [tradeoff_sweep(CFG, r, LINEAR).infeasible_tail_start
+    tails = [tradeoff_sweep(CFG, r, LINEAR, GRID).infeasible_tail_start
              for r in (0.7, 1.0, 1.5)]
     assert tails[0] > tails[1] > tails[2]
 
@@ -174,7 +174,7 @@ def test_criterion_7_fairness_ordering():
     expected = {0.7: 0.668, 1.0: 0.760, 1.5: 0.940}
     observed = {}
     for r02, target in expected.items():
-        points = tradeoff_sweep(CFG, r02, LINEAR).curve.split()
+        points = tradeoff_sweep(CFG, r02, LINEAR, GRID).curve.split()
         # the sum rate is maximal at the smallest radar share (first point)
         assert points[0].r_sum == max(pt.r_sum for pt in points)
         observed[r02] = points[0].fairness
@@ -185,7 +185,7 @@ def test_criterion_7_fairness_ordering():
 @verdict(8, "sum rate degrades pointwise as channel asymmetry grows")
 def test_criterion_8_asymmetry_degradation():
     results = [r.curve.split() for r in
-               asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0])]
+               asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0], GRID)]
     n_common = min(len(points) for points in results)
     assert n_common > 0
     for narrower, wider in zip(results[:-1], results[1:]):

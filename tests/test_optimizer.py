@@ -1,11 +1,12 @@
 """Closed-form splits, sweeps, region sampling, and asymmetry studies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import random_table_like_config
+from conftest import GRID, random_table_like_config
 from radcom import (InfeasibleError, PowerAllocation,
                     QosRequirement, ScenarioConfig, ValidationError, WaveformKind,
                     WaveformSpec, asymmetry_sweep, crlb_delay, default_grid, jain_fairness,
@@ -100,13 +101,13 @@ def test_star_point_reference_values(qos, norm_expected, rsum_expected):
     (1.5, 0.4218),
 ])
 def test_sweep_infeasibility_onset(r02, tail_expected):
-    result = tradeoff_sweep(CFG, r02, LINEAR)
+    result = tradeoff_sweep(CFG, r02, LINEAR, GRID)
     assert result.infeasible_tail_start == pytest.approx(tail_expected, abs=1e-3)
     assert result.curve.split()[-1].alloc.ar_sq < result.infeasible_tail_start
 
 
 def test_sweep_points_are_ordered_and_monotone():
-    points = tradeoff_sweep(CFG, 0.7, LINEAR).curve.split()
+    points = tradeoff_sweep(CFG, 0.7, LINEAR, GRID).curve.split()
     ar = [pt.alloc.ar_sq for pt in points]
     r_sum = [pt.r_sum for pt in points]
     sigma = [pt.sigma_eps_sq for pt in points]
@@ -116,13 +117,13 @@ def test_sweep_points_are_ordered_and_monotone():
 
 
 def test_sweep_holds_the_weak_user_at_its_qos():
-    result = tradeoff_sweep(CFG, 1.0, LINEAR)
+    result = tradeoff_sweep(CFG, 1.0, LINEAR, GRID)
     for pt in result.curve.split():
         assert pt.r2 == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_sweep_points_recompute_consistently():
-    result = tradeoff_sweep(CFG, 0.7, LINEAR, np.linspace(0.05, 0.75, 15))
+    result = tradeoff_sweep(CFG, 0.7, LINEAR, {"lo": 0.05, "hi": 0.75, "count": 15})
     for pt in result.curve.split():
         fresh = rate_report(CFG, pt.alloc)
         assert pt.r_sum == pytest.approx(fresh.r_sum, rel=1e-9, abs=0)
@@ -131,7 +132,7 @@ def test_sweep_points_recompute_consistently():
 
 
 def test_sweep_zero_radar_share_is_flagged_infinite():
-    result = tradeoff_sweep(CFG, 0.7, LINEAR, [0.0])
+    result = tradeoff_sweep(CFG, 0.7, LINEAR, {"lo": 0.0, "hi": 0.0, "count": 1})
     points = result.curve.split()
     assert len(points) == 1
     assert math.isinf(points[0].sigma_eps_sq)
@@ -141,28 +142,40 @@ def test_sweep_zero_radar_share_is_flagged_infinite():
 
 def test_sweep_with_no_feasible_point_raises():
     with pytest.raises(InfeasibleError, match="kappa_min = 0.578"):
-        tradeoff_sweep(CFG, 1.5, LINEAR, np.linspace(0.5, 0.9, 50))
+        tradeoff_sweep(CFG, 1.5, LINEAR, {"lo": 0.5, "hi": 0.9, "count": 50})
     # a QoS no budget can carry fails even on the full default grid
     with pytest.raises(InfeasibleError):
-        tradeoff_sweep(CFG, 3.0, LINEAR)
+        tradeoff_sweep(CFG, 3.0, LINEAR, GRID)
     # so does one whose least power overflows a float
     for r02 in (1024.0, 2000.0):
         with pytest.raises(InfeasibleError, match=r"kappa_min = inf\)"):
-            tradeoff_sweep(CFG, r02, LINEAR)
+            tradeoff_sweep(CFG, r02, LINEAR, GRID)
         with pytest.raises(InfeasibleError, match="kappa_min = inf,"):
             optimal_allocation_for_sumrate(CFG, r02, 0.5)
 
 
+# Grids {lo, hi, count} that default_grid refuses, with a part of its error.
+REFUSED_GRIDS = [
+    (0.5, 0.4, 2, "0 <= lo <= hi < 1"),
+    (0.5, 1.0, 2, "0 <= lo <= hi < 1"),
+    (math.nan, 0.5, 2, "0 <= lo <= hi < 1"),
+    (0.1, 0.5, 0, "at least one point"),
+    (0.5, 0.5, 10, "strictly increasing"),
+    (0.5, math.nextafter(0.5, 1.0), 10, "strictly increasing"),   # spacing below an ulp
+    # numpy refuses each count before allocating anything: past its size limit,
+    # and 711 PiB, beyond any 57-bit address space
+    (0.0, 0.5, 10 ** 20, f"grid count {10 ** 20} is too large: Maximum allowed size"),
+    (0.0, 0.5, 10 ** 17, f"grid count {10 ** 17} is too large: Unable to allocate"),
+]
+
+
 def test_sweep_grid_validation():
-    with pytest.raises(ValidationError):
-        tradeoff_sweep(CFG, 0.7, LINEAR, [0.5, 0.4])
-    with pytest.raises(ValidationError):
-        tradeoff_sweep(CFG, 0.7, LINEAR, [0.5, 1.0])
-    with pytest.raises(ValidationError):
-        tradeoff_sweep(CFG, 0.7, LINEAR, [])
-    # numpy refuses this count before allocating anything
-    with pytest.raises(ValidationError, match=f"grid count {10 ** 20} is too large"):
-        default_grid(0.0, 0.5, 10 ** 20)
+    for lo, hi, count, error in REFUSED_GRIDS:
+        grid = {"lo": lo, "hi": hi, "count": count}
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            tradeoff_sweep(CFG, 0.7, LINEAR, grid)
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            asymmetry_sweep(CFG, 0.7, LINEAR, [5.0], grid)
 
 
 def test_region_samples_are_feasible_and_deterministic():
@@ -199,7 +212,7 @@ def test_star_point_dominates_qos_satisfying_samples():
 
 
 def test_swapping_waveforms_rescales_only_the_radar_side():
-    grid = np.linspace(0.05, 0.7, 10)
+    grid = {"lo": 0.05, "hi": 0.7, "count": 10}
     lin = tradeoff_sweep(CFG, 0.7, LINEAR, grid)
     par = tradeoff_sweep(
         CFG, 0.7, WaveformSpec(WaveformKind.PARABOLIC_FM, 2e7, 1000.0), grid)
@@ -211,7 +224,7 @@ def test_swapping_waveforms_rescales_only_the_radar_side():
 
 
 def test_asymmetry_ten_db_gap_reproduces_the_baseline():
-    grid = np.linspace(0.05, 0.7, 20)
+    grid = {"lo": 0.05, "hi": 0.7, "count": 20}
     baseline = tradeoff_sweep(CFG, 0.7, LINEAR, grid)
     swept = asymmetry_sweep(CFG, 0.7, LINEAR, [10.0], grid)[0]
     assert len(swept.curve.r_sum) == len(baseline.curve.r_sum)
@@ -222,13 +235,13 @@ def test_asymmetry_ten_db_gap_reproduces_the_baseline():
 
 def test_asymmetry_rejects_non_positive_gaps():
     with pytest.raises(ValidationError, match="> 0 dB"):
-        asymmetry_sweep(CFG, 0.7, LINEAR, [0.0])
+        asymmetry_sweep(CFG, 0.7, LINEAR, [0.0], GRID)
     with pytest.raises(ValidationError):
-        asymmetry_sweep(CFG, 0.7, LINEAR, [])
+        asymmetry_sweep(CFG, 0.7, LINEAR, [], GRID)
 
 
 def test_larger_asymmetry_degrades_the_sum_rate_pointwise():
-    grid = np.linspace(0.05, 0.3, 12)
+    grid = {"lo": 0.05, "hi": 0.3, "count": 12}
     results = [r.curve.split() for r in
                asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0], grid)]
     for tighter, looser in zip(results[1:], results[:-1]):
@@ -260,8 +273,9 @@ def test_sweep_columns_equal_the_scalar_api(kind):
         spec = WaveformSpec(kind, cfg.bandwidth_hz, cfg.time_bandwidth)
         # QoS whose infeasibility onset falls near ar_sq = 0.8
         r02 = math.log2(1.0 + 0.2 * cfg.h2_gain * cfg.total_power_mw / cfg.sigma2_sq)
-        for grid in (np.linspace(0.01, 0.99, 2000), np.linspace(0.0, 0.9, 37)):
-            result = tradeoff_sweep(cfg, r02, spec, grid)
+        for lo, hi, count in ((0.01, 0.99, 2000), (0.0, 0.9, 37)):
+            result = tradeoff_sweep(cfg, r02, spec, {"lo": lo, "hi": hi, "count": count})
+            grid = default_grid(lo, hi, count)
             points = result.curve.split()
             assert 0 < len(points) < len(grid)
             # the sweep stops exactly where the scalar split turns infeasible
@@ -392,7 +406,7 @@ def _random_scenario(rng, regime):
 
 def test_random_accepted_configs_meet_qos_and_optimality():
     rng = np.random.default_rng(2024)
-    grid = default_grid(count=40)
+    grid = {**GRID, "count": 40}
     checked = {"sweep": 0, "region": 0, "star": 0}
     for draw in range(240):
         cfg = _random_scenario(rng, draw % 4)

@@ -17,12 +17,21 @@ RADAR_ONLY = PowerAllocation(0.0, 0.0, 1.0)
 
 
 def test_waveform_spec_validation():
-    with pytest.raises(ValidationError):
-        WaveformSpec(WaveformKind.LINEAR_FM, 0.0, 1000.0)
+    for w in (0.0, -2e7, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="bandwidth_hz must be > 0"):
+            WaveformSpec(WaveformKind.LINEAR_FM, w, 1000.0)
     with pytest.raises(ValidationError):
         WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 0.5)
     with pytest.raises(ValidationError):
         WaveformSpec("linear", 2e7, 1000.0)
+    # (pi W)^2 overflows a float, or underflows to 0
+    for w in (1e200, 1e300, 1e-300):
+        with pytest.raises(ValidationError, match=r"\(pi W\)\^2 finite and > 0"):
+            WaveformSpec(WaveformKind.LINEAR_FM, w, 1000.0)
+    # the extremes that still keep it
+    for w in (1e153, 1e-161):
+        spec = WaveformSpec(WaveformKind.LINEAR_FM, w, 1.0)
+        assert 0.0 < analytic_rms_bandwidth_sq(spec) < math.inf
     assert LINEAR.duration_s == pytest.approx(5e-5, rel=1e-12, abs=0)
 
 

@@ -38,6 +38,8 @@ SCENARIOS = {
     "noisy.txt": "sigma1_sq=1e-9\n",        # breaks the SIC ordering
     "noisier.txt": "sigma1_sq_dbm=-100\n",  # keeps it, 5 dB ahead
     "si.txt": "si_suppression_db=110\n",   # a key that is no longer a field
+    "wide.txt": "bandwidth_hz=1e200\n",     # (pi W)^2 overflows a float
+    "narrow.txt": "bandwidth_hz=1e-300\n",  # (pi W)^2 underflows to 0
 }
 MC = ["--delay", "6.2832e-6", "--trials", "150", "--seed", "5"]
 DENSE_GRID = "0.01:0.99:20000"
@@ -87,6 +89,7 @@ EDITED = {
     "oversampling-text": ("waveform-validate", {"params.oversampling": "16"}),
     "waveform-sine": ("sweep", {"params.waveform": "sine"}),
     "grid-reversed": ("sweep", {"params.grid": {"lo": 0.5, "hi": 0.1, "count": 10}}),
+    "grid-repeated": ("sweep", {"params.grid": {"lo": 0.5, "hi": 0.5, "count": 10}}),
     "grid-missing-count": ("sweep", {"params.grid": {"lo": 0.01, "hi": 0.99}}),
     "grid-unknown-key": ("sweep", {"params.grid": {"lo": 0.01, "hi": 0.99,
                                                    "count": 200, "step": 1}}),
@@ -125,6 +128,10 @@ USAGE = {
     "sweep-grid-reversed": ["sweep", "baseline.txt", "--grid", "0.5:0.1:10"],
     "sweep-grid-nope": ["sweep", "baseline.txt", "--grid", "nope"],
     "sweep-grid-zero-count": ["sweep", "baseline.txt", "--grid", "0.1:0.5:0"],
+    "sweep-grid-repeated": ["sweep", "baseline.txt", "--grid", "0.5:0.5:10"],
+    "fairness-grid-reversed": ["fairness", "baseline.txt", "--grid", "0.5:0.1:10"],
+    # the grid is checked where it is used, after the scenario
+    "sweep-bad-scenario-and-grid": ["sweep", "bad.txt", "--grid", "0.5:0.1:10"],
     "sweep-r02-abc": ["sweep", "baseline.txt", "--r02", "abc"],
     "sweep-r02-negative": ["sweep", "baseline.txt", "--r02", "-1"],
     "sweep-missing-scenario": ["sweep", "missing.txt"],
@@ -152,6 +159,12 @@ USAGE = {
     "mc-delay-few-trials": ["mc-delay", "boosted.txt", *MC, "--trials", "10"],
     "sweep-grid-huge-count": ["sweep", "baseline.txt", "--grid",
                               "0:0.5:99999999999999999999"],
+    # 711 PiB, beyond any 57-bit address space: numpy refuses it without allocating
+    "sweep-grid-711-pib": ["sweep", "baseline.txt", "--grid", "0:0.5:100000000000000000"],
+    "sweep-bandwidth-1e200": ["sweep", "wide.txt"],
+    "sweep-bandwidth-1e-300": ["sweep", "narrow.txt"],
+    "waveform-validate-bandwidth-1e300": ["waveform-validate", "--bandwidth-hz", "1e300"],
+    "waveform-validate-bandwidth-1e-300": ["waveform-validate", "--bandwidth-hz", "1e-300"],
     # pulses too long to sample: numpy refuses them without allocating
     "waveform-validate-tw-1e15": ["waveform-validate", "--tw-list", "1e15"],
     "waveform-validate-oversampling-1e300": ["waveform-validate",
@@ -223,6 +236,9 @@ def _cases() -> dict[str, list]:
                                _with_out(["sweep", "baseline.txt", "--r02", "3"], "s.csv")],
         "refuse-existing-manifest": [("write", "s.csv.manifest.json", "keep\n"),
                                      _with_out(["sweep", "baseline.txt"], "s.csv")],
+        "refuse-existing-manifest-bad-grid": [
+            ("write", "s.csv.manifest.json", "keep\n"),
+            _with_out(["sweep", "baseline.txt", "--grid", "0.5:0.1:10"], "s.csv")],
         "refuse-existing-gap-csv": [("write", "a_gap15db.csv", "keep\n"),
                                     _with_out(["asymmetry", "baseline.txt"], "a.json")],
         "refuse-repeated-gap": [
