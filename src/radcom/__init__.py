@@ -9,13 +9,13 @@ form, and emits the tradeoff datasets through :mod:`radcom.cli`.
 
 __version__ = "0.1.0"
 
-from .comms import RateReport, compute_sinr, jain_fairness, rate_report
+from .comms import compute_sinr, jain_fairness, rate_report
 from .errors import (InfeasibleError, RadcomError, ScenarioParseError,
                      ValidationError)
 from .optimizer import (SweepResult, TradeoffPoint, asymmetry_sweep, default_grid,
                         max_radar_allocation, optimal_allocation_for_sumrate,
                         sample_feasible_region, star_point, tradeoff_sweep)
-from .radar import (CrlbReport, WaveformKind, WaveformSpec, analytic_energy,
+from .radar import (WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq, crlb_delay, post_integration_snr_db,
                     total_estimation_variance)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
@@ -26,9 +26,9 @@ from .waveforms import (McDelayReport, SampledWaveform, instantaneous_frequency,
 
 __all__ = [
     "__version__",
-    "CrlbReport", "InfeasibleError", "McDelayReport",
+    "InfeasibleError", "McDelayReport",
     "PowerAllocation", "QosRequirement",
-    "RadcomError", "RateReport", "SampledWaveform", "ScenarioConfig",
+    "RadcomError", "SampledWaveform", "ScenarioConfig",
     "ScenarioParseError", "SweepResult", "TradeoffPoint", "ValidationError",
     "WaveformKind", "WaveformSpec",
     "analytic_energy", "analytic_rms_bandwidth_sq", "asymmetry_sweep",

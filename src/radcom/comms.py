@@ -9,21 +9,11 @@ at both terminals and already removed, so it never appears as interference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .scenario import PowerAllocation, ScenarioConfig, holds_everywhere
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Rate bounds for one scenario and power split, bits/s/Hz."""
-
-    r1: float      # rate bound of user 1
-    r2: float      # rate bound of user 2, set by its own SINR
-    r_sum: float   # r1 + r2
 
 
 def compute_sinr(cfg: ScenarioConfig,
@@ -40,14 +30,14 @@ def compute_sinr(cfg: ScenarioConfig,
     return gamma1, gamma2
 
 
-def rate_report(cfg: ScenarioConfig, alloc: PowerAllocation) -> RateReport:
-    """Evaluate the rate bounds of both users for one power split or an array of them."""
+def rate_report(cfg: ScenarioConfig, alloc: PowerAllocation) -> tuple[float, float]:
+    """Return the rate bounds (r1, r2), bits/s/Hz, for the given power split(s)."""
     gamma1, gamma2 = compute_sinr(cfg, alloc)
     r1 = np.log2(1.0 + gamma1)
     # The scenario's SIC ordering makes user 1 decode s2 (to strip it) at least
     # as well as user 2 does, so user 2's own SINR sets r2.
     r2 = np.log2(1.0 + gamma2)
-    return RateReport(r1=r1, r2=r2, r_sum=r1 + r2)
+    return r1, r2
 
 
 def jain_fairness(r1: float, r2: float) -> float:

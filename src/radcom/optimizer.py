@@ -32,7 +32,7 @@ class TradeoffPoint:
     r1: float
     r2: float
     sigma_eps_sq: float              # s^2; inf when ar_sq = 0
-    sigma_eps_sq_normalized: float   # >= 1; inf when ar_sq = 0
+    sigma_eps_sq_normalized: float   # 1/ar_sq, >= 1; inf when ar_sq = 0
     fairness: float                  # Jain index of (r1, r2); nan when both are 0
 
     def split(self) -> tuple[TradeoffPoint, ...]:
@@ -138,16 +138,18 @@ def max_radar_allocation(cfg: ScenarioConfig,
 def _evaluate(cfg: ScenarioConfig, alloc: PowerAllocation,
               spec: WaveformSpec) -> TradeoffPoint:
     """Tradeoff point of alloc: scalar fields for one split, arrays for many."""
-    rates = rate_report(cfg, alloc)
-    crlb = total_estimation_variance(cfg, alloc, spec)
+    r1, r2 = rate_report(cfg, alloc)
+    # Every target's bound scales as 1/ar_sq: normalized to all power on the radar.
+    with np.errstate(divide="ignore"):
+        normalized = np.divide(1.0, alloc.ar_sq)
     return TradeoffPoint(
         alloc=alloc,
-        r_sum=rates.r_sum,
-        r1=rates.r1,
-        r2=rates.r2,
-        sigma_eps_sq=crlb.sigma_eps_sq,
-        sigma_eps_sq_normalized=crlb.sigma_eps_sq_normalized,
-        fairness=jain_fairness(rates.r1, rates.r2),
+        r_sum=r1 + r2,
+        r1=r1,
+        r2=r2,
+        sigma_eps_sq=total_estimation_variance(cfg, alloc, spec),
+        sigma_eps_sq_normalized=normalized,
+        fairness=jain_fairness(r1, r2),
     )
 
 

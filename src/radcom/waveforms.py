@@ -115,7 +115,9 @@ def numeric_rms_bandwidth_sq(w: SampledWaveform) -> float:
     (2 pi f(t))^2 over the pulse, exact for a constant-modulus FM law up to
     discretization."""
     f = instantaneous_frequency(w.spec, _midpoints(w.sample_rate_hz, len(w.samples)))
-    return float(np.mean((2.0 * math.pi * f) ** 2))
+    # Square f / 2^e with W = m 2^e, so no square overflows; power-of-two scaling is exact.
+    e = math.frexp(w.spec.bandwidth_hz)[1]
+    return math.ldexp(float(np.mean((2.0 * math.pi * np.ldexp(f, -e)) ** 2)), 2 * e)
 
 
 def spectral_rms_bandwidth_sq(w: SampledWaveform) -> float:
@@ -128,8 +130,10 @@ def spectral_rms_bandwidth_sq(w: SampledWaveform) -> float:
     power = np.abs(spectrum) ** 2
     mask = np.abs(freqs) <= 2.0 * w.spec.bandwidth_hz
     weight = float(np.sum(power[mask]))
-    moment = float(np.sum((freqs[mask] ** 2) * power[mask]))
-    return 4.0 * math.pi ** 2 * moment / weight
+    # As in numeric_rms_bandwidth_sq: square f / 2^e and scale the moment back.
+    e = math.frexp(w.spec.bandwidth_hz)[1]
+    moment = float(np.sum((np.ldexp(freqs[mask], -e) ** 2) * power[mask]))
+    return math.ldexp(4.0 * math.pi ** 2 * moment / weight, 2 * e)
 
 
 def _smooth_len(m: int) -> int:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radcom import cli, csvtext
+from radcom import (QosRequirement, ScenarioConfig, cli, csvtext, default_grid,
+                    max_radar_allocation)
 from radcom.cli import main
 from radcom.csvtext import csv_chunks
 
@@ -168,10 +169,17 @@ SCENARIO_FILES = {
        for name, text in (("inf", "inf"), ("minus_inf", "-inf"), ("nan", "nan"))},
     "wide": "bandwidth_hz=1e200\n",
     "narrow": "bandwidth_hz=1e-300\n",
+    # 20 dB more noise at user 1 than at user 2 outweighs its 10 dB stronger channel
+    "noisy": "sigma1_sq=1e-9\n",
+    # 5 dB more noise at user 1 leaves it 5 dB ahead in h/sigma^2
+    "noisier": "sigma1_sq_dbm=-100\n",
 }
 NOT_FINITE = "line 2: value for 'h1_gain' must be finite: "
 BANDWIDTH = "bandwidth_hz must be > 0 with (pi W)^2 finite and > 0, got "
 GRID_BOUNDS = "grid bounds must satisfy 0 <= lo <= hi < 1, got [0.5, 0.1]"
+SIC_VIOLATED = ("SIC ordering violated: require h2_gain > 0 and h1_gain/sigma1_sq > "
+                "h2_gain/sigma2_sq (user 1 is the strong user), got h1_gain=1e-09, ")
+NOISY_GAINS = "h2_gain=1e-10, sigma1_sq=1e-09, sigma2_sq=3.16228e-11"
 # Command lines refused with exit 3 and this error ({tmp} is the test's directory).
 USAGE_ERRORS = {
     "missing-scenario": (["sweep", "{tmp}/missing.txt"],
@@ -220,6 +228,16 @@ USAGE_ERRORS = {
                    "QoS pair must look like r01:r02, got '1.5'"),
     "gap-zero": (["asymmetry", "{scenario}", "--gaps-db", "0,5"],
                  "asymmetry gap must be > 0 dB to keep h1_gain > h2_gain, got 0.0"),
+    # scenarios breaking the SIC ordering
+    "sic-ordering-sweep": (["sweep", "{noisy}"], f"{SIC_VIOLATED}{NOISY_GAINS}"),
+    "sic-ordering-starpoints": (["starpoints", "{noisy}"], f"{SIC_VIOLATED}{NOISY_GAINS}"),
+    "sic-ordering-asymmetry": (["asymmetry", "{noisy}"], f"{SIC_VIOLATED}{NOISY_GAINS}"),
+    # a 3 dB gap keeps h1_gain > h2_gain but puts user 2 ahead in h/sigma^2;
+    # the refusal names the gap that broke the ordering
+    "sic-ordering-asymmetry-gap": (["asymmetry", "{noisier}", "--gaps-db", "10,3"],
+                                   f"asymmetry gap 3 dB: {SIC_VIOLATED}"
+                                   "h2_gain=5.01187e-10, sigma1_sq=1e-10, "
+                                   "sigma2_sq=3.16228e-11"),
     "rerun-missing-manifest": (["rerun", "{tmp}/nope.json"],
                                "cannot load manifest: [Errno 2] No such file or directory: "
                                "'{tmp}/nope.json'"),
@@ -271,6 +289,25 @@ def test_waveform_validate_passes_by_default(tmp_path):
     assert len(rows) == 2
     # instantaneous-frequency deviation stays under the gate for every row
     assert all(float(r[6]) <= 1e-6 for r in rows)
+
+
+@pytest.mark.parametrize("bandwidth,tw_list", [(1e150, "100,1000"),
+                                               (3e153, "100,1000,2000")])
+def test_waveform_validate_keeps_large_bandwidth_moments_finite(tmp_path, capsys,
+                                                                bandwidth, tw_list):
+    # The moments square frequencies near W; at these W plain squares overflow.
+    # W / 2^480 samples the same pulse with every frequency scaled by 2^-480.
+    for name, w in (("w.csv", bandwidth), ("ref.csv", math.ldexp(bandwidth, -480))):
+        assert main(["waveform-validate", "--bandwidth-hz", repr(w), "--tw-list", tw_list,
+                     "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _rows(tmp_path / "w.csv")
+    _, ref_rows = _rows(tmp_path / "ref.csv")
+    assert len(rows) == len(ref_rows) == len(tw_list.split(","))
+    for row, ref in zip(rows, ref_rows):
+        assert all(math.isfinite(float(cell)) for cell in row)
+        # both moments' relative deviations match bit for bit
+        assert row[-2:] == ref[-2:]
 
 
 def test_waveform_validate_flags_coarse_sampling(tmp_path):
@@ -741,18 +778,29 @@ def test_csv_cells_match_fixed_scientific_formatting():
             == [header.encode(), b"\n"])
 
 
-SIC_VIOLATED = ("SIC ordering violated: require h2_gain > 0 and h1_gain/sigma1_sq > "
-                "h2_gain/sigma2_sq (user 1 is the strong user), got h1_gain=1e-09, ")
-
-
-@pytest.mark.parametrize("command", ["sweep", "starpoints", "asymmetry"])
-def test_scenario_breaking_the_sic_ordering_exits_3(tmp_path, command, capsys):
-    # 20 dB more noise at user 1 than at user 2 outweighs its 10 dB stronger channel.
-    path = _scenario_file(tmp_path, "sigma1_sq=1e-9\n")
-    assert main([command, path, "--out", str(tmp_path / "out")]) == 3
-    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
-    assert capsys.readouterr().err == (
-        f"error: {SIC_VIOLATED}h2_gain=1e-10, sigma1_sq=1e-09, sigma2_sq=3.16228e-11\n")
+@pytest.mark.parametrize("bandwidth", ["1e-160", "1e-150"])
+def test_tiny_bandwidth_normalizes_the_bound_as_one_over_the_radar_share(
+        tmp_path, capsys, bandwidth):
+    path = _scenario_file(tmp_path, f"bandwidth_hz={bandwidth}\n")
+    qos = [QosRequirement(1.5, 0.7), QosRequirement(0.7, 0.7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", path, "--grid", "0.01:0.99:200",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["starpoints", path, "--qos", "1.5:0.7", "--qos", "0.7:0.7",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _rows(tmp_path / "s.csv")
+    columns = header.split(",")
+    ar_sq = default_grid(0.01, 0.99, 200)[:len(rows)].tolist()
+    assert [row[columns.index("sigma_eps_sq_norm")] for row in rows] == [
+        "%.8e" % (1.0 / ar) for ar in ar_sq]
+    if bandwidth == "1e-160":
+        assert {row[columns.index("sigma_eps_sq")] for row in rows} == {"inf"}
+    header, rows = _rows(tmp_path / "p.csv")
+    cfg = ScenarioConfig(bandwidth_hz=float(bandwidth))
+    assert [row[header.split(",").index("sigma_eps_sq_norm")] for row in rows] == [
+        "%.8e" % (1.0 / max_radar_allocation(cfg, q).ar_sq) for q in qos]
 
 
 def test_noisier_strong_user_keeping_the_ordering_runs_quietly(tmp_path, capsys):
@@ -768,16 +816,3 @@ def test_noisier_strong_user_keeping_the_ordering_runs_quietly(tmp_path, capsys)
     assert capsys.readouterr().err == ""
     _, rows = _rows(tmp_path / "s.csv")
     assert min(float(row[4]) for row in rows) == pytest.approx(0.7, rel=1e-8, abs=0)
-
-
-def test_asymmetry_gap_breaking_the_ordering_exits_3(tmp_path, capsys):
-    # With user 1 5 dB noisier, a 3 dB gap keeps h1_gain > h2_gain but puts
-    # user 2 ahead in h/sigma^2.
-    path = _scenario_file(tmp_path, "sigma1_sq_dbm=-100\n")
-    assert main(["asymmetry", path, "--gaps-db", "10,3",
-                 "--out", str(tmp_path / "a.json")]) == 3
-    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
-    # the refusal names the gap that broke the ordering
-    assert capsys.readouterr().err == (
-        f"error: asymmetry gap 3 dB: {SIC_VIOLATED}h2_gain=5.01187e-10, sigma1_sq=1e-10, "
-        "sigma2_sq=3.16228e-11\n")

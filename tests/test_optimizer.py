@@ -13,6 +13,7 @@ from radcom import (InfeasibleError, PowerAllocation,
                     max_radar_allocation, optimal_allocation_for_sumrate, rate_report,
                     sample_feasible_region, star_point, total_estimation_variance,
                     tradeoff_sweep)
+from radcom.optimizer import _evaluate
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)
@@ -24,7 +25,7 @@ def test_optimal_allocation_reference_split():
     assert alloc.a2_sq == pytest.approx(0.40811, abs=1e-5)
     assert alloc.ar_sq == 0.5
     assert alloc.a1_sq + alloc.a2_sq == 0.5
-    assert rate_report(CFG, alloc).r2 == pytest.approx(1.0, rel=1e-9, abs=0)
+    assert rate_report(CFG, alloc)[1] == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_optimal_allocation_infeasible_when_budget_too_small():
@@ -51,10 +52,10 @@ def test_min_power_reference_values():
     alloc = max_radar_allocation(CFG, QosRequirement(1.5, 0.7))
     assert alloc.a1_sq == pytest.approx(0.057822, abs=1e-5)
     assert alloc.a2_sq == pytest.approx(0.233598, abs=1e-5)
-    report = rate_report(CFG, PowerAllocation(alloc.a1_sq, alloc.a2_sq,
+    r1, r2 = rate_report(CFG, PowerAllocation(alloc.a1_sq, alloc.a2_sq,
                                               1 - alloc.a1_sq - alloc.a2_sq))
-    assert report.r1 == pytest.approx(1.5, rel=1e-9, abs=0)
-    assert report.r2 == pytest.approx(0.7, rel=1e-9, abs=0)
+    assert r1 == pytest.approx(1.5, rel=1e-9, abs=0)
+    assert r2 == pytest.approx(0.7, rel=1e-9, abs=0)
 
     alloc = max_radar_allocation(CFG, QosRequirement(0.7, 0.7))
     assert alloc.a1_sq == pytest.approx(0.019749, abs=1e-5)
@@ -125,10 +126,10 @@ def test_sweep_holds_the_weak_user_at_its_qos():
 def test_sweep_points_recompute_consistently():
     result = tradeoff_sweep(CFG, 0.7, LINEAR, {"lo": 0.05, "hi": 0.75, "count": 15})
     for pt in result.curve.split():
-        fresh = rate_report(CFG, pt.alloc)
-        assert pt.r_sum == pytest.approx(fresh.r_sum, rel=1e-9, abs=0)
+        fresh = sum(rate_report(CFG, pt.alloc))
+        assert pt.r_sum == pytest.approx(fresh, rel=1e-9, abs=0)
         bound = total_estimation_variance(CFG, pt.alloc, LINEAR)
-        assert pt.sigma_eps_sq == pytest.approx(bound.sigma_eps_sq, rel=1e-9, abs=0)
+        assert pt.sigma_eps_sq == pytest.approx(bound, rel=1e-9, abs=0)
 
 
 def test_sweep_zero_radar_share_is_flagged_infinite():
@@ -197,7 +198,7 @@ def test_region_samples_never_beat_the_sweep_curve():
         if pt.r2 < r02:
             continue  # outside this curve's QoS constraint
         best = optimal_allocation_for_sumrate(CFG, r02, pt.alloc.ar_sq)
-        assert pt.r_sum <= rate_report(CFG, best).r_sum + 1e-12
+        assert pt.r_sum <= sum(rate_report(CFG, best)) + 1e-12
 
 
 def test_star_point_dominates_qos_satisfying_samples():
@@ -262,7 +263,7 @@ def test_random_configs_keep_the_qos_equality():
         except InfeasibleError:
             continue
         assert alloc.a1_sq + alloc.a2_sq == 1.0 - ar_sq
-        assert rate_report(cfg, alloc).r2 == pytest.approx(r02, rel=1e-9, abs=0)
+        assert rate_report(cfg, alloc)[1] == pytest.approx(r02, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("kind", list(WaveformKind))
@@ -284,12 +285,12 @@ def test_sweep_columns_equal_the_scalar_api(kind):
             for pt, ar_sq in zip(points, grid):
                 alloc = optimal_allocation_for_sumrate(cfg, r02, float(ar_sq))
                 assert pt.alloc == alloc
-                rates = rate_report(cfg, alloc)
-                assert (pt.r1, pt.r2, pt.r_sum) == (rates.r1, rates.r2, rates.r_sum)
-                assert pt.fairness == jain_fairness(rates.r1, rates.r2)
-                bound = total_estimation_variance(cfg, alloc, spec)
-                assert pt.sigma_eps_sq == bound.sigma_eps_sq
-                assert pt.sigma_eps_sq_normalized == bound.sigma_eps_sq_normalized
+                r1, r2 = rate_report(cfg, alloc)
+                assert (pt.r1, pt.r2, pt.r_sum) == (r1, r2, r1 + r2)
+                assert pt.fairness == jain_fairness(r1, r2)
+                assert pt.sigma_eps_sq == total_estimation_variance(cfg, alloc, spec)
+                norm = math.inf if ar_sq == 0.0 else 1.0 / ar_sq
+                assert pt.sigma_eps_sq_normalized == norm
 
 
 def _same(scalar, column):
@@ -302,14 +303,13 @@ def _same_tradeoff(pt, cfg, spec):
     """Each scalar field of pt equals the closed forms over its split as 1-entry arrays."""
     a = pt.alloc
     column = PowerAllocation(*(np.array([x]) for x in (a.a1_sq, a.a2_sq, a.ar_sq)))
-    rates = rate_report(cfg, column)
-    bound = total_estimation_variance(cfg, column, spec)
-    _same(pt.r1, rates.r1)
-    _same(pt.r2, rates.r2)
-    _same(pt.r_sum, rates.r_sum)
-    _same(pt.sigma_eps_sq, bound.sigma_eps_sq)
-    _same(pt.sigma_eps_sq_normalized, bound.sigma_eps_sq_normalized)
-    _same(pt.fairness, jain_fairness(rates.r1, rates.r2))
+    r1, r2 = rate_report(cfg, column)
+    _same(pt.r1, r1)
+    _same(pt.r2, r2)
+    _same(pt.r_sum, r1 + r2)
+    _same(pt.sigma_eps_sq, total_estimation_variance(cfg, column, spec))
+    _same(pt.sigma_eps_sq_normalized, 1.0 / column.ar_sq)
+    _same(pt.fairness, jain_fairness(r1, r2))
 
 
 def test_floats_and_one_entry_arrays_give_the_same_answer():
@@ -326,16 +326,16 @@ def test_floats_and_one_entry_arrays_give_the_same_answer():
             column = PowerAllocation(*(np.array([x]) for x in split))
             for k in (1, 2):
                 _same(crlb_delay(cfg, alloc, spec, k), crlb_delay(cfg, column, spec, k))
-            bound = total_estimation_variance(cfg, alloc, spec)
-            bound_column = total_estimation_variance(cfg, column, spec)
-            _same(bound.sigma_eps_sq, bound_column.sigma_eps_sq)
-            _same(bound.sigma_eps_sq_normalized, bound_column.sigma_eps_sq_normalized)
-            rates, rates_column = rate_report(cfg, alloc), rate_report(cfg, column)
-            _same(rates.r1, rates_column.r1)
-            _same(rates.r2, rates_column.r2)
-            _same(rates.r_sum, rates_column.r_sum)
-            _same(jain_fairness(rates.r1, rates.r2),
-                  jain_fairness(rates_column.r1, rates_column.r2))
+            _same(total_estimation_variance(cfg, alloc, spec),
+                  total_estimation_variance(cfg, column, spec))
+            _same(_evaluate(cfg, alloc, spec).sigma_eps_sq_normalized,
+                  _evaluate(cfg, column, spec).sigma_eps_sq_normalized)
+            r1, r2 = rate_report(cfg, alloc)
+            r1_column, r2_column = rate_report(cfg, column)
+            _same(r1, r1_column)
+            _same(r2, r2_column)
+            _same(r1 + r2, r1_column + r2_column)
+            _same(jain_fairness(r1, r2), jain_fairness(r1_column, r2_column))
         # QoS rates whose least powers are a1_min = u1 and a2_min = u2
         u1, u2 = rng.uniform(0.0, 0.45, size=2)
         noise1, noise2 = (cfg.sigma1_sq / cfg.total_power_mw,
@@ -360,10 +360,8 @@ def test_region_sampler_keeps_its_draws(n, seed):
     points = sample_feasible_region(CFG, LINEAR, n, seed)
     assert [pt.alloc for pt in points] == _sorted_spacing_splits(n, seed)
     for pt in points[:50]:
-        rates = rate_report(CFG, pt.alloc)
-        assert (pt.r1, pt.r2) == (rates.r1, rates.r2)
-        assert pt.sigma_eps_sq == total_estimation_variance(
-            CFG, pt.alloc, LINEAR).sigma_eps_sq
+        assert (pt.r1, pt.r2) == rate_report(CFG, pt.alloc)
+        assert pt.sigma_eps_sq == total_estimation_variance(CFG, pt.alloc, LINEAR)
 
 
 def test_star_point_without_rates_has_undefined_fairness():
@@ -427,9 +425,9 @@ def test_random_accepted_configs_meet_qos_and_optimality():
                   if pt.r2 >= r02]
         if region:
             ar_sq = np.array([pt.alloc.ar_sq for pt in region])
-            best = rate_report(cfg, optimal_allocation_for_sumrate(cfg, r02, ar_sq))
+            best = sum(rate_report(cfg, optimal_allocation_for_sumrate(cfg, r02, ar_sq)))
             r_sum = np.array([pt.r_sum for pt in region])
-            assert np.all(r_sum <= best.r_sum * (1.0 + 1e-12))
+            assert np.all(r_sum <= best * (1.0 + 1e-12))
             checked["region"] += 1
 
         try:

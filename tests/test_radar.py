@@ -4,11 +4,11 @@ import math
 
 import pytest
 
-from radcom import (PowerAllocation,
+from radcom import (PowerAllocation, QosRequirement,
                     ScenarioConfig, ValidationError, WaveformKind, WaveformSpec,
                     analytic_energy, analytic_rms_bandwidth_sq, crlb_delay,
-                    numeric_energy, numeric_rms_bandwidth_sq, synthesize,
-                    total_estimation_variance)
+                    numeric_energy, numeric_rms_bandwidth_sq, star_point, synthesize,
+                    total_estimation_variance, tradeoff_sweep)
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)
@@ -87,27 +87,30 @@ def test_delay_bound_guards():
 
 
 def test_total_variance_at_full_radar_power():
-    report = total_estimation_variance(CFG, RADAR_ONLY, LINEAR)
+    total = total_estimation_variance(CFG, RADAR_ONLY, LINEAR)
     bounds = [crlb_delay(CFG, RADAR_ONLY, LINEAR, k) for k in (1, 2)]
-    assert report.sigma_eps_sq == pytest.approx(3.7995e-9, rel=1e-3, abs=0)
-    assert report.sigma_eps_sq == sum(bounds)
-    assert report.sigma_eps_sq_normalized == 1.0
+    assert total == pytest.approx(3.7995e-9, rel=1e-3, abs=0)
+    assert total == sum(bounds)
+    # with no QoS the star point puts all power on the radar
+    star = star_point(CFG, QosRequirement(0.0, 0.0), LINEAR)
+    assert star.alloc == RADAR_ONLY
+    assert star.sigma_eps_sq == total
+    assert star.sigma_eps_sq_normalized == 1.0
     # target 1's bound is the smaller one for the baseline parameters
     assert bounds[0] < bounds[1]
 
 
 def test_total_variance_normalization_at_the_qos_star():
-    report = total_estimation_variance(
-        CFG, PowerAllocation(0.05782, 0.23360, 0.70858), LINEAR)
-    assert report.sigma_eps_sq_normalized == pytest.approx(1.4113, abs=1e-3)
+    star = star_point(CFG, QosRequirement(1.5, 0.7), LINEAR)
+    assert star.alloc.ar_sq == pytest.approx(0.70858, abs=1e-5)
+    assert star.sigma_eps_sq_normalized == pytest.approx(1.4113, abs=1e-3)
 
 
 def test_parabolic_to_linear_bound_ratio():
     alloc = PowerAllocation(0.1, 0.3, 0.4)
     lin = total_estimation_variance(CFG, alloc, LINEAR)
     par = total_estimation_variance(CFG, alloc, PARABOLIC)
-    assert par.sigma_eps_sq / lin.sigma_eps_sq == pytest.approx(
-        15.0 / 16.0, rel=1e-12, abs=0)
+    assert par / lin == pytest.approx(15.0 / 16.0, rel=1e-12, abs=0)
 
 
 def test_bound_depends_on_allocation_only_through_radar_share():
@@ -115,16 +118,22 @@ def test_bound_depends_on_allocation_only_through_radar_share():
     for a1, a2, ar in ((0.0, 0.0, 0.3), (0.2, 0.5, 0.3), (0.05, 0.65, 0.3)):
         r = total_estimation_variance(CFG, PowerAllocation(a1, a2, ar), LINEAR)
         if reference is None:
-            reference = r.sigma_eps_sq
-        assert r.sigma_eps_sq == reference
+            reference = r
+        assert r == reference
 
 
 def test_normalized_bound_at_least_one():
-    for ar in (0.05, 0.3, 0.77, 0.999, 1.0):
-        r = total_estimation_variance(CFG, PowerAllocation(0.0, 0.0, ar), LINEAR)
+    full = star_point(CFG, QosRequirement(0.0, 0.0), LINEAR)
+    grids = [{"lo": ar, "hi": ar, "count": 1} for ar in (0.05, 0.3, 0.77, 0.999)]
+    points = [tradeoff_sweep(CFG, 1e-3, LINEAR, grid).curve.split()[0] for grid in grids]
+    for pt in [*points, full]:
+        ar = pt.alloc.ar_sq
         if ar == 1.0:
-            assert r.sigma_eps_sq_normalized == 1.0
+            assert pt.sigma_eps_sq_normalized == 1.0
         else:
-            assert r.sigma_eps_sq_normalized > 1.0
-        assert r.sigma_eps_sq_normalized == pytest.approx(1.0 / ar, rel=1e-12, abs=0)
+            assert pt.sigma_eps_sq_normalized > 1.0
+        assert pt.sigma_eps_sq_normalized == 1.0 / ar
+        # 1/ar_sq is the bound over its all-power-to-radar value
+        assert pt.sigma_eps_sq / full.sigma_eps_sq == pytest.approx(
+            pt.sigma_eps_sq_normalized, rel=1e-12, abs=0)
 

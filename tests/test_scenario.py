@@ -200,7 +200,7 @@ def test_validate_allocation_accepts_the_optimal_split():
         assert alloc.a2_sq == pytest.approx(0.40811, abs=1e-5)
         assert PowerAllocation(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq) == alloc
         assert alloc.power_sum <= 1.0
-        assert rate_report(cfg, alloc).r2 == pytest.approx(1.0, rel=1e-9, abs=0)
+        assert rate_report(cfg, alloc)[1] == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_power_allocation_rejects_negative_and_non_finite():

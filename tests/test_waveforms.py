@@ -93,6 +93,18 @@ def test_spectrum_moment_converges_with_time_bandwidth(kind):
     assert errors[1000.0] < errors[100.0]
 
 
+@pytest.mark.parametrize("k", [-480, 480])
+def test_moments_scale_exactly_with_a_power_of_two_bandwidth(k):
+    # W 2^k keeps every sample and scales each frequency by 2^k, so both moments
+    # scale by 4^k bit for bit; at W 2^480 = 6e151 plain squares overflow.
+    scaled_spec = WaveformSpec(WaveformKind.LINEAR_FM, math.ldexp(W_HZ, k), 100.0)
+    sampled = synthesize(WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 100.0), 16 * W_HZ)
+    scaled = synthesize(scaled_spec, 16 * scaled_spec.bandwidth_hz)
+    assert np.array_equal(scaled.samples, sampled.samples)
+    for moment in (numeric_rms_bandwidth_sq, spectral_rms_bandwidth_sq):
+        assert moment(scaled) == math.ldexp(moment(sampled), 2 * k)
+
+
 def test_post_integration_snr_reference():
     assert post_integration_snr_db(ScenarioConfig(), RADAR_ONLY, LINEAR) \
         == pytest.approx(-60.0, abs=1e-9)

@@ -266,7 +266,19 @@ def _cases() -> dict[str, list]:
         "usage-mc-delay-tw-1e15": [
             ("write", "long.txt", "time_bandwidth=1e15\nsigma_r_sq=1e-19\n"),
             _with_out(["mc-delay", "long.txt", "--delay", "6.2832e-6"], "mc.json")],
+        # moments whose plain squares overflow a float
+        "waveform-validate-bandwidth-1e150": [_with_out(
+            ["waveform-validate", "--bandwidth-hz", "1e150"], "w.csv")],
+        "waveform-validate-bandwidth-3e153": [_with_out(
+            ["waveform-validate", "--bandwidth-hz", "3e153", "--tw-list", "100,1000,2000"],
+            "w.csv")],
     }
+    # delay bounds whose denominators are subnormal (1e-150) or zero (1e-160)
+    for bandwidth in ("1e-160", "1e-150"):
+        for command, out in (("sweep", "s.csv"), ("starpoints", "p.csv")):
+            cases[f"{command}-bandwidth-{bandwidth}"] = [
+                ("write", "tiny.txt", f"bandwidth_hz={bandwidth}\n"),
+                _with_out([command, "tiny.txt"], out)]
     for command in COMMANDS:
         cases[f"help-{command}"] = [[command, "--help"]]
     for name, (argv, out) in BASE.items():
