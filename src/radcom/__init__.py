@@ -20,8 +20,8 @@ from .radar import (WaveformKind, WaveformSpec, analytic_energy,
                     total_estimation_variance)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
                        db_to_linear, linear_to_db, load_scenario)
-from .waveforms import (McDelayReport, SampledWaveform, instantaneous_frequency,
-                        mc_delay_estimation, numeric_energy, numeric_rms_bandwidth_sq,
+from .waveforms import (McDelayReport, SampledWaveform, mc_delay_estimation,
+                        numeric_energy, numeric_rms_bandwidth_sq,
                         spectral_rms_bandwidth_sq, synthesize)
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "WaveformKind", "WaveformSpec",
     "analytic_energy", "analytic_rms_bandwidth_sq", "asymmetry_sweep",
     "compute_sinr", "crlb_delay", "db_to_linear", "default_grid",
-    "instantaneous_frequency", "jain_fairness",
+    "jain_fairness",
     "linear_to_db", "load_scenario", "max_radar_allocation",
     "mc_delay_estimation", "numeric_energy",
     "numeric_rms_bandwidth_sq",

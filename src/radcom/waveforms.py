@@ -47,25 +47,15 @@ class McDelayReport:
     seed: int
 
 
-def instantaneous_frequency(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
-    """Frequency law f(t) in Hz over t in [0, T].
+def _law(spec: WaveformSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f / W, phase / (2 pi TW)) over normalized time u = t / T in [0, 1].
 
     Both laws have zero mean frequency and total excursion W: the linear
-    sweep runs W(t/T - 1/2), the parabolic sweep W((t/T)^2 - 1/3).
-    """
-    u = t / spec.duration_s
+    sweep runs u - 1/2, the parabolic sweep u^2 - 1/3.  The phase
+    2 pi * integral of f over t is 2 pi TW times the integral over u."""
     if spec.kind is WaveformKind.LINEAR_FM:
-        return spec.bandwidth_hz * (u - 0.5)
-    return spec.bandwidth_hz * (u * u - 1.0 / 3.0)
-
-
-def _phase(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
-    """Running phase 2 pi * integral of f, closed form per law."""
-    big_t = spec.duration_s
-    w = spec.bandwidth_hz
-    if spec.kind is WaveformKind.LINEAR_FM:
-        return 2.0 * math.pi * w * (t * t / (2.0 * big_t) - t / 2.0)
-    return 2.0 * math.pi * w * (t ** 3 / (3.0 * big_t ** 2) - t / 3.0)
+        return u - 0.5, u * (u - 1.0) / 2.0
+    return u * u - 1.0 / 3.0, u * (u * u - 1.0) / 3.0
 
 
 def synthesize(spec: WaveformSpec, sample_rate_hz: float) -> SampledWaveform:
@@ -84,10 +74,6 @@ def synthesize(spec: WaveformSpec, sample_rate_hz: float) -> SampledWaveform:
     )
 
 
-def _midpoints(sample_rate_hz: float, n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) / sample_rate_hz
-
-
 def _pulse(spec: WaveformSpec, sample_rate_hz: float, n: int,
            delay_s: float) -> np.ndarray:
     """x(t - delay) at the n cell midpoints, zero off the pulse.  The support
@@ -98,10 +84,11 @@ def _pulse(spec: WaveformSpec, sample_rate_hz: float, n: int,
     except (MemoryError, ValueError) as err:   # ValueError: past numpy's size limit
         raise ValidationError(
             f"pulse of {n:.6g} samples is too large to sample: {err}") from None
-    inside = (cells >= 0.0) & (cells <= sample_rate_hz * spec.duration_s)
-    shifted = _midpoints(sample_rate_hz, n)[inside] - delay_s
+    pulse_cells = sample_rate_hz * spec.duration_s
+    inside = (cells >= 0.0) & (cells <= pulse_cells)
+    phase = _law(spec, cells[inside] / pulse_cells)[1]
     out = np.zeros(n, dtype=complex)
-    out[inside] = np.exp(1j * _phase(spec, shifted))
+    out[inside] = np.exp(2j * math.pi * spec.time_bandwidth * phase)
     return out
 
 
@@ -113,27 +100,24 @@ def numeric_energy(w: SampledWaveform) -> float:
 def numeric_rms_bandwidth_sq(w: SampledWaveform) -> float:
     """Squared rms bandwidth of the sampled pulse, rad^2/s^2: the average of
     (2 pi f(t))^2 over the pulse, exact for a constant-modulus FM law up to
-    discretization."""
-    f = instantaneous_frequency(w.spec, _midpoints(w.sample_rate_hz, len(w.samples)))
-    # Square f / 2^e with W = m 2^e, so no square overflows; power-of-two scaling is exact.
-    e = math.frexp(w.spec.bandwidth_hz)[1]
-    return math.ldexp(float(np.mean((2.0 * math.pi * np.ldexp(f, -e)) ** 2)), 2 * e)
+    discretization.  4 mean((f / W)^2) is below 1, so scaling it by (pi W)^2
+    does not overflow."""
+    u = (np.arange(len(w.samples)) + 0.5) / (w.sample_rate_hz * w.spec.duration_s)
+    moment = float(np.mean(_law(w.spec, u)[0] ** 2))
+    return (math.pi * w.spec.bandwidth_hz) ** 2 * (4.0 * moment)
 
 
 def spectral_rms_bandwidth_sq(w: SampledWaveform) -> float:
     """Squared rms bandwidth of the sampled pulse, rad^2/s^2, as the DFT moment
     truncated to |f| <= 2W.  The rectangular envelope makes the untruncated
     moment diverge, so this is an approximation that converges toward the
-    closed form as TW grows."""
-    spectrum = np.fft.fft(w.samples)
-    freqs = np.fft.fftfreq(len(w.samples), d=1.0 / w.sample_rate_hz)
-    power = np.abs(spectrum) ** 2
-    mask = np.abs(freqs) <= 2.0 * w.spec.bandwidth_hz
-    weight = float(np.sum(power[mask]))
-    # As in numeric_rms_bandwidth_sq: square f / 2^e and scale the moment back.
-    e = math.frexp(w.spec.bandwidth_hz)[1]
-    moment = float(np.sum((np.ldexp(freqs[mask], -e) ** 2) * power[mask]))
-    return math.ldexp(4.0 * math.pi ** 2 * moment / weight, 2 * e)
+    closed form as TW grows.  The bins are taken as f / W and the moment
+    scaled as in numeric_rms_bandwidth_sq."""
+    power = np.abs(np.fft.fft(w.samples)) ** 2
+    f_w = np.fft.fftfreq(len(w.samples), d=w.spec.bandwidth_hz / w.sample_rate_hz)
+    mask = np.abs(f_w) <= 2.0
+    moment = float(np.sum(f_w[mask] ** 2 * power[mask])) / float(np.sum(power[mask]))
+    return (math.pi * w.spec.bandwidth_hz) ** 2 * (4.0 * moment)
 
 
 def _smooth_len(m: int) -> int:

@@ -295,8 +295,9 @@ def test_waveform_validate_passes_by_default(tmp_path):
                                                (3e153, "100,1000,2000")])
 def test_waveform_validate_keeps_large_bandwidth_moments_finite(tmp_path, capsys,
                                                                 bandwidth, tw_list):
-    # The moments square frequencies near W; at these W plain squares overflow.
-    # W / 2^480 samples the same pulse with every frequency scaled by 2^-480.
+    # At these W a square of a frequency in hertz overflows, and (pi W)^2 is near
+    # the float limit at 3e153.  W / 2^480 samples the same pulse with every
+    # frequency scaled by 2^-480.
     for name, w in (("w.csv", bandwidth), ("ref.csv", math.ldexp(bandwidth, -480))):
         assert main(["waveform-validate", "--bandwidth-hz", repr(w), "--tw-list", tw_list,
                      "--out", str(tmp_path / name)]) == 0
@@ -308,6 +309,25 @@ def test_waveform_validate_keeps_large_bandwidth_moments_finite(tmp_path, capsys
         assert all(math.isfinite(float(cell)) for cell in row)
         # both moments' relative deviations match bit for bit
         assert row[-2:] == ref[-2:]
+
+
+@pytest.mark.parametrize("waveform", ["linear", "parabolic"])
+@pytest.mark.parametrize("bandwidth", [1e-155, 1e-150, 1e110, 1e150])
+def test_waveform_validate_is_independent_of_the_bandwidth(tmp_path, capsys,
+                                                           waveform, bandwidth):
+    # The pulse depends on W only through its sample rate, so every row's
+    # spectral deviation is the one at the default W, whatever the scale.
+    for name, w in (("w.csv", bandwidth), ("ref.csv", 2e7)):
+        assert main(["waveform-validate", "--waveform", waveform,
+                     "--bandwidth-hz", repr(w), "--tw-list", "100,1000,2000",
+                     "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _rows(tmp_path / "w.csv")
+    _, ref_rows = _rows(tmp_path / "ref.csv")
+    assert len(rows) == len(ref_rows) == 3
+    for row, ref in zip(rows, ref_rows):
+        assert all(math.isfinite(float(cell)) for cell in row)
+        assert float(row[-1]) == pytest.approx(float(ref[-1]), rel=1e-8, abs=0)
 
 
 def test_waveform_validate_flags_coarse_sampling(tmp_path):

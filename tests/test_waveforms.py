@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ import pytest
 from radcom import (InfeasibleError, PowerAllocation,
                     SampledWaveform, ScenarioConfig, ValidationError,
                     WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
-                    instantaneous_frequency, mc_delay_estimation, numeric_energy,
-                    numeric_rms_bandwidth_sq, post_integration_snr_db,
-                    spectral_rms_bandwidth_sq, synthesize)
+                    mc_delay_estimation, numeric_energy, numeric_rms_bandwidth_sq,
+                    post_integration_snr_db, spectral_rms_bandwidth_sq, synthesize)
 from radcom.radar import crlb_delay, echo_power
-from radcom.waveforms import _phase, _pulse, _smooth_len
+from radcom.waveforms import _law, _pulse, _smooth_len
 
 W_HZ = 2e7
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 1000.0)
@@ -39,15 +39,15 @@ def test_synthesize_shape_and_envelope(spec):
 
 @pytest.mark.parametrize("spec", [LINEAR, PARABOLIC])
 def test_frequency_law_has_zero_mean(spec):
-    t = (np.arange(16000) + 0.5) * spec.duration_s / 16000
-    mean_f = float(np.mean(instantaneous_frequency(spec, t)))
-    assert abs(mean_f) < 1e-6 * W_HZ
+    u = (np.arange(16000) + 0.5) / 16000
+    mean_f = float(np.mean(_law(spec, u)[0]))
+    assert abs(mean_f) < 1e-6
 
 
 def test_linear_law_sweeps_symmetric_endpoints():
-    ends = instantaneous_frequency(LINEAR, np.array([0.0, LINEAR.duration_s]))
-    assert ends[0] == -W_HZ / 2.0
-    assert ends[1] == W_HZ / 2.0
+    ends = _law(LINEAR, np.array([0.0, 1.0]))[0]
+    assert ends[0] == -0.5
+    assert ends[1] == 0.5
 
 
 def test_numeric_energy_is_half_duration():
@@ -72,11 +72,26 @@ def test_numeric_energy_linear_in_duration():
                                                  rel=1e-9, abs=0)
 
 
+def _midpoint_moment_ratio(kind, n):
+    """Exact mean of (f/W)^2 over the n midpoints u = (k + 1/2) / n, over its
+    integral over [0, 1] (1/12 linear, 4/45 parabolic)."""
+    u = [Fraction(2 * k + 1, 2 * n) for k in range(n)]
+    if kind is WaveformKind.LINEAR_FM:
+        return float(sum((x - Fraction(1, 2)) ** 2 for x in u) / n / Fraction(1, 12))
+    return float(sum((x * x - Fraction(1, 3)) ** 2 for x in u) / n / Fraction(4, 45))
+
+
 @pytest.mark.parametrize("spec", [LINEAR, PARABOLIC])
 def test_instfreq_moment_matches_closed_form(spec):
-    sampled = synthesize(spec, 8 * W_HZ)
-    numeric = numeric_rms_bandwidth_sq(sampled)
-    assert numeric == pytest.approx(analytic_rms_bandwidth_sq(spec), rel=1e-6, abs=0)
+    for tw in (100.0, 1000.0):
+        spec_tw = WaveformSpec(spec.kind, W_HZ, tw)
+        sampled = synthesize(spec_tw, 8 * W_HZ)
+        n = len(sampled.samples)
+        ratio = _midpoint_moment_ratio(spec.kind, n)
+        if spec.kind is WaveformKind.LINEAR_FM:
+            assert ratio == 1.0 - 1.0 / n ** 2
+        assert numeric_rms_bandwidth_sq(sampled) == pytest.approx(
+            analytic_rms_bandwidth_sq(spec_tw) * ratio, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kind", [WaveformKind.LINEAR_FM,
@@ -97,12 +112,13 @@ def test_spectrum_moment_converges_with_time_bandwidth(kind):
 def test_moments_scale_exactly_with_a_power_of_two_bandwidth(k):
     # W 2^k keeps every sample and scales each frequency by 2^k, so both moments
     # scale by 4^k bit for bit; at W 2^480 = 6e151 plain squares overflow.
-    scaled_spec = WaveformSpec(WaveformKind.LINEAR_FM, math.ldexp(W_HZ, k), 100.0)
-    sampled = synthesize(WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 100.0), 16 * W_HZ)
-    scaled = synthesize(scaled_spec, 16 * scaled_spec.bandwidth_hz)
-    assert np.array_equal(scaled.samples, sampled.samples)
-    for moment in (numeric_rms_bandwidth_sq, spectral_rms_bandwidth_sq):
-        assert moment(scaled) == math.ldexp(moment(sampled), 2 * k)
+    for kind in (WaveformKind.LINEAR_FM, WaveformKind.PARABOLIC_FM):
+        scaled_spec = WaveformSpec(kind, math.ldexp(W_HZ, k), 100.0)
+        sampled = synthesize(WaveformSpec(kind, W_HZ, 100.0), 16 * W_HZ)
+        scaled = synthesize(scaled_spec, 16 * scaled_spec.bandwidth_hz)
+        assert np.array_equal(scaled.samples, sampled.samples)
+        for moment in (numeric_rms_bandwidth_sq, spectral_rms_bandwidth_sq):
+            assert moment(scaled) == math.ldexp(moment(sampled), 2 * k)
 
 
 def test_post_integration_snr_reference():
@@ -206,22 +222,30 @@ def test_comm_echoes_act_as_extra_radar_noise():
                 1.0 + inr, rel=0.02, abs=0)
 
 
+def _reference_phase(spec, t):
+    """2 pi * integral of the frequency law over [0, t], in seconds and hertz."""
+    big_t, w = spec.duration_s, spec.bandwidth_hz
+    if spec.kind is WaveformKind.LINEAR_FM:
+        return 2.0 * math.pi * w * (t * t / (2.0 * big_t) - t / 2.0)
+    return 2.0 * math.pi * w * (t ** 3 / (3.0 * big_t ** 2) - t / 3.0)
+
+
 def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
     """Mean squared delay error from a plain trial loop in the time domain.
 
-    The pulse and its echo are sampled here from the phase law, not by the
-    sampler under test.  One generator; per trial, 2 L normals read as
-    (real, imaginary) pairs, with L the 5-smooth length >= n_obs.  The noise
-    is their inverse DFT, scaled to the summed variance and cut to its first
-    n_obs samples, and the correlation runs at a power-of-two length
-    >= n_obs + n - 1."""
+    The pulse and its echo are sampled here from the phase law in absolute
+    time, not by the sampler under test.  One generator; per trial, 2 L
+    normals read as (real, imaginary) pairs, with L the 5-smooth length
+    >= n_obs.  The noise is their inverse DFT, scaled to the summed variance
+    and cut to its first n_obs samples, and the correlation runs at a
+    power-of-two length >= n_obs + n - 1."""
     fs = 8.0 * spec.bandwidth_hz
     n = round(fs * spec.duration_s)
-    xt = np.exp(1j * _phase(spec, (np.arange(n) + 0.5) / fs))
+    xt = np.exp(1j * _reference_phase(spec, (np.arange(n) + 0.5) / fs))
     n_obs = n + int(math.ceil(delay_s * fs)) + 8
     shifted = (np.arange(n_obs) + 0.5) / fs - delay_s
     on_pulse = (shifted >= 0.0) & (shifted <= spec.duration_s)
-    echo = np.where(on_pulse, np.exp(1j * _phase(spec, shifted)), 0.0)
+    echo = np.where(on_pulse, np.exp(1j * _reference_phase(spec, shifted)), 0.0)
     eta, h_gain = cfg.target(1)
     amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
     a1, a2, ar = (math.sqrt(v) for v in (alloc.a1_sq, alloc.a2_sq, alloc.ar_sq))
@@ -277,6 +301,22 @@ def test_mc_matches_the_original_trial_loop(kind, alloc, tw, w_hz, sigma_r_sq, d
     assert report.empirical_var == pytest.approx(reference, rel=1e-9, abs=0)
     assert report.efficiency == pytest.approx(
         reference / crlb_delay(cfg, alloc, spec, 1), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("kind", [WaveformKind.LINEAR_FM, WaveformKind.PARABOLIC_FM],
+                         ids=["linear", "parabolic"])
+@pytest.mark.parametrize("k", [-480, 480])
+def test_mc_efficiency_is_exact_under_a_power_of_two_bandwidth(kind, k):
+    # W 2^k with the delay scaled by 2^-k samples the same pulse and echo, so
+    # every delay error scales by 2^-k and the efficiency keeps its bits.
+    tw, w_hz, sigma_r_sq, delay_s = MC_CASES["tw100-inside"]
+    cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq)
+    reference = mc_delay_estimation(cfg, RADAR_ONLY, WaveformSpec(kind, w_hz, tw),
+                                    delay_s, 100, 2024)
+    scaled_spec = WaveformSpec(kind, math.ldexp(w_hz, k), tw)
+    scaled = mc_delay_estimation(cfg, RADAR_ONLY, scaled_spec,
+                                 math.ldexp(delay_s, -k), 100, 2024)
+    assert scaled.efficiency == reference.efficiency
 
 
 def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):

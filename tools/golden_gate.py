@@ -17,6 +17,10 @@ directly:
     python tools/golden_gate.py .           /tmp/gate-change
     diff -r /tmp/gate-parent /tmp/gate-change
 
+At the end the script lists every case in which a command exited 1 (an
+uncaught error) or wrote ``Traceback`` or ``Warning`` to stderr, and exits
+1 if there is any.
+
 A case is a list of steps: a command-line argv, ``("write", path, text)``
 to create a file first, or ``("edit", manifest, new_path, changes)`` to
 copy a manifest with some of its entries replaced (a dotted key such as
@@ -272,6 +276,17 @@ def _cases() -> dict[str, list]:
         "waveform-validate-bandwidth-3e153": [_with_out(
             ["waveform-validate", "--bandwidth-hz", "3e153", "--tw-list", "100,1000,2000"],
             "w.csv")],
+        # pulses whose phase in seconds and hertz would leave the float range
+        "waveform-validate-parabolic-1e110": [_with_out(
+            ["waveform-validate", "--waveform", "parabolic", "--bandwidth-hz", "1e110"],
+            "w.csv")],
+        "waveform-validate-parabolic-1e-155": [_with_out(
+            ["waveform-validate", "--waveform", "parabolic", "--bandwidth-hz", "1e-155"],
+            "w.csv")],
+        "mc-delay-parabolic-wide": [
+            ("write", "wide-boosted.txt", "bandwidth_hz=2e110\nsigma_r_sq=1e-19\n"),
+            _with_out(["mc-delay", "wide-boosted.txt", "--waveform", "parabolic",
+                       "--delay", "6.2832e-109", "--trials", "200"], "mc.json")],
     }
     # delay bounds whose denominators are subnormal (1e-150) or zero (1e-160)
     for bandwidth in ("1e-160", "1e-150"):
@@ -325,7 +340,9 @@ def _edit(case_dir: Path, source: str, target: str, changes: dict) -> None:
                                    encoding="utf-8")
 
 
-def run_case(src: Path, case_dir: Path, steps: list) -> None:
+def run_case(src: Path, case_dir: Path, steps: list) -> bool:
+    """Run one case; True if a command exited 1 or wrote a traceback or a
+    warning to stderr."""
     case_dir.mkdir(parents=True)
     shutil.copyfile(src / "scenarios" / "baseline.txt", case_dir / "baseline.txt")
     for name, text in SCENARIOS.items():
@@ -333,6 +350,7 @@ def run_case(src: Path, case_dir: Path, steps: list) -> None:
     # A fixed width keeps argparse's --help layout independent of the terminal.
     env = {**os.environ, "PYTHONPATH": str(src / "src"), "COLUMNS": "80"}
     codes, stdout, stderr = [], [], []
+    crashed = False
     for step in steps:
         if isinstance(step, tuple) and step[0] == "write":
             (case_dir / step[1]).write_text(step[2], encoding="utf-8")
@@ -343,12 +361,15 @@ def run_case(src: Path, case_dir: Path, steps: list) -> None:
         proc = subprocess.run([sys.executable, "-m", "radcom.cli", *step], cwd=case_dir,
                               env=env, capture_output=True, text=True, check=False)
         header = "$ radcom " + " ".join(repr(a) if not a or " " in a else a for a in step)
+        crashed |= (proc.returncode == 1 or "Traceback" in proc.stderr
+                    or "Warning" in proc.stderr)
         codes.append(f"{proc.returncode}\n")
         stdout.append(f"{header}\n{proc.stdout}")
         stderr.append(f"{header}\n{proc.stderr}")
     (case_dir / "rc").write_text("".join(codes), encoding="utf-8")
     (case_dir / "stdout").write_text("".join(stdout), encoding="utf-8")
     (case_dir / "stderr").write_text("".join(stderr), encoding="utf-8")
+    return crashed
 
 
 def main(argv: list[str]) -> int:
@@ -363,10 +384,11 @@ def main(argv: list[str]) -> int:
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     cases = _cases()
-    for name, steps in cases.items():
-        run_case(src, out / name, steps)
+    crashed = [name for name, steps in cases.items() if run_case(src, out / name, steps)]
     print(f"{len(cases)} cases -> {out}")
-    return 0
+    for name in crashed:
+        print(f"crashed or warned: {name}", file=sys.stderr)
+    return 1 if crashed else 0
 
 
 if __name__ == "__main__":
