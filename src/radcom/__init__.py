@@ -21,8 +21,7 @@ from .radar import (WaveformKind, WaveformSpec, analytic_energy,
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
                        db_to_linear, linear_to_db, load_scenario)
 from .waveforms import (McDelayReport, SampledWaveform, mc_delay_estimation,
-                        numeric_energy, numeric_rms_bandwidth_sq,
-                        spectral_rms_bandwidth_sq, synthesize)
+                        numeric_energy, numeric_rms_bandwidth_sq, synthesize)
 
 __all__ = [
     "__version__",
@@ -38,6 +37,6 @@ __all__ = [
     "mc_delay_estimation", "numeric_energy",
     "numeric_rms_bandwidth_sq",
     "optimal_allocation_for_sumrate", "post_integration_snr_db", "rate_report",
-    "sample_feasible_region", "spectral_rms_bandwidth_sq", "star_point", "synthesize",
+    "sample_feasible_region", "star_point", "synthesize",
     "total_estimation_variance", "tradeoff_sweep",
 ]

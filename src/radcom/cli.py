@@ -29,12 +29,12 @@ from .csvtext import csv_chunks
 from .errors import InfeasibleError, RadcomError, ValidationError
 from .optimizer import (SweepResult, asymmetry_sweep, lowered_h2_gain, star_point,
                         tradeoff_sweep)
-from .radar import (WaveformKind, WaveformSpec, analytic_energy,
+from .radar import (FM_LAWS, WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
                        load_scenario, scenario_from_report, scenario_report_fields)
-from .waveforms import (MIN_OVERSAMPLING, mc_delay_estimation, numeric_energy,
-                        numeric_rms_bandwidth_sq, spectral_rms_bandwidth_sq, synthesize)
+from .waveforms import (MIN_OVERSAMPLING, instfreq_moment, mc_delay_estimation,
+                        numeric_energy, numeric_rms_bandwidth_sq, spectral_moment, synthesize)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -260,21 +260,19 @@ def _asymmetry(cfg, params, paths):
 def _waveform_validate(cfg, params, paths):
     kind = WaveformKind(params["waveform"])
     bandwidth_hz = params["bandwidth_hz"]
+    num, den = FM_LAWS[kind].moment   # the deviations compare W-free normalized moments
     rows = []
     worst = 0.0
     for tw in params["tw_list"]:
         spec = WaveformSpec(kind=kind, bandwidth_hz=bandwidth_hz, time_bandwidth=tw)
         sampled = synthesize(spec, params["oversampling"] * bandwidth_hz)
-        e_analytic = analytic_energy(spec)
-        e_numeric = numeric_energy(sampled)
-        b_analytic = analytic_rms_bandwidth_sq(spec)
-        b_instfreq = numeric_rms_bandwidth_sq(sampled)
-        b_spectrum = spectral_rms_bandwidth_sq(sampled)
-        instfreq_err = abs(b_instfreq - b_analytic) / b_analytic
-        spectrum_err = abs(b_spectrum - b_analytic) / b_analytic
+        spectrum = spectral_moment(sampled)   # the one FFT; the column scales it
+        instfreq_err = abs(instfreq_moment(sampled) - num / den) / (num / den)
+        spectrum_err = abs(spectrum - num / den) / (num / den)
         worst = max(worst, instfreq_err)
-        rows.append([tw, e_analytic, e_numeric, b_analytic, b_instfreq,
-                     b_spectrum, instfreq_err, spectrum_err])
+        rows.append([tw, analytic_energy(spec), numeric_energy(sampled),
+                     analytic_rms_bandwidth_sq(spec), numeric_rms_bandwidth_sq(sampled),
+                     (np.pi * bandwidth_hz) ** 2 * spectrum, instfreq_err, spectrum_err])
     header = ("tw,energy_analytic,energy_numeric,brms_sq_analytic,"
               "brms_sq_instfreq,brms_sq_spectrum,instfreq_rel_err,spectrum_rel_err")
     files = {paths[0]: csv_chunks(header, rows)}

@@ -94,12 +94,20 @@ class ScenarioConfig:
         if not (math.isfinite(self.time_bandwidth) and self.time_bandwidth >= 1.0):
             raise ValidationError(
                 f"time_bandwidth must be >= 1, got {self.time_bandwidth!r}")
+        for k in (1, 2):   # float products give inf or nan (inf * 0), never raise
+            if not math.isfinite(self.echo_gain(k) * self.total_power_mw):
+                raise ValidationError(
+                    f"target {k}'s full-power echo eta{k}^2 h{k}_gain^2 total_power_mw "
+                    f"leaves the float range, got eta{k}={getattr(self, f'eta{k}'):.6g}, "
+                    f"h{k}_gain={getattr(self, f'h{k}_gain'):.6g}, "
+                    f"total_power_mw={self.total_power_mw:.6g}")
 
-    def target(self, k: int) -> tuple[float, float]:
-        """(eta, h_gain) of radar target k: user k's cross-section and channel gain."""
+    def echo_gain(self, k: int) -> float:
+        """Radar target k's two-way gain eta^2 h^2: user k's cross-section and gain."""
         if k not in (1, 2):
             raise ValidationError(f"target index must be 1 or 2, got {k!r}")
-        return (self.eta1, self.h1_gain) if k == 1 else (self.eta2, self.h2_gain)
+        eta, h = (self.eta1, self.h1_gain) if k == 1 else (self.eta2, self.h2_gain)
+        return eta * eta * (h * h)
 
 
 @dataclass(frozen=True)

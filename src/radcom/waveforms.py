@@ -3,8 +3,8 @@
 Everything here exists to check the closed forms in :mod:`radcom.radar`
 against discretized signals, and to verify by simulation that a matched
 filter with sub-sample interpolation approaches the delay bound once the
-post-integration SNR is high enough.  The bound, the SNR and every echo's
-power come from the radar link budget in :mod:`radcom.radar`.
+post-integration SNR is high enough.  The FM laws, the bound, the SNR and
+every echo's power come from :mod:`radcom.radar`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .radar import (WaveformKind, WaveformSpec, crlb_delay, echo_power,
+from .radar import (FM_LAWS, WaveformSpec, crlb_delay, echo_power,
                     post_integration_snr_db)
 from .scenario import PowerAllocation, ScenarioConfig
 
@@ -47,17 +47,6 @@ class McDelayReport:
     seed: int
 
 
-def _law(spec: WaveformSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f / W, phase / (2 pi TW)) over normalized time u = t / T in [0, 1].
-
-    Both laws have zero mean frequency and total excursion W: the linear
-    sweep runs u - 1/2, the parabolic sweep u^2 - 1/3.  The phase
-    2 pi * integral of f over t is 2 pi TW times the integral over u."""
-    if spec.kind is WaveformKind.LINEAR_FM:
-        return u - 0.5, u * (u - 1.0) / 2.0
-    return u * u - 1.0 / 3.0, u * (u * u - 1.0) / 3.0
-
-
 def synthesize(spec: WaveformSpec, sample_rate_hz: float) -> SampledWaveform:
     """Sample the pulse at cell midpoints with a unit rectangular envelope."""
     if not (math.isfinite(sample_rate_hz)
@@ -66,12 +55,17 @@ def synthesize(spec: WaveformSpec, sample_rate_hz: float) -> SampledWaveform:
             f"undersampled: sample_rate_hz = {sample_rate_hz!r} but the law "
             f"needs at least {MIN_OVERSAMPLING:g} x W = "
             f"{MIN_OVERSAMPLING * spec.bandwidth_hz:.6g} Hz")
-    samples = _pulse(spec, sample_rate_hz, round(sample_rate_hz * spec.duration_s), 0.0)
+    samples = _pulse(spec, sample_rate_hz, round(_pulse_cells(spec, sample_rate_hz)), 0.0)
     return SampledWaveform(
         samples=samples,
         sample_rate_hz=sample_rate_hz,
         spec=spec,
     )
+
+
+def _pulse_cells(spec: WaveformSpec, sample_rate_hz: float) -> float:
+    """fs T, the pulse in samples, as (fs / W) TW: exact for a power-of-two fs / W."""
+    return sample_rate_hz / spec.bandwidth_hz * spec.time_bandwidth
 
 
 def _pulse(spec: WaveformSpec, sample_rate_hz: float, n: int,
@@ -84,9 +78,9 @@ def _pulse(spec: WaveformSpec, sample_rate_hz: float, n: int,
     except (MemoryError, ValueError) as err:   # ValueError: past numpy's size limit
         raise ValidationError(
             f"pulse of {n:.6g} samples is too large to sample: {err}") from None
-    pulse_cells = sample_rate_hz * spec.duration_s
+    pulse_cells = _pulse_cells(spec, sample_rate_hz)
     inside = (cells >= 0.0) & (cells <= pulse_cells)
-    phase = _law(spec, cells[inside] / pulse_cells)[1]
+    phase = FM_LAWS[spec.kind].phase(cells[inside] / pulse_cells)
     out = np.zeros(n, dtype=complex)
     out[inside] = np.exp(2j * math.pi * spec.time_bandwidth * phase)
     return out
@@ -97,27 +91,24 @@ def numeric_energy(w: SampledWaveform) -> float:
     return float(np.sum(np.abs(w.samples) ** 2)) / (2.0 * w.sample_rate_hz)
 
 
-def numeric_rms_bandwidth_sq(w: SampledWaveform) -> float:
-    """Squared rms bandwidth of the sampled pulse, rad^2/s^2: the average of
-    (2 pi f(t))^2 over the pulse, exact for a constant-modulus FM law up to
-    discretization.  4 mean((f / W)^2) is below 1, so scaling it by (pi W)^2
-    does not overflow."""
-    u = (np.arange(len(w.samples)) + 0.5) / (w.sample_rate_hz * w.spec.duration_s)
-    moment = float(np.mean(_law(w.spec, u)[0] ** 2))
-    return (math.pi * w.spec.bandwidth_hz) ** 2 * (4.0 * moment)
+def instfreq_moment(w: SampledWaveform) -> float:
+    """4 mean((f / W)^2) over the sampled pulse: the normalized moment, discretized."""
+    u = (np.arange(len(w.samples)) + 0.5) / _pulse_cells(w.spec, w.sample_rate_hz)
+    return 4.0 * float(np.mean(FM_LAWS[w.spec.kind].freq(u) ** 2))
 
 
-def spectral_rms_bandwidth_sq(w: SampledWaveform) -> float:
-    """Squared rms bandwidth of the sampled pulse, rad^2/s^2, as the DFT moment
-    truncated to |f| <= 2W.  The rectangular envelope makes the untruncated
-    moment diverge, so this is an approximation that converges toward the
-    closed form as TW grows.  The bins are taken as f / W and the moment
-    scaled as in numeric_rms_bandwidth_sq."""
+def spectral_moment(w: SampledWaveform) -> float:
+    """4 times the DFT moment of f / W within |f| <= 2W; it nears the normalized
+    moment as TW grows, as the rectangular envelope's whole moment diverges."""
     power = np.abs(np.fft.fft(w.samples)) ** 2
     f_w = np.fft.fftfreq(len(w.samples), d=w.spec.bandwidth_hz / w.sample_rate_hz)
     mask = np.abs(f_w) <= 2.0
-    moment = float(np.sum(f_w[mask] ** 2 * power[mask])) / float(np.sum(power[mask]))
-    return (math.pi * w.spec.bandwidth_hz) ** 2 * (4.0 * moment)
+    return 4.0 * float(np.sum(f_w[mask] ** 2 * power[mask])) / float(np.sum(power[mask]))
+
+
+def numeric_rms_bandwidth_sq(w: SampledWaveform) -> float:
+    """(pi W)^2 instfreq_moment, rad^2/s^2: the mean of (2 pi f(t))^2 over the pulse."""
+    return (math.pi * w.spec.bandwidth_hz) ** 2 * instfreq_moment(w)
 
 
 def _smooth_len(m: int) -> int:
@@ -147,7 +138,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     Every trial draws from one generator seeded by ``seed``, in trial order.
 
     The estimator is only compared against the bound in its asymptotic
-    region; runs below a 10 dB post-integration SNR are refused.
+    region; runs below MIN_MC_SNR_DB of post-integration SNR are refused.
     """
     if trials < MIN_MC_TRIALS:
         raise ValidationError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")

@@ -6,6 +6,7 @@ line; without ``-s`` the lines still appear in captured output.
 
 import functools
 import json
+import math
 import time
 
 import numpy as np
@@ -17,9 +18,10 @@ from radcom import (PowerAllocation, QosRequirement,
                     analytic_rms_bandwidth_sq, asymmetry_sweep,
                     max_radar_allocation, mc_delay_estimation,
                     numeric_rms_bandwidth_sq, optimal_allocation_for_sumrate,
-                    rate_report, spectral_rms_bandwidth_sq, star_point, synthesize,
+                    rate_report, star_point, synthesize,
                     total_estimation_variance, tradeoff_sweep)
 from radcom.cli import main
+from radcom.waveforms import spectral_moment
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)
@@ -140,7 +142,7 @@ def test_criterion_5_waveform_closed_forms():
         spectrum_errors = {}
         for tw in (100.0, 1000.0):
             short = WaveformSpec(spec.kind, spec.bandwidth_hz, tw)
-            spectrum = spectral_rms_bandwidth_sq(
+            spectrum = (math.pi * spec.bandwidth_hz) ** 2 * spectral_moment(
                 synthesize(short, 8 * spec.bandwidth_hz))
             spectrum_errors[tw] = abs(
                 spectrum - analytic_rms_bandwidth_sq(short)) \

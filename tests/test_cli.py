@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radcom import (QosRequirement, ScenarioConfig, cli, csvtext, default_grid,
-                    max_radar_allocation)
+from conftest import exact_crlb
+from radcom import (QosRequirement, ScenarioConfig, WaveformKind, WaveformSpec, cli,
+                    csvtext, default_grid, max_radar_allocation)
 from radcom.cli import main
 from radcom.csvtext import csv_chunks
 
@@ -169,6 +170,12 @@ SCENARIO_FILES = {
        for name, text in (("inf", "inf"), ("minus_inf", "-inf"), ("nan", "nan"))},
     "wide": "bandwidth_hz=1e200\n",
     "narrow": "bandwidth_hz=1e-300\n",
+    # full-power echoes eta^2 h^2 P past the float range
+    "loud": "h1_gain=7.5e157\n",
+    "louder": "h1_gain=2e212, eta1=1e139\n",
+    "undefined": "eta1=1e200, h1_gain=1e-200, h2_gain=1e-210\n",
+    # a post-integration SNR echo TW / sigma_r^2 of 1e383
+    "snr_overflow": "total_power_mw=1e200, sigma_r_sq=1e-200\n",
     # 20 dB more noise at user 1 than at user 2 outweighs its 10 dB stronger channel
     "noisy": "sigma1_sq=1e-9\n",
     # 5 dB more noise at user 1 leaves it 5 dB ahead in h/sigma^2
@@ -176,6 +183,8 @@ SCENARIO_FILES = {
 }
 NOT_FINITE = "line 2: value for 'h1_gain' must be finite: "
 BANDWIDTH = "bandwidth_hz must be > 0 with (pi W)^2 finite and > 0, got "
+ECHO = ("target 1's full-power echo eta1^2 h1_gain^2 total_power_mw leaves the float "
+        "range, got eta1={eta1}, h1_gain={h1_gain}, total_power_mw=1")
 GRID_BOUNDS = "grid bounds must satisfy 0 <= lo <= hi < 1, got [0.5, 0.1]"
 SIC_VIOLATED = ("SIC ordering violated: require h2_gain > 0 and h1_gain/sigma1_sq > "
                 "h2_gain/sigma2_sq (user 1 is the strong user), got h1_gain=1e-09, ")
@@ -205,6 +214,18 @@ USAGE_ERRORS = {
                         f"{BANDWIDTH}1e+300"),
     "bandwidth-1e-300": (["waveform-validate", "--bandwidth-hz", "1e-300"],
                          f"{BANDWIDTH}1e-300"),
+    # a full-power echo that overflows a float
+    "sweep-echo-overflow": (["sweep", "{loud}"],
+                            ECHO.format(eta1="0.1", h1_gain="7.5e+157")),
+    "starpoints-echo-overflow": (["starpoints", "{loud}"],
+                                 ECHO.format(eta1="0.1", h1_gain="7.5e+157")),
+    "mc-delay-echo-overflow": (["mc-delay", "{louder}", "--delay", "6.2832e-6"],
+                               ECHO.format(eta1="1e+139", h1_gain="2e+212")),
+    "mc-delay-snr-overflow": (["mc-delay", "{snr_overflow}", "--delay", "6.2832e-6"],
+                              "linear value must be finite and > 0, got inf"),
+    # eta1^2 overflows and h1_gain^2 underflows: inf * 0 is nan
+    "sweep-echo-nan": (["sweep", "{undefined}"],
+                       ECHO.format(eta1="1e+200", h1_gain="1e-200")),
     "grid-nope": (["sweep", "{scenario}", "--grid", "nope"],
                   "grid must look like lo:hi:count, got 'nope'"),
     "grid-reversed": (["sweep", "{scenario}", "--grid", "0.5:0.1:10"], GRID_BOUNDS),
@@ -316,7 +337,7 @@ def test_waveform_validate_keeps_large_bandwidth_moments_finite(tmp_path, capsys
 def test_waveform_validate_is_independent_of_the_bandwidth(tmp_path, capsys,
                                                            waveform, bandwidth):
     # The pulse depends on W only through its sample rate, so every row's
-    # spectral deviation is the one at the default W, whatever the scale.
+    # deviations are the ones at the default W, whatever the scale.
     for name, w in (("w.csv", bandwidth), ("ref.csv", 2e7)):
         assert main(["waveform-validate", "--waveform", waveform,
                      "--bandwidth-hz", repr(w), "--tw-list", "100,1000,2000",
@@ -327,7 +348,9 @@ def test_waveform_validate_is_independent_of_the_bandwidth(tmp_path, capsys,
     assert len(rows) == len(ref_rows) == 3
     for row, ref in zip(rows, ref_rows):
         assert all(math.isfinite(float(cell)) for cell in row)
-        assert float(row[-1]) == pytest.approx(float(ref[-1]), rel=1e-8, abs=0)
+        # both deviations compare normalized moments, exact at every W
+        assert float(row[-2]) == pytest.approx(float(ref[-2]), rel=1e-12, abs=0)
+        assert float(row[-1]) == pytest.approx(float(ref[-1]), rel=1e-12, abs=0)
 
 
 def test_waveform_validate_flags_coarse_sampling(tmp_path):
@@ -802,23 +825,31 @@ def test_csv_cells_match_fixed_scientific_formatting():
 def test_tiny_bandwidth_normalizes_the_bound_as_one_over_the_radar_share(
         tmp_path, capsys, bandwidth):
     path = _scenario_file(tmp_path, f"bandwidth_hz={bandwidth}\n")
+    cfg = ScenarioConfig(bandwidth_hz=float(bandwidth))
     qos = [QosRequirement(1.5, 0.7), QosRequirement(0.7, 0.7)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["sweep", path, "--grid", "0.01:0.99:200",
-                     "--out", str(tmp_path / "s.csv")]) == 0
+        for waveform in ("linear", "parabolic"):
+            assert main(["sweep", path, "--grid", "0.01:0.99:200", "--waveform", waveform,
+                         "--out", str(tmp_path / f"s-{waveform}.csv")]) == 0
         assert main(["starpoints", path, "--qos", "1.5:0.7", "--qos", "0.7:0.7",
                      "--out", str(tmp_path / "p.csv")]) == 0
     assert capsys.readouterr().err == ""
-    header, rows = _rows(tmp_path / "s.csv")
-    columns = header.split(",")
-    ar_sq = default_grid(0.01, 0.99, 200)[:len(rows)].tolist()
-    assert [row[columns.index("sigma_eps_sq_norm")] for row in rows] == [
-        "%.8e" % (1.0 / ar) for ar in ar_sq]
-    if bandwidth == "1e-160":
-        assert {row[columns.index("sigma_eps_sq")] for row in rows} == {"inf"}
+    for kind in WaveformKind:
+        header, rows = _rows(tmp_path / f"s-{kind.value}.csv")
+        columns = header.split(",")
+        ar_sq = default_grid(0.01, 0.99, 200)[:len(rows)].tolist()
+        assert [row[columns.index("sigma_eps_sq_norm")] for row in rows] == [
+            "%.8e" % (1.0 / ar) for ar in ar_sq]
+        bounds = [row[columns.index("sigma_eps_sq")] for row in rows]
+        if bandwidth == "1e-160":
+            assert set(bounds) == {"inf"}
+        else:
+            # each target's bound is exact, so their sum is too at 9 digits
+            spec = WaveformSpec(kind, cfg.bandwidth_hz, cfg.time_bandwidth)
+            assert bounds == ["%.8e" % sum(exact_crlb(cfg, ar, spec, k) for k in (1, 2))
+                              for ar in ar_sq]
     header, rows = _rows(tmp_path / "p.csv")
-    cfg = ScenarioConfig(bandwidth_hz=float(bandwidth))
     assert [row[header.split(",").index("sigma_eps_sq_norm")] for row in rows] == [
         "%.8e" % (1.0 / max_radar_allocation(cfg, q).ar_sq) for q in qos]
 

@@ -2,11 +2,14 @@
 
 import math
 import re
+import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import GRID, random_table_like_config
+from conftest import GRID, exact_crlb, random_table_like_config
 from radcom import (InfeasibleError, PowerAllocation,
                     QosRequirement, ScenarioConfig, ValidationError, WaveformKind,
                     WaveformSpec, asymmetry_sweep, crlb_delay, default_grid, jain_fairness,
@@ -403,13 +406,39 @@ def _random_scenario(rng, regime):
 
 
 def test_random_accepted_configs_meet_qos_and_optimality():
+    def assert_exact_bound(cfg, spec, ar_sq):
+        # Exact to a few ulps, to half the subnormal spacing below the normal
+        # range, and inf where the exact bound is past the float range.
+        for k in (1, 2):
+            got = crlb_delay(cfg, PowerAllocation(0.0, 0.0, ar_sq), spec, k)
+            exact = exact_crlb(cfg, ar_sq, spec, k)
+            if exact > sys.float_info.max:
+                assert got == math.inf
+            else:
+                assert abs(Fraction(float(got)) - exact) <= (exact * Fraction(1e-15)
+                                                             + Fraction(2) ** -1075)
+
+    # SNRs echo TW / sigma_r^2 of 1e383 and 1e-327, past the float range.
+    for wide in ({"total_power_mw": 1e200, "sigma_r_sq": 1e-200, "bandwidth_hz": 1e-100},
+                 {"total_power_mw": 1e-10, "sigma_r_sq": 1e300, "bandwidth_hz": 1e150}):
+        cfg = ScenarioConfig(**wide)
+        for kind in WaveformKind:
+            assert_exact_bound(cfg, WaveformSpec(kind, cfg.bandwidth_hz, 1000.0), 1.0)
+
     rng = np.random.default_rng(2024)
+    bound_rng = np.random.default_rng(2025)   # apart, so the draws above stay put
     grid = {**GRID, "count": 40}
     checked = {"sweep": 0, "region": 0, "star": 0}
     for draw in range(240):
         cfg = _random_scenario(rng, draw % 4)
         if cfg is None:
             continue
+        # Noise, power and bandwidth over most of the float range.
+        wide = replace(cfg, sigma_r_sq=10.0 ** bound_rng.uniform(-300.0, 300.0),
+                       total_power_mw=10.0 ** bound_rng.uniform(-300.0, 300.0))
+        for kind in WaveformKind:
+            spec = WaveformSpec(kind, 10.0 ** bound_rng.uniform(-150.0, 150.0), 1000.0)
+            assert_exact_bound(wide, spec, bound_rng.uniform(0.01, 1.0))
         r01, r02 = 10.0 ** rng.uniform(-2.0, 0.9, size=2)
         try:
             curve = tradeoff_sweep(cfg, r02, LINEAR, grid).curve

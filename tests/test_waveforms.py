@@ -11,9 +11,9 @@ from radcom import (InfeasibleError, PowerAllocation,
                     SampledWaveform, ScenarioConfig, ValidationError,
                     WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
                     mc_delay_estimation, numeric_energy, numeric_rms_bandwidth_sq,
-                    post_integration_snr_db, spectral_rms_bandwidth_sq, synthesize)
-from radcom.radar import crlb_delay, echo_power
-from radcom.waveforms import _law, _pulse, _smooth_len
+                    post_integration_snr_db, synthesize)
+from radcom.radar import FM_LAWS, crlb_delay, echo_power
+from radcom.waveforms import _pulse, _smooth_len, spectral_moment
 
 W_HZ = 2e7
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 1000.0)
@@ -40,12 +40,12 @@ def test_synthesize_shape_and_envelope(spec):
 @pytest.mark.parametrize("spec", [LINEAR, PARABOLIC])
 def test_frequency_law_has_zero_mean(spec):
     u = (np.arange(16000) + 0.5) / 16000
-    mean_f = float(np.mean(_law(spec, u)[0]))
+    mean_f = float(np.mean(FM_LAWS[spec.kind].freq(u)))
     assert abs(mean_f) < 1e-6
 
 
 def test_linear_law_sweeps_symmetric_endpoints():
-    ends = _law(LINEAR, np.array([0.0, 1.0]))[0]
+    ends = FM_LAWS[LINEAR.kind].freq(np.array([0.0, 1.0]))
     assert ends[0] == -0.5
     assert ends[1] == 0.5
 
@@ -101,7 +101,7 @@ def test_spectrum_moment_converges_with_time_bandwidth(kind):
     for tw in (100.0, 1000.0):
         spec = WaveformSpec(kind, W_HZ, tw)
         sampled = synthesize(spec, 8 * W_HZ)
-        numeric = spectral_rms_bandwidth_sq(sampled)
+        numeric = (math.pi * W_HZ) ** 2 * spectral_moment(sampled)
         closed = analytic_rms_bandwidth_sq(spec)
         errors[tw] = abs(numeric - closed) / closed
     assert errors[1000.0] < 0.05
@@ -117,7 +117,8 @@ def test_moments_scale_exactly_with_a_power_of_two_bandwidth(k):
         sampled = synthesize(WaveformSpec(kind, W_HZ, 100.0), 16 * W_HZ)
         scaled = synthesize(scaled_spec, 16 * scaled_spec.bandwidth_hz)
         assert np.array_equal(scaled.samples, sampled.samples)
-        for moment in (numeric_rms_bandwidth_sq, spectral_rms_bandwidth_sq):
+        for moment in (numeric_rms_bandwidth_sq,
+                       lambda w: (math.pi * w.spec.bandwidth_hz) ** 2 * spectral_moment(w)):
             assert moment(scaled) == math.ldexp(moment(sampled), 2 * k)
 
 
@@ -210,8 +211,7 @@ def test_comm_echoes_act_as_extra_radar_noise():
     cfg = ScenarioConfig(sigma_r_sq=1e-21)
     quiet = PowerAllocation(0.0, 0.0, 0.25)
     loud = PowerAllocation(0.2, 0.55, 0.25)
-    eta, h_gain = cfg.target(1)
-    amp_sq = (eta * h_gain) ** 2 * cfg.total_power_mw
+    amp_sq = (cfg.eta1 * cfg.h1_gain) ** 2 * cfg.total_power_mw
     noise = cfg.sigma_r_sq * 8.0    # per real dimension, white over fs = 8 W
     inr = amp_sq * (loud.a1_sq + loud.a2_sq) / (2.0 * noise)
     for spec in (LINEAR, PARABOLIC):
@@ -246,8 +246,7 @@ def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
     shifted = (np.arange(n_obs) + 0.5) / fs - delay_s
     on_pulse = (shifted >= 0.0) & (shifted <= spec.duration_s)
     echo = np.where(on_pulse, np.exp(1j * _reference_phase(spec, shifted)), 0.0)
-    eta, h_gain = cfg.target(1)
-    amp = eta * h_gain * math.sqrt(cfg.total_power_mw)
+    amp = cfg.eta1 * cfg.h1_gain * math.sqrt(cfg.total_power_mw)
     a1, a2, ar = (math.sqrt(v) for v in (alloc.a1_sq, alloc.a2_sq, alloc.ar_sq))
     # Per real dimension: the radar noise, then s1 and s2 as unit circular
     # Gaussians, each independent, so their variances add.

@@ -267,6 +267,17 @@ def _cases() -> dict[str, list]:
                                         _with_out(["sweep", "huge.txt"], "s.csv")],
         "usage-sweep-h1-gain-inf": [("write", "inf.txt", "h1_gain=inf\n"),
                                     _with_out(["sweep", "inf.txt"], "s.csv")],
+        # full-power echoes eta^2 h^2 P past the float range
+        "usage-sweep-echo-overflow": [("write", "loud.txt", "h1_gain=7.5e157\n"),
+                                      _with_out(["sweep", "loud.txt"], "s.csv")],
+        "usage-starpoints-echo-overflow": [("write", "loud.txt", "h1_gain=7.5e157\n"),
+                                           _with_out(["starpoints", "loud.txt"], "p.csv")],
+        "usage-sweep-echo-nan": [
+            ("write", "undefined.txt", "eta1=1e200\nh1_gain=1e-200\nh2_gain=1e-210\n"),
+            _with_out(["sweep", "undefined.txt"], "s.csv")],
+        "usage-mc-delay-echo-overflow": [
+            ("write", "louder.txt", "h1_gain=2e212\neta1=1e139\n"),
+            _with_out(["mc-delay", "louder.txt", "--delay", "6.2832e-6"], "mc.json")],
         "usage-mc-delay-tw-1e15": [
             ("write", "long.txt", "time_bandwidth=1e15\nsigma_r_sq=1e-19\n"),
             _with_out(["mc-delay", "long.txt", "--delay", "6.2832e-6"], "mc.json")],
@@ -294,6 +305,16 @@ def _cases() -> dict[str, list]:
             cases[f"{command}-bandwidth-{bandwidth}"] = [
                 ("write", "tiny.txt", f"bandwidth_hz={bandwidth}\n"),
                 _with_out([command, "tiny.txt"], out)]
+    # SNRs echo TW / sigma_r^2 of 1e383 and 1e-327, past the float range; at
+    # P = 1e-10 mW the weak user carries no more than about 5e-10 bits/s/Hz
+    for name, text, r02 in (
+            ("overflow", "total_power_mw=1e200\nsigma_r_sq=1e-200\nbandwidth_hz=1e-100\n",
+             "0.7"),
+            ("underflow", "total_power_mw=1e-10\nsigma_r_sq=1e300\nbandwidth_hz=1e150\n",
+             "1e-12")):
+        cases[f"sweep-snr-{name}"] = [
+            ("write", "snr.txt", text),
+            _with_out(["sweep", "snr.txt", "--r02", r02], "s.csv")]
     for command in COMMANDS:
         cases[f"help-{command}"] = [[command, "--help"]]
     for name, (argv, out) in BASE.items():
