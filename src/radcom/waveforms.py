@@ -10,6 +10,8 @@ every echo's power come from :mod:`radcom.radar`.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ MIN_OVERSAMPLING = 8.0          # sample_rate_hz >= MIN_OVERSAMPLING * W
 MIN_MC_SNR_DB = 10.0            # asymptotic-region guard for the estimator
 MIN_MC_TRIALS = 100
 TRIAL_BATCH = 8                 # Monte Carlo trials per draw and inverse FFT
+TRIALS_PER_STREAM = 8 * TRIAL_BATCH   # trials per seeded stream, run by one worker
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,71 @@ def _smooth_len(m: int) -> int:
     return best
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one), >= 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
+def _sum_sq_in_block_order(block_errors, n_blocks: int, shape: tuple) -> float:
+    """The sum of the squared errors of blocks 0 .. n_blocks - 1, added one
+    at a time in block and then trial order.  The main thread and one thread
+    per further usable CPU run whole blocks, block k on worker k % workers,
+    each through its own buffer of ``shape``.  A thread starts block k only
+    once the main thread has added block k - 2 workers, so any n_blocks
+    starts at once.  A thread's exception is raised here, and no thread
+    outlives the call."""
+    workers = min(_usable_cpus(), n_blocks)
+    ready = threading.Condition()
+    done = {}        # block -> its errors, or the exception its thread raised
+    added, stop = 0, False
+
+    def work(i: int) -> None:
+        g = np.empty(shape)
+        for k in range(i, n_blocks, workers):
+            with ready:
+                ready.wait_for(lambda: stop or k < added + 2 * workers)
+                if stop:
+                    return
+            try:
+                result = block_errors(k, g)
+            except BaseException as exc:    # raised again on the main thread
+                result = exc
+            with ready:
+                done[k] = result
+                ready.notify_all()
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True)
+               for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    g = np.empty(shape)
+    sum_sq = 0.0
+    try:
+        for k in range(n_blocks):
+            if k % workers:
+                with ready:
+                    ready.wait_for(lambda: k in done)
+                    errors = done.pop(k)
+                if isinstance(errors, BaseException):
+                    raise errors
+            else:
+                errors = block_errors(k, g)
+            for err in errors:
+                sum_sq += err ** 2
+            with ready:
+                added = k + 1
+                ready.notify_all()
+    finally:
+        with ready:
+            stop = True
+            ready.notify_all()
+        for thread in threads:
+            thread.join()
+    return sum_sq
+
+
 def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
                         spec: WaveformSpec, true_delay_s: float,
                         trials: int, seed: int) -> McDelayReport:
@@ -134,8 +202,10 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     against the known pulse, and refines the peak with a three-point
     parabolic fit.  The noise is drawn directly as its spectrum, and the
     trials run TRIAL_BATCH at a time: one draw and one batched inverse FFT
-    per batch, in one buffer whose size does not depend on ``trials``.
-    Every trial draws from one generator seeded by ``seed``, in trial order.
+    per batch, in a buffer per worker whose size does not depend on ``trials``.
+    Block k of TRIALS_PER_STREAM trials draws from its own stream, seeded by
+    ``SeedSequence(seed, spawn_key=(k,))``, and the blocks run on one worker
+    per usable CPU; no output depends on the number of workers.
 
     The estimator is only compared against the bound in its asymptotic
     region; runs below MIN_MC_SNR_DB of post-integration SNR are refused.
@@ -188,34 +258,39 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     # noise samples is white with fft_len times their variance.
     signal_fft = np.fft.fft(echo, fft_len) * template_fft
     noise_gain = scale * math.sqrt(fft_len) * template_fft
-    # Trials run in batches of TRIAL_BATCH rows through one buffer: one draw
-    # fills the rows in trial order, and each row of the batched inverse FFT
-    # is bitwise its own transform, so every trial matches a one-row loop.
-    g = np.empty((min(TRIAL_BATCH, trials), 2 * fft_len))
-    z = g.view(complex)      # real parts at even columns, imaginary at odd
-    rng = np.random.default_rng(seed)
-    sum_sq = 0.0
-    for start in range(0, trials, TRIAL_BATCH):
-        b = min(TRIAL_BATCH, trials - start)
-        rng.standard_normal(out=g[:b])
-        z[:b] *= noise_gain
-        z[:b] += signal_fft
-        corr = np.fft.ifft(z[:b], axis=1, out=z[:b])
-        mag = np.abs(corr[:, :max_lag + 1])
-        rows = np.arange(b)
-        peak = np.argmax(mag, axis=1)
-        # The 3-point fit runs only off the lag edges and where the peak is
-        # concave; any other peak keeps its whole-sample lag.
-        mid = np.clip(peak, 1, max_lag - 1)
-        left, centre, right = mag[rows, mid - 1], mag[rows, mid], mag[rows, mid + 1]
-        curvature = left - 2.0 * centre + right
-        fit = (peak > 0) & (peak < max_lag) & (curvature < 0.0)
-        delta = np.divide(0.5 * (left - right), curvature,
-                          out=np.zeros(b), where=fit)
-        # One at a time in trial order, so the float sum is a one-row loop's.
-        for err in ((peak + delta) / fs - true_delay_s).tolist():
-            sum_sq += err ** 2
+    del template, xt, echo, template_fft    # freed before the trials' buffers
 
+    def block_errors(k: int, g: np.ndarray) -> list[float]:
+        """Block k's delay errors in trial order.  Its batches run through
+        the rows of g: one draw fills them in trial order, and each row of
+        the batched inverse FFT is bitwise its own transform, so every trial
+        matches a one-row loop over the block's stream."""
+        z = g.view(complex)      # real parts at even columns, imaginary at odd
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        errors = []
+        first = k * TRIALS_PER_STREAM
+        for start in range(first, min(first + TRIALS_PER_STREAM, trials), TRIAL_BATCH):
+            b = min(TRIAL_BATCH, trials - start)
+            rng.standard_normal(out=g[:b])
+            z[:b] *= noise_gain
+            z[:b] += signal_fft
+            corr = np.fft.ifft(z[:b], axis=1, out=z[:b])
+            mag = np.abs(corr[:, :max_lag + 1])
+            rows = np.arange(b)
+            peak = np.argmax(mag, axis=1)
+            # The 3-point fit runs only off the lag edges and where the peak is
+            # concave; any other peak keeps its whole-sample lag.
+            mid = np.clip(peak, 1, max_lag - 1)
+            left, centre, right = mag[rows, mid - 1], mag[rows, mid], mag[rows, mid + 1]
+            curvature = left - 2.0 * centre + right
+            fit = (peak > 0) & (peak < max_lag) & (curvature < 0.0)
+            delta = np.divide(0.5 * (left - right), curvature,
+                              out=np.zeros(b), where=fit)
+            errors += ((peak + delta) / fs - true_delay_s).tolist()
+        return errors
+
+    sum_sq = _sum_sq_in_block_order(block_errors, -(-trials // TRIALS_PER_STREAM),
+                                    (TRIAL_BATCH, 2 * fft_len))
     empirical_var = float(sum_sq / trials)
     return McDelayReport(
         trials=trials,

@@ -2,6 +2,9 @@
 
 import bisect
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +15,9 @@ from radcom import (InfeasibleError, PowerAllocation,
                     WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
                     mc_delay_estimation, numeric_energy, numeric_rms_bandwidth_sq,
                     post_integration_snr_db, synthesize)
+from radcom import waveforms
 from radcom.radar import FM_LAWS, crlb_delay, echo_power
-from radcom.waveforms import _pulse, _smooth_len, spectral_moment
+from radcom.waveforms import TRIALS_PER_STREAM, _pulse, _smooth_len, spectral_moment
 
 W_HZ = 2e7
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 1000.0)
@@ -158,16 +162,56 @@ def test_mc_is_deterministic_for_a_seed():
 
 
 def test_mc_keeps_no_per_trial_buffer(monkeypatch):
-    # A trial count no array could hold still reaches the first trial.
+    # A trial count no array could hold still reaches the first trial.  A
+    # failure on the worker thread, or on the main one, reaches the caller,
+    # and no thread is left running.
     class FirstTrial(Exception):
         pass
 
-    def first_trial(*args, **kwargs):
-        raise FirstTrial
+    monkeypatch.setattr(waveforms, "_usable_cpus", lambda: 2)
+    ifft = np.fft.ifft
+    for fail_on_main in (False, True):
+        def first_trial(*args, fail_on_main=fail_on_main, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == fail_on_main:
+                raise FirstTrial(on_main)
+            return ifft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "ifft", first_trial)
-    with pytest.raises(FirstTrial):
-        mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 10 ** 20, 0)
+        monkeypatch.setattr(np.fft, "ifft", first_trial)
+        threads = threading.active_count()
+        with pytest.raises(FirstTrial) as failure:
+            mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 10 ** 20, 0)
+        assert failure.value.args == (fail_on_main,)
+        assert threading.active_count() == threads
+
+
+def test_mc_report_does_not_depend_on_the_worker_count(monkeypatch):
+    # 200 trials make four blocks: one to three workers, and five capped at
+    # four, with threads switched as often as can be.
+    cfg = ScenarioConfig(sigma_r_sq=1e-21)
+    alloc = PowerAllocation(0.2, 0.55, 0.25)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    reports = []
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(waveforms, "_usable_cpus", lambda n=workers: n)
+            reports.append(mc_delay_estimation(cfg, alloc, LINEAR, DELAY_S, 200, 2024))
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [reports[0]] * 4
+
+
+def test_usable_cpus_is_the_affinity_mask_or_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert waveforms._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert waveforms._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert waveforms._usable_cpus() == 1
 
 
 def test_mc_noiseless_peak_is_sub_sample_accurate():
@@ -234,11 +278,12 @@ def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
     """Mean squared delay error from a plain trial loop in the time domain.
 
     The pulse and its echo are sampled here from the phase law in absolute
-    time, not by the sampler under test.  One generator; per trial, 2 L
-    normals read as (real, imaginary) pairs, with L the 5-smooth length
-    >= n_obs.  The noise is their inverse DFT, scaled to the summed variance
-    and cut to its first n_obs samples, and the correlation runs at a
-    power-of-two length >= n_obs + n - 1."""
+    time, not by the sampler under test.  Block k of TRIALS_PER_STREAM
+    trials draws from its own generator, seeded by SeedSequence(seed,
+    spawn_key=(k,)); per trial, 2 L normals read as (real, imaginary)
+    pairs, with L the 5-smooth length >= n_obs.  The noise is their inverse
+    DFT, scaled to the summed variance and cut to its first n_obs samples,
+    and the correlation runs at a power-of-two length >= n_obs + n - 1."""
     fs = 8.0 * spec.bandwidth_hz
     n = round(fs * spec.duration_s)
     xt = np.exp(1j * _reference_phase(spec, (np.arange(n) + 0.5) / fs))
@@ -257,8 +302,10 @@ def _reference_mc_var(cfg, alloc, spec, delay_s, trials, seed):
     template_fft = np.conj(np.fft.fft(xt, fft_len))
     max_lag = n_obs - n
     errors_sq = np.empty(trials)
-    rng = np.random.default_rng(seed)
     for trial in range(trials):
+        if trial % TRIALS_PER_STREAM == 0:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(trial // TRIALS_PER_STREAM,)))
         g = rng.standard_normal(2 * draw_len)
         # The inverse DFT divides the variance of L white values by L.
         noise = np.fft.ifft(math.sqrt(variance * draw_len) * (g[0::2] + 1j * g[1::2]))
@@ -320,8 +367,8 @@ def test_mc_efficiency_is_exact_under_a_power_of_two_bandwidth(kind, k):
 
 def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
     """(empirical_var, lag-edge peaks) from the trial loop as it ran before
-    batching: per trial one frequency-domain draw into a one-row buffer, one
-    inverse FFT and a scalar three-point fit."""
+    batching: per trial one frequency-domain draw into a one-row buffer from
+    its block's stream, one inverse FFT and a scalar three-point fit."""
     fs = 8.0 * spec.bandwidth_hz
     xt = synthesize(spec, fs).samples
     n = len(xt)
@@ -336,10 +383,12 @@ def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
     noise_gain = scale * math.sqrt(fft_len) * template_fft
     g = np.empty(2 * fft_len)
     z = g.view(complex)
-    rng = np.random.default_rng(seed)
     sum_sq = 0.0
     edges = 0
-    for _ in range(trials):
+    for trial in range(trials):
+        if trial % TRIALS_PER_STREAM == 0:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(trial // TRIALS_PER_STREAM,)))
         rng.standard_normal(out=g)
         z *= noise_gain
         z += signal_fft
@@ -359,9 +408,10 @@ def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
 
 
 @pytest.mark.parametrize("spec", [LINEAR, PARABOLIC], ids=["linear", "parabolic"])
-@pytest.mark.parametrize("trials", [100, 101, 107])
+@pytest.mark.parametrize("trials", [100, 101, 107, 200])
 def test_mc_batches_match_the_one_trial_loop_bitwise(spec, trials):
-    # 100, 101 and 107 trials end on batches of 4, 5 and 3 rows.
+    # 100, 101 and 107 trials end on batches of 4, 5 and 3 rows; 200 trials
+    # span four streams.
     cfg = ScenarioConfig(sigma_r_sq=1e-21)
     alloc = PowerAllocation(0.2, 0.55, 0.25)
     report = mc_delay_estimation(cfg, alloc, spec, DELAY_S, trials, 2024)
@@ -371,13 +421,16 @@ def test_mc_batches_match_the_one_trial_loop_bitwise(spec, trials):
 
 def test_mc_batches_keep_the_lag_edge_rule():
     # Near the 10 dB guard some peaks land on a lag edge, where no fit runs.
+    # At the shortest delay, 2/W, the kept lags are 0 .. 24, and about 2 % of
+    # trials peak on an edge; at 3 us (lags 0 .. 488) only about 0.26 % do,
+    # so 400 trials of one stream may have none.
     spec = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 250.0)
     sigma_r_sq = echo_power(ScenarioConfig(), 1.0, 1) * 250.0 / 10.0 ** 1.05
     cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq, time_bandwidth=250.0)
     assert post_integration_snr_db(cfg, RADAR_ONLY, spec) == pytest.approx(10.5)
-    expected, edges = _one_trial_loop(cfg, RADAR_ONLY, spec, 3e-6, 400, 1)
+    expected, edges = _one_trial_loop(cfg, RADAR_ONLY, spec, 2.0 / W_HZ, 400, 1)
     assert edges >= 1
-    report = mc_delay_estimation(cfg, RADAR_ONLY, spec, 3e-6, 400, 1)
+    report = mc_delay_estimation(cfg, RADAR_ONLY, spec, 2.0 / W_HZ, 400, 1)
     assert report.empirical_var == expected
 
 
