@@ -134,62 +134,37 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sum_sq_in_block_order(block_errors, n_blocks: int, shape: tuple) -> float:
-    """The sum of the squared errors of blocks 0 .. n_blocks - 1, added one
-    at a time in block and then trial order.  The main thread and one thread
-    per further usable CPU run whole blocks, block k on worker k % workers,
-    each through its own buffer of ``shape``.  A thread starts block k only
-    once the main thread has added block k - 2 workers, so any n_blocks
-    starts at once.  A thread's exception is raised here, and no thread
-    outlives the call."""
+def _sum_sq_by_block(block_sq, n_blocks: int, shape: tuple) -> float:
+    """math.fsum of block_sq(k, g) over blocks k = 0 .. n_blocks - 1.  fsum
+    is exactly rounded, so the sum depends on neither the worker count nor
+    the order in which blocks finish.  The main thread and one thread per
+    further usable CPU run whole blocks, worker i blocks i, i + workers, ...,
+    each through its own buffer of ``shape``.  Every worker stops before its
+    next block once any has failed; the first failure is raised here, after
+    every thread is joined."""
     workers = min(_usable_cpus(), n_blocks)
-    ready = threading.Condition()
-    done = {}        # block -> its errors, or the exception its thread raised
-    added, stop = 0, False
+    sums, failures = [], []
 
     def work(i: int) -> None:
         g = np.empty(shape)
         for k in range(i, n_blocks, workers):
-            with ready:
-                ready.wait_for(lambda: stop or k < added + 2 * workers)
-                if stop:
-                    return
+            if failures:
+                return
             try:
-                result = block_errors(k, g)
+                sums.append(block_sq(k, g))
             except BaseException as exc:    # raised again on the main thread
-                result = exc
-            with ready:
-                done[k] = result
-                ready.notify_all()
+                failures.append(exc)
 
     threads = [threading.Thread(target=work, args=(i,), daemon=True)
                for i in range(1, workers)]
     for thread in threads:
         thread.start()
-    g = np.empty(shape)
-    sum_sq = 0.0
-    try:
-        for k in range(n_blocks):
-            if k % workers:
-                with ready:
-                    ready.wait_for(lambda: k in done)
-                    errors = done.pop(k)
-                if isinstance(errors, BaseException):
-                    raise errors
-            else:
-                errors = block_errors(k, g)
-            for err in errors:
-                sum_sq += err ** 2
-            with ready:
-                added = k + 1
-                ready.notify_all()
-    finally:
-        with ready:
-            stop = True
-            ready.notify_all()
-        for thread in threads:
-            thread.join()
-    return sum_sq
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return math.fsum(sums)
 
 
 def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
@@ -260,14 +235,14 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     noise_gain = scale * math.sqrt(fft_len) * template_fft
     del template, xt, echo, template_fft    # freed before the trials' buffers
 
-    def block_errors(k: int, g: np.ndarray) -> list[float]:
-        """Block k's delay errors in trial order.  Its batches run through
-        the rows of g: one draw fills them in trial order, and each row of
-        the batched inverse FFT is bitwise its own transform, so every trial
-        matches a one-row loop over the block's stream."""
+    def block_sq(k: int, g: np.ndarray) -> float:
+        """Block k's squared delay errors, summed in trial order.  Its batches
+        run through the rows of g: one draw fills them in trial order, and
+        each row of the batched inverse FFT is bitwise its own transform, so
+        every trial matches a one-row loop over the block's stream."""
         z = g.view(complex)      # real parts at even columns, imaginary at odd
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        errors = []
+        sum_sq = 0.0
         first = k * TRIALS_PER_STREAM
         for start in range(first, min(first + TRIALS_PER_STREAM, trials), TRIAL_BATCH):
             b = min(TRIAL_BATCH, trials - start)
@@ -286,12 +261,13 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
             fit = (peak > 0) & (peak < max_lag) & (curvature < 0.0)
             delta = np.divide(0.5 * (left - right), curvature,
                               out=np.zeros(b), where=fit)
-            errors += ((peak + delta) / fs - true_delay_s).tolist()
-        return errors
+            for err in ((peak + delta) / fs - true_delay_s).tolist():
+                sum_sq += err ** 2
+        return sum_sq
 
-    sum_sq = _sum_sq_in_block_order(block_errors, -(-trials // TRIALS_PER_STREAM),
-                                    (TRIAL_BATCH, 2 * fft_len))
-    empirical_var = float(sum_sq / trials)
+    sum_sq = _sum_sq_by_block(block_sq, -(-trials // TRIALS_PER_STREAM),
+                              (TRIAL_BATCH, 2 * fft_len))
+    empirical_var = sum_sq / trials
     return McDelayReport(
         trials=trials,
         true_delay_s=true_delay_s,

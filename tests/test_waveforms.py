@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -162,18 +163,20 @@ def test_mc_is_deterministic_for_a_seed():
 
 
 def test_mc_keeps_no_per_trial_buffer(monkeypatch):
-    # A trial count no array could hold still reaches the first trial.  A
-    # failure on the worker thread, or on the main one, reaches the caller,
-    # and no thread is left running.
+    # A trial count no array could hold still reaches the first trial.  One
+    # failure, on a worker thread or on the main one, stops the two other
+    # workers and reaches the caller, and no thread is left running.
     class FirstTrial(Exception):
         pass
 
-    monkeypatch.setattr(waveforms, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(waveforms, "_usable_cpus", lambda: 3)
     ifft = np.fft.ifft
     for fail_on_main in (False, True):
-        def first_trial(*args, fail_on_main=fail_on_main, **kwargs):
+        once = threading.Lock()
+
+        def first_trial(*args, fail_on_main=fail_on_main, once=once, **kwargs):
             on_main = threading.current_thread() is threading.main_thread()
-            if on_main == fail_on_main:
+            if on_main == fail_on_main and once.acquire(blocking=False):
                 raise FirstTrial(on_main)
             return ifft(*args, **kwargs)
 
@@ -183,6 +186,32 @@ def test_mc_keeps_no_per_trial_buffer(monkeypatch):
             mc_delay_estimation(BOOSTED, RADAR_ONLY, LINEAR, DELAY_S, 10 ** 20, 0)
         assert failure.value.args == (fail_on_main,)
         assert threading.active_count() == threads
+
+
+def test_mc_sum_does_not_depend_on_block_finish_order(monkeypatch):
+    # Seven blocks of a few ms at TW = 100.  With two workers the main
+    # thread's first inverse FFT sleeps, so block 1 finishes before block 0,
+    # and the worker's blocks 1, 3 and 5 usually before it too.  A running
+    # sum in finish order moves the last bits of this run.
+    tw, w_hz, sigma_r_sq, delay_s = MC_CASES["tw100-inside"]
+    cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq, bandwidth_hz=w_hz, time_bandwidth=tw)
+    spec = WaveformSpec(WaveformKind.LINEAR_FM, w_hz, tw)
+    alloc = PowerAllocation(0.2, 0.55, 0.25)
+    monkeypatch.setattr(waveforms, "_usable_cpus", lambda: 1)
+    one_worker = mc_delay_estimation(cfg, alloc, spec, delay_s, 400, 2024)
+    ifft = np.fft.ifft
+    slept = threading.Lock()
+
+    def late_on_main(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()
+                and slept.acquire(blocking=False)):
+            time.sleep(0.02)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", late_on_main)
+    monkeypatch.setattr(waveforms, "_usable_cpus", lambda: 2)
+    assert mc_delay_estimation(cfg, alloc, spec, delay_s, 400, 2024) == one_worker
+    assert slept.locked()
 
 
 def test_mc_report_does_not_depend_on_the_worker_count(monkeypatch):
@@ -368,7 +397,9 @@ def test_mc_efficiency_is_exact_under_a_power_of_two_bandwidth(kind, k):
 def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
     """(empirical_var, lag-edge peaks) from the trial loop as it ran before
     batching: per trial one frequency-domain draw into a one-row buffer from
-    its block's stream, one inverse FFT and a scalar three-point fit."""
+    its block's stream, one inverse FFT and a scalar three-point fit.  Each
+    block's squared errors are summed in trial order, and the block sums by
+    math.fsum."""
     fs = 8.0 * spec.bandwidth_hz
     xt = synthesize(spec, fs).samples
     n = len(xt)
@@ -383,12 +414,13 @@ def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
     noise_gain = scale * math.sqrt(fft_len) * template_fft
     g = np.empty(2 * fft_len)
     z = g.view(complex)
-    sum_sq = 0.0
+    block_sums = []
     edges = 0
     for trial in range(trials):
         if trial % TRIALS_PER_STREAM == 0:
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(trial // TRIALS_PER_STREAM,)))
+            block_sums.append(0.0)
         rng.standard_normal(out=g)
         z *= noise_gain
         z += signal_fft
@@ -403,8 +435,8 @@ def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
                 delta = 0.5 * (left - right) / curvature
         else:
             edges += 1
-        sum_sq += ((peak + delta) / fs - delay_s) ** 2
-    return float(sum_sq / trials), edges
+        block_sums[-1] += ((peak + delta) / fs - delay_s) ** 2
+    return math.fsum(block_sums) / trials, edges
 
 
 @pytest.mark.parametrize("spec", [LINEAR, PARABOLIC], ids=["linear", "parabolic"])
