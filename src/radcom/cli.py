@@ -34,7 +34,7 @@ from .radar import (FM_LAWS, WaveformKind, WaveformSpec, analytic_energy,
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
                        load_scenario, scenario_from_report, scenario_report_fields)
 from .waveforms import (MIN_OVERSAMPLING, instfreq_moment, mc_delay_estimation,
-                        numeric_energy, numeric_rms_bandwidth_sq, spectral_moment, synthesize)
+                        numeric_energy, spectral_moment, synthesize)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -266,13 +266,14 @@ def _waveform_validate(cfg, params, paths):
     for tw in params["tw_list"]:
         spec = WaveformSpec(kind=kind, bandwidth_hz=bandwidth_hz, time_bandwidth=tw)
         sampled = synthesize(spec, params["oversampling"] * bandwidth_hz)
-        spectrum = spectral_moment(sampled)   # the one FFT; the column scales it
-        instfreq_err = abs(instfreq_moment(sampled) - num / den) / (num / den)
+        instfreq, spectrum = instfreq_moment(sampled), spectral_moment(sampled)
+        scale = (np.pi * bandwidth_hz) ** 2   # turns a normalized moment into rad^2/s^2
+        instfreq_err = abs(instfreq - num / den) / (num / den)
         spectrum_err = abs(spectrum - num / den) / (num / den)
         worst = max(worst, instfreq_err)
         rows.append([tw, analytic_energy(spec), numeric_energy(sampled),
-                     analytic_rms_bandwidth_sq(spec), numeric_rms_bandwidth_sq(sampled),
-                     (np.pi * bandwidth_hz) ** 2 * spectrum, instfreq_err, spectrum_err])
+                     analytic_rms_bandwidth_sq(spec), scale * instfreq, scale * spectrum,
+                     instfreq_err, spectrum_err])
     header = ("tw,energy_analytic,energy_numeric,brms_sq_analytic,"
               "brms_sq_instfreq,brms_sq_spectrum,instfreq_rel_err,spectrum_rel_err")
     files = {paths[0]: csv_chunks(header, rows)}
@@ -379,6 +380,8 @@ def _run(name: str, raw: dict, load_cfg: Callable, out: str, force: bool) -> int
     ``raw`` holds the command-line texts or a manifest's params; ``load_cfg``
     reads the scenario once the params have passed their checks.
     """
+    if not Path(out).name:
+        raise ValidationError(f"output path {out!r} names no file")
     command = COMMANDS[name]
     unknown = set(raw) - {opt[0] for opt in command.options}
     if unknown:
@@ -429,9 +432,11 @@ def _rerun(path: str, out: str | None, force: bool) -> int:
         raise ValidationError(f"cannot load manifest: {err}") from err
     if not isinstance(manifest, dict):
         raise ValidationError("manifest must be a JSON object")
-    outputs = manifest.get("outputs") or []
+    outputs = manifest.get("outputs")
     if not outputs:
         raise ValidationError("manifest lists no outputs")
+    if not (isinstance(outputs, list) and all(isinstance(p, str) for p in outputs)):
+        raise ValidationError(f"manifest outputs must be a list of paths, got {outputs!r}")
     command = manifest.get("command")
     if command not in COMMANDS:
         raise ValidationError(f"manifest names unknown command {command!r}")

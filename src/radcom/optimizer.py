@@ -18,8 +18,7 @@ import numpy as np
 from .comms import jain_fairness, rate_report
 from .errors import InfeasibleError, ValidationError
 from .radar import WaveformSpec, total_estimation_variance
-from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig,
-                       db_to_linear, holds_everywhere)
+from .scenario import PowerAllocation, QosRequirement, ScenarioConfig, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,12 @@ def optimal_allocation_for_sumrate(cfg: ScenarioConfig, r02: float,
     exactly; the remainder goes to the strong user.  ar_sq may be an array,
     giving one split per entry.
     """
-    if not holds_everywhere((0.0 <= ar_sq) & (ar_sq < 1.0)):
+    if not np.all((0.0 <= ar_sq) & (ar_sq < 1.0)):
         raise ValidationError(f"ar_sq must be in [0, 1), got {ar_sq!r}")
     need = _weak_user_need(cfg, r02)
     kappa = 1.0 - ar_sq
     h2 = cfg.h2_gain
-    if not holds_everywhere(kappa * h2 >= need):
+    if not np.all(kappa * h2 >= need):
         raise InfeasibleError(
             f"QoS r02 = {r02:g} needs a communications budget of at least "
             f"kappa_min = {need / h2:.6g}, but 1 - ar_sq = {np.min(kappa):.6g}")

@@ -12,12 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ScenarioParseError, ValidationError
-
-
-def holds_everywhere(mask) -> bool:
-    """Whether a condition holds: a single truth value, or every entry of an array."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+from .errors import ValidationError
 
 
 def db_to_linear(value_db: float) -> float:
@@ -126,7 +121,7 @@ class PowerAllocation:
     def __post_init__(self):
         for name in ("a1_sq", "a2_sq", "ar_sq"):
             value = getattr(self, name)
-            if not holds_everywhere((0.0 <= value) & (value < math.inf)):
+            if not np.all((0.0 <= value) & (value < math.inf)):
                 raise ValidationError(
                     f"{name} must be finite and >= 0, got {value!r}")
 
@@ -187,28 +182,27 @@ def load_scenario(source: str) -> ScenarioConfig:
             key = key.strip()
             text = text.strip()
             if not sep or not key or not text:
-                raise ScenarioParseError(
-                    f"expected key=value, got {entry!r}", line_no)
+                raise ValidationError(f"line {line_no}: expected key=value, got {entry!r}")
             if key not in _KEY_TO_FIELD:
-                raise ScenarioParseError(f"unknown key {key!r}", line_no)
+                raise ValidationError(f"line {line_no}: unknown key {key!r}")
             try:
                 value = float(text)
             except ValueError:
-                raise ScenarioParseError(
-                    f"value for {key!r} is not a number: {text!r}", line_no) from None
+                raise ValidationError(
+                    f"line {line_no}: value for {key!r} is not a number: {text!r}") from None
             field, is_db = _KEY_TO_FIELD[key]
             if not (is_db or math.isfinite(value)):
-                raise ScenarioParseError(
-                    f"value for {key!r} must be finite: {text!r}", line_no)
+                raise ValidationError(
+                    f"line {line_no}: value for {key!r} must be finite: {text!r}")
             if field in assigned:
-                raise ScenarioParseError(
-                    f"{key!r} conflicts with earlier {assigned[field][1]!r} "
-                    "(field given twice)", line_no)
+                raise ValidationError(
+                    f"line {line_no}: {key!r} conflicts with earlier "
+                    f"{assigned[field][1]!r} (field given twice)")
             if is_db:
                 try:
                     value = db_to_linear(value)
                 except ValidationError as exc:
-                    raise ScenarioParseError(f"{key}={text}: {exc}", line_no) from None
+                    raise ValidationError(f"line {line_no}: {key}={text}: {exc}") from None
             assigned[field] = (value, key)
     kwargs = {field: value for field, (value, _key) in assigned.items()}
     return ScenarioConfig(**kwargs)

@@ -109,11 +109,6 @@ def spectral_moment(w: SampledWaveform) -> float:
     return 4.0 * float(np.sum(f_w[mask] ** 2 * power[mask])) / float(np.sum(power[mask]))
 
 
-def numeric_rms_bandwidth_sq(w: SampledWaveform) -> float:
-    """(pi W)^2 instfreq_moment, rad^2/s^2: the mean of (2 pi f(t))^2 over the pulse."""
-    return (math.pi * w.spec.bandwidth_hz) ** 2 * instfreq_moment(w)
-
-
 def _smooth_len(m: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= m (m >= 1): a length numpy's FFT does fast."""
     best = 1 << (m - 1).bit_length()

@@ -17,11 +17,11 @@ from radcom import (PowerAllocation, QosRequirement,
                     ScenarioConfig, WaveformKind, WaveformSpec,
                     analytic_rms_bandwidth_sq, asymmetry_sweep,
                     max_radar_allocation, mc_delay_estimation,
-                    numeric_rms_bandwidth_sq, optimal_allocation_for_sumrate,
+                    optimal_allocation_for_sumrate,
                     rate_report, star_point, synthesize,
                     total_estimation_variance, tradeoff_sweep)
 from radcom.cli import main
-from radcom.waveforms import spectral_moment
+from radcom.waveforms import instfreq_moment, spectral_moment
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)
@@ -137,7 +137,7 @@ def test_criterion_5_waveform_closed_forms():
     for spec in (LINEAR, PARABOLIC):
         sampled = synthesize(spec, 8 * spec.bandwidth_hz)
         closed = analytic_rms_bandwidth_sq(spec)
-        instfreq = numeric_rms_bandwidth_sq(sampled)
+        instfreq = (math.pi * spec.bandwidth_hz) ** 2 * instfreq_moment(sampled)
         assert instfreq == pytest.approx(closed, rel=1e-6, abs=0)
         spectrum_errors = {}
         for tw in (100.0, 1000.0):

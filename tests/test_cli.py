@@ -189,7 +189,8 @@ GRID_BOUNDS = "grid bounds must satisfy 0 <= lo <= hi < 1, got [0.5, 0.1]"
 SIC_VIOLATED = ("SIC ordering violated: require h2_gain > 0 and h1_gain/sigma1_sq > "
                 "h2_gain/sigma2_sq (user 1 is the strong user), got h1_gain=1e-09, ")
 NOISY_GAINS = "h2_gain=1e-10, sigma1_sq=1e-09, sigma2_sq=3.16228e-11"
-# Command lines refused with exit 3 and this error ({tmp} is the test's directory).
+# Command lines refused with exit 3 and this error ({tmp} is the test's directory,
+# also the working one; a command line without --out gets one).
 USAGE_ERRORS = {
     "missing-scenario": (["sweep", "{tmp}/missing.txt"],
                          "cannot read scenario file {tmp}/missing.txt: [Errno 2] "
@@ -274,18 +275,30 @@ USAGE_ERRORS = {
                          "pulse of 8e+15 samples is too large to sample: "
                          "Unable to allocate 56.8 PiB for an array with shape "
                          "(8000000000000000,) and data type int64"),
+    # output paths that name no file, refused before any work even with --force
+    "sweep-out-empty": (["sweep", "{scenario}", "--out", "", "--force"],
+                        "output path '' names no file"),
+    "sweep-out-dot": (["sweep", "{scenario}", "--out", ".", "--force"],
+                      "output path '.' names no file"),
+    "sweep-out-root": (["sweep", "{scenario}", "--out", "/", "--force"],
+                       "output path '/' names no file"),
+    "asymmetry-out-empty": (["asymmetry", "{scenario}", "--out", ""],
+                            "output path '' names no file"),
 }
 
 
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
-def test_usage_errors_exit_3_and_write_nothing(tmp_path, capsys, case):
+def test_usage_errors_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
     names = {"tmp": tmp_path}
     for name, text in SCENARIO_FILES.items():
         names[name] = tmp_path / f"{name}.txt"
         names[name].write_text(text, encoding="utf-8")
     argv, error = USAGE_ERRORS[case]
-    out = tmp_path / "out" / "data"
-    assert main([arg.format(**names) for arg in argv] + ["--out", str(out)]) == 3
+    argv = [arg.format(**names) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out" / "data")]
+    assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {error.format(**names)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{name}.txt" for name in SCENARIO_FILES)
@@ -579,6 +592,10 @@ MALFORMED_MANIFESTS = {
     "list": (lambda manifest: [1, 2], "manifest must be a JSON object"),
     "no-outputs": (lambda manifest: {**manifest, "outputs": []},
                    "manifest lists no outputs"),
+    "outputs-text": (lambda manifest: {**manifest, "outputs": "zz.csv"},
+                     "manifest outputs must be a list of paths, got 'zz.csv'"),
+    "outputs-number": (lambda manifest: {**manifest, "outputs": [1]},
+                       "manifest outputs must be a list of paths, got [1]"),
     "unknown-command": (lambda manifest: {**manifest, "command": "bogus"},
                         "manifest names unknown command 'bogus'"),
     "no-scenario": (lambda manifest: {**manifest, "scenario": None},
@@ -598,6 +615,25 @@ def test_rerun_refuses_a_malformed_manifest(tmp_path, scenario, capsys, case):
     assert main(["rerun", str(edited), "--out", str(tmp_path / "r" / "s.csv")]) == 3
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "r").exists()
+
+
+def test_rerun_refuses_an_output_path_that_names_no_file(tmp_path, scenario, capsys,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", scenario, "--grid", "0.01:0.99:20", "--out", "run/s.csv"]) == 0
+    manifest = json.loads(Path("run/s.csv.manifest.json").read_text(encoding="utf-8"))
+    capsys.readouterr()
+    for path in ("", "."):
+        Path("edited.json").write_text(json.dumps({**manifest, "outputs": [path]}),
+                                       encoding="utf-8")
+        assert main(["rerun", "edited.json", "--force"]) == 3
+        assert capsys.readouterr().err == f"error: output path {path!r} names no file\n"
+    assert main(["rerun", "run/s.csv.manifest.json", "--out", "", "--force"]) == 3
+    assert capsys.readouterr().err == "error: output path '' names no file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json", "run",
+                                                          "scenario.txt"]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "s.csv", "s.csv.manifest.json"]
 
 
 def test_mc_delay_rejects_a_negative_seed(tmp_path, boosted):

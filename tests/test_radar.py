@@ -7,8 +7,9 @@ import pytest
 from radcom import (PowerAllocation, QosRequirement,
                     ScenarioConfig, ValidationError, WaveformKind, WaveformSpec,
                     analytic_energy, analytic_rms_bandwidth_sq, crlb_delay,
-                    numeric_energy, numeric_rms_bandwidth_sq, star_point, synthesize,
+                    numeric_energy, star_point, synthesize,
                     total_estimation_variance, tradeoff_sweep)
+from radcom.waveforms import instfreq_moment
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)
@@ -66,7 +67,7 @@ def test_delay_bound_against_numeric_moments():
     # Independent route: the sampled pulse's energy and rms bandwidth.
     sampled = synthesize(LINEAR, 8 * LINEAR.bandwidth_hz)
     e_num = numeric_energy(sampled)
-    b_num = numeric_rms_bandwidth_sq(sampled)
+    b_num = (math.pi * LINEAR.bandwidth_hz) ** 2 * instfreq_moment(sampled)
     expected = CFG.sigma_r_sq / (
         2.0 * CFG.eta1 ** 2 * CFG.h1_gain ** 2 * 1.0 * CFG.total_power_mw
         * e_num * LINEAR.bandwidth_hz * b_num)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from radcom import (PowerAllocation, QosRequirement, ScenarioConfig,
-                    ScenarioParseError, ValidationError, WaveformKind, WaveformSpec,
+                    ValidationError, WaveformKind, WaveformSpec,
                     db_to_linear, linear_to_db, load_scenario,
                     optimal_allocation_for_sumrate, rate_report)
 from radcom.scenario import checked_number, scenario_from_report, scenario_report_fields
@@ -133,22 +133,28 @@ def test_key_order_does_not_matter():
     assert a == load_scenario("eta1=0.2\nh1_gain_db=-80\ntime_bandwidth=500")
 
 
+def test_empty_comma_separated_entries_are_skipped():
+    expected = load_scenario("h1_gain_db=-90\neta1=0.1\neta2=0.3\n")
+    assert load_scenario("h1_gain_db=-90,,eta1=0.1\neta2=0.3,\n") == expected
+    assert load_scenario("h1_gain_db=-90, ,eta1=0.1,\n, eta2=0.3\n") == expected
+
+
 def test_unknown_key_reports_line_number():
-    with pytest.raises(ScenarioParseError, match="line 2"):
+    with pytest.raises(ValidationError, match="line 2"):
         load_scenario("eta1=0.2\nbogus_key=1\n")
 
 
 def test_malformed_entry_reports_line_number():
-    with pytest.raises(ScenarioParseError, match="line 3"):
+    with pytest.raises(ValidationError, match="line 3"):
         load_scenario("eta1=0.2\neta2=0.3\njust some words\n")
-    with pytest.raises(ScenarioParseError, match="not a number"):
+    with pytest.raises(ValidationError, match="not a number"):
         load_scenario("eta1=abc")
 
 
 def test_conflicting_linear_and_db_forms_rejected():
-    with pytest.raises(ScenarioParseError, match="h1_gain"):
+    with pytest.raises(ValidationError, match="h1_gain"):
         load_scenario("h1_gain=1e-9\nh1_gain_db=-90")
-    with pytest.raises(ScenarioParseError, match="twice"):
+    with pytest.raises(ValidationError, match="twice"):
         load_scenario("eta1=0.2, eta1=0.3")
 
 

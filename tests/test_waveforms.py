@@ -14,11 +14,12 @@ import pytest
 from radcom import (InfeasibleError, PowerAllocation,
                     SampledWaveform, ScenarioConfig, ValidationError,
                     WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
-                    mc_delay_estimation, numeric_energy, numeric_rms_bandwidth_sq,
+                    mc_delay_estimation, numeric_energy,
                     post_integration_snr_db, synthesize)
 from radcom import waveforms
 from radcom.radar import FM_LAWS, crlb_delay, echo_power
-from radcom.waveforms import TRIALS_PER_STREAM, _pulse, _smooth_len, spectral_moment
+from radcom.waveforms import (TRIALS_PER_STREAM, _pulse, _smooth_len, instfreq_moment,
+                              spectral_moment)
 
 W_HZ = 2e7
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, W_HZ, 1000.0)
@@ -95,7 +96,7 @@ def test_instfreq_moment_matches_closed_form(spec):
         ratio = _midpoint_moment_ratio(spec.kind, n)
         if spec.kind is WaveformKind.LINEAR_FM:
             assert ratio == 1.0 - 1.0 / n ** 2
-        assert numeric_rms_bandwidth_sq(sampled) == pytest.approx(
+        assert (math.pi * W_HZ) ** 2 * instfreq_moment(sampled) == pytest.approx(
             analytic_rms_bandwidth_sq(spec_tw) * ratio, rel=1e-12, abs=0)
 
 
@@ -122,7 +123,7 @@ def test_moments_scale_exactly_with_a_power_of_two_bandwidth(k):
         sampled = synthesize(WaveformSpec(kind, W_HZ, 100.0), 16 * W_HZ)
         scaled = synthesize(scaled_spec, 16 * scaled_spec.bandwidth_hz)
         assert np.array_equal(scaled.samples, sampled.samples)
-        for moment in (numeric_rms_bandwidth_sq,
+        for moment in (lambda w: (math.pi * w.spec.bandwidth_hz) ** 2 * instfreq_moment(w),
                        lambda w: (math.pi * w.spec.bandwidth_hz) ** 2 * spectral_moment(w)):
             assert moment(scaled) == math.ldexp(moment(sampled), 2 * k)
 

@@ -101,6 +101,7 @@ EDITED = {
     "tw-list-empty": ("waveform-validate", {"params.tw_list": []}),
     "command-bogus": ("sweep", {"command": "bogus"}),
     "outputs-empty": ("sweep", {"outputs": []}),
+    "outputs-text": ("sweep", {"outputs": "zz.csv"}),
     "scenario-h1-negative": ("sweep", {"scenario.h1_gain": -1}),
     "scenario-sigma1-1e-9": ("sweep", {"scenario.sigma1_sq": 1e-9}),
     "scenario-sigma1-1e-10": ("sweep", {"scenario.sigma1_sq": 1e-10}),
@@ -263,6 +264,9 @@ def _cases() -> dict[str, list]:
             ["fairness", "baseline.txt", "--grid", "0:0.9:37"], "f.csv")],
         "starpoints-zero-qos": [_with_out(
             ["starpoints", "baseline.txt", "--qos", "0:0", "--qos", "1.5:0.7"], "p.csv")],
+        # output paths that name no file
+        "usage-sweep-out-empty": [_with_out(["sweep", "baseline.txt", "--force"], "")],
+        "usage-asymmetry-out-empty": [_with_out(["asymmetry", "baseline.txt"], "")],
         "usage-sweep-h1-gain-db-4000": [("write", "huge.txt", "h1_gain_db=4000\n"),
                                         _with_out(["sweep", "huge.txt"], "s.csv")],
         "usage-sweep-h1-gain-inf": [("write", "inf.txt", "h1_gain=inf\n"),
