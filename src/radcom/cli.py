@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 domain infeasibility, 3 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -73,10 +74,12 @@ def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
     files = {**files, _manifest_path(next(iter(files))): _json_content(manifest)}
     # Every file streams to a temp file beside its target first; the targets
     # are replaced only once all of them are written, so a write that fails
-    # or is interrupted leaves no output (and no temp file) behind.
-    temps = {}
+    # or is interrupted (a refusal while a curve is evaluated included)
+    # leaves no output, no temp file and no new directory behind.
+    temps, made = {}, []
     try:
         for path, content in files.items():
+            made += [d for d in reversed(path.parents) if not d.exists()]
             path.parent.mkdir(parents=True, exist_ok=True)
             temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             with open(temps[path], "wb") as handle:
@@ -86,6 +89,9 @@ def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
     except BaseException as err:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):   # kept if something else now lives there
+                directory.rmdir()
         if not isinstance(err, OSError):
             raise
         raise ValidationError(f"cannot write outputs: {err}") from err
@@ -183,17 +189,16 @@ def _spec(cfg: ScenarioConfig, params: dict) -> WaveformSpec:
 
 
 def _sweep_csv(result: SweepResult) -> Iterable[bytes]:
-    c = result.curve
-    return csv_chunks(SWEEP_HEADER, np.column_stack([
+    return csv_chunks(SWEEP_HEADER, (np.column_stack([
         c.alloc.ar_sq, c.alloc.a1_sq, c.alloc.a2_sq, c.r1, c.r2, c.r_sum,
         c.sigma_eps_sq, c.sigma_eps_sq_normalized,
-        np.log10(c.sigma_eps_sq_normalized), c.fairness]))
+        np.log10(c.sigma_eps_sq_normalized), c.fairness]) for c in result.blocks()))
 
 
 def _sweep(cfg, params, paths):
     result = tradeoff_sweep(cfg, params["r02"], _spec(cfg, params), params["grid"])
     tail = result.infeasible_tail_start
-    line = (f"sweep: {len(result.curve.r_sum)} feasible points -> {paths[0]}"
+    line = (f"sweep: {len(result.grid)} feasible points -> {paths[0]}"
             + (f" (infeasible for ar_sq > {tail:.6g})" if tail is not None else ""))
     return {paths[0]: _sweep_csv(result)}, line, EXIT_OK
 
@@ -204,20 +209,19 @@ def _starpoints(cfg, params, paths):
     for r01, r02 in params["qos"]:
         pt = star_point(cfg, QosRequirement(r01=r01, r02=r02), spec)
         rows.append([r01, r02, pt.alloc.ar_sq, pt.r_sum, pt.sigma_eps_sq_normalized])
-    csv = csv_chunks("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", rows)
+    csv = csv_chunks("r01,r02,ar_sq,r_sum,sigma_eps_sq_norm", [rows])
     return {paths[0]: csv}, f"starpoints: {len(rows)} QoS pairs -> {paths[0]}", EXIT_OK
 
 
 def _fairness(cfg, params, paths):
     spec = _spec(cfg, params)
-    blocks = []
-    for r02 in params["r02_list"]:
-        c = tradeoff_sweep(cfg, r02, spec, params["grid"]).curve
-        blocks.append(np.column_stack([np.full(len(c.r_sum), r02), c.alloc.ar_sq,
-                                       c.r_sum, c.fairness]))
-    rows = np.concatenate(blocks)
-    line = f"fairness: {len(params['r02_list'])} curves, {len(rows)} rows -> {paths[0]}"
-    return {paths[0]: csv_chunks("r02,ar_sq,r_sum,fairness", rows)}, line, EXIT_OK
+    results = [tradeoff_sweep(cfg, r02, spec, params["grid"]) for r02 in params["r02_list"]]
+    blocks = (np.column_stack([np.full(len(c.r_sum), result.r02), c.alloc.ar_sq,
+                               c.r_sum, c.fairness])
+              for result in results for c in result.blocks())
+    rows = sum(len(result.grid) for result in results)
+    line = f"fairness: {len(results)} curves, {rows} rows -> {paths[0]}"
+    return {paths[0]: csv_chunks("r02,ar_sq,r_sum,fairness", blocks)}, line, EXIT_OK
 
 
 def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
@@ -243,7 +247,7 @@ def _asymmetry(cfg, params, paths):
         "h1_gain": cfg.h1_gain,
         "h2_gain": lowered_h2_gain(cfg, gap),
         "infeasible_tail_start": result.infeasible_tail_start,
-        "feasible_points": len(result.curve.r_sum),
+        "feasible_points": len(result.grid),
         "csv": str(csv_path),
     } for gap, result, csv_path in zip(gaps, results, paths[1:])]
     payload = {
@@ -276,7 +280,7 @@ def _waveform_validate(cfg, params, paths):
                      instfreq_err, spectrum_err])
     header = ("tw,energy_analytic,energy_numeric,brms_sq_analytic,"
               "brms_sq_instfreq,brms_sq_spectrum,instfreq_rel_err,spectrum_rel_err")
-    files = {paths[0]: csv_chunks(header, rows)}
+    files = {paths[0]: csv_chunks(header, [rows])}
     if worst > INSTFREQ_REL_TOL:
         line = (f"waveform-validate: FAILED, instantaneous-frequency moment off "
                 f"by {worst:.3e} (> {INSTFREQ_REL_TOL:g}) -> {paths[0]}")

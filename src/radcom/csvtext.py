@@ -8,11 +8,14 @@ fast path cannot prove (see ``_csv_block``) are written by ``%`` itself.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-CSV_BLOCK_ROWS = 2048
+# Rows per block: a curve is evaluated and its CSV text formatted this many
+# rows at a time, so a dense command holds one block's temporaries, never a
+# whole curve.
+BLOCK_ROWS = 1024
 _HEAD_WORD = int.from_bytes(b",\x000.", "little")   # separator, sign, leading digit, point
 
 
@@ -38,15 +41,19 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     return 10.0 ** (8 - exps), quads, exp_head, exp_units
 
 
-def csv_chunks(header: str, rows) -> Iterator[bytes]:
-    """CSV bytes of a table of floats: the header, one chunk per row block, a newline.
+def csv_chunks(header: str, tables: Iterable) -> Iterator[bytes]:
+    """CSV bytes of tables of floats, one after another: the header, one chunk
+    per block of BLOCK_ROWS rows of each table, a newline.
 
-    Every cell is exactly ``"%.8e" % x``; no chunk holds more than one block.
+    Every cell is exactly ``"%.8e" % x``.  A table is taken from ``tables``
+    only when the one before it is written, so a generator of row blocks
+    streams a whole file through one block's memory.
     """
-    table = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
     yield header.encode()
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        yield _csv_block(table[start:start + CSV_BLOCK_ROWS])
+    for rows in tables:
+        table = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+        for start in range(0, len(table), BLOCK_ROWS):
+            yield _csv_block(table[start:start + BLOCK_ROWS])
     yield b"\n"
 
 

@@ -10,12 +10,13 @@ share, so its constrained minimum sits at the QoS power minima.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .comms import jain_fairness, rate_report
+from .csvtext import BLOCK_ROWS
 from .errors import InfeasibleError, ValidationError
 from .radar import WaveformSpec, total_estimation_variance
 from .scenario import PowerAllocation, QosRequirement, ScenarioConfig, db_to_linear
@@ -46,10 +47,31 @@ class TradeoffPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Tradeoff curve for one waveform and weak-user QoS level."""
+    """Tradeoff curve for one waveform and weak-user QoS level, evaluated on demand.
 
-    curve: TradeoffPoint                       # array fields, ascending in ar_sq
+    ``curve`` evaluates the whole curve at once; ``blocks`` yields the same
+    points BLOCK_ROWS at a time, so a writer holds one block, never the curve.
+    """
+
+    cfg: ScenarioConfig
+    r02: float
+    spec: WaveformSpec
+    grid: np.ndarray                           # feasible radar shares, ascending
     infeasible_tail_start: float | None        # ar_sq beyond which no split exists
+
+    @property
+    def curve(self) -> TradeoffPoint:
+        """Every point of the curve: array fields, ascending in ar_sq."""
+        return self._points(self.grid)
+
+    def blocks(self) -> Iterator[TradeoffPoint]:
+        """The curve's points in consecutive blocks of at most BLOCK_ROWS."""
+        for start in range(0, len(self.grid), BLOCK_ROWS):
+            yield self._points(self.grid[start:start + BLOCK_ROWS])
+
+    def _points(self, ar_sq: np.ndarray) -> TradeoffPoint:
+        alloc = optimal_allocation_for_sumrate(self.cfg, self.r02, ar_sq)
+        return _evaluate(self.cfg, alloc, self.spec)
 
 
 def default_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -164,7 +186,8 @@ def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
 
     Grid values where the QoS cannot be met are dropped; the exact onset of
     infeasibility is recorded whenever the grid reaches it.  A grid value
-    of 0 is kept but its estimation-error bound is flagged infinite.
+    of 0 is kept but its estimation-error bound is flagged infinite.  Every
+    check is made here; the points are evaluated when the result is read.
     """
     grid_arr = default_grid(**grid)
     need = _weak_user_need(cfg, r02)
@@ -177,11 +200,8 @@ def tradeoff_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
         raise InfeasibleError(
             f"no grid point is feasible for r02 = {r02:g} "
             f"(kappa_min = {kappa_min:.6g})")
-    alloc = optimal_allocation_for_sumrate(cfg, r02, grid_arr[:count])
-    return SweepResult(
-        curve=_evaluate(cfg, alloc, spec),
-        infeasible_tail_start=None if kappa_min is None else 1.0 - kappa_min,
-    )
+    return SweepResult(cfg, r02, spec, grid_arr[:count],
+                       None if kappa_min is None else 1.0 - kappa_min)
 
 
 def sample_feasible_region(cfg: ScenarioConfig, spec: WaveformSpec, n: int,

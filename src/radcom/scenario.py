@@ -121,7 +121,10 @@ class PowerAllocation:
     def __post_init__(self):
         for name in ("a1_sq", "a2_sq", "ar_sq"):
             value = getattr(self, name)
-            if not np.all((0.0 <= value) & (value < math.inf)):
+            ok = (0.0 <= value) & (value < math.inf)
+            if not np.all(ok):
+                if np.ndim(value):   # name the first offending entry, not the array
+                    value = np.asarray(value)[~ok][0].item()
                 raise ValidationError(
                     f"{name} must be finite and >= 0, got {value!r}")
 

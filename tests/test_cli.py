@@ -14,7 +14,7 @@ import pytest
 
 from conftest import exact_crlb
 from radcom import (QosRequirement, ScenarioConfig, WaveformKind, WaveformSpec, cli,
-                    csvtext, default_grid, max_radar_allocation)
+                    csvtext, default_grid, max_radar_allocation, optimizer)
 from radcom.cli import main
 from radcom.csvtext import csv_chunks
 
@@ -746,6 +746,88 @@ def test_dense_commands_hold_no_whole_csv(tmp_path, scenario, argv):
     assert peak < 2 * written
 
 
+def test_dense_asymmetry_memory_does_not_grow_with_the_grid(tmp_path, scenario):
+    # 200 000 points per gap: the curves are evaluated a block at a time, so
+    # what is held is the grid itself, not the curves or their text.
+    assert main(["asymmetry", scenario, "--out", str(tmp_path / "warm" / "a.json")]) == 0
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["asymmetry", scenario, "--gaps-db", "5,10",
+                     "--grid", "0.01:0.99:200000", "--out", str(out / "a.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(p.stat().st_size for p in out.iterdir())
+    assert written > 50_000_000
+    assert peak < written / 10
+
+
+def _cells(*columns):
+    return [",".join("%.8e" % v for v in row)
+            for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
+def _sweep_lines(result):
+    c = result.curve
+    return [cli.SWEEP_HEADER, *_cells(
+        c.alloc.ar_sq, c.alloc.a1_sq, c.alloc.a2_sq, c.r1, c.r2, c.r_sum, c.sigma_eps_sq,
+        c.sigma_eps_sq_normalized, np.log10(c.sigma_eps_sq_normalized), c.fairness)]
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["1", "B-1", "B", "B+1", "2B+1"])
+def test_block_boundaries_never_change_bytes(tmp_path, scenario, capsys, blocks, extra):
+    # On 0.01:0.5 r02 = 0.7 is feasible at every grid value (onset ~0.80, or
+    # later for the smaller gap), so each sweep CSV holds `count` rows, while
+    # r02 = 1.5 (onset ~0.42) ends the second fairness curve partway.
+    count = blocks * csvtext.BLOCK_ROWS + extra
+    grid = {"lo": 0.01, "hi": 0.5, "count": count}
+    grid_text = f"0.01:0.5:{count}"
+    cfg = ScenarioConfig()
+    spec = WaveformSpec(WaveformKind.LINEAR_FM, cfg.bandwidth_hz, cfg.time_bandwidth)
+
+    out = tmp_path / "s.csv"
+    assert main(["sweep", scenario, "--grid", grid_text, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines() == _sweep_lines(
+        optimizer.tradeoff_sweep(cfg, 0.7, spec, grid))
+    assert capsys.readouterr().out == f"sweep: {count} feasible points -> {out}\n"
+
+    out = tmp_path / "f.csv"
+    assert main(["fairness", scenario, "--r02-list", "0.7,1.5", "--grid", grid_text,
+                 "--out", str(out)]) == 0
+    expected = ["r02,ar_sq,r_sum,fairness"]
+    for r02 in (0.7, 1.5):
+        c = optimizer.tradeoff_sweep(cfg, r02, spec, grid).curve
+        expected += _cells(np.full(len(c.r_sum), r02), c.alloc.ar_sq, c.r_sum, c.fairness)
+    assert out.read_text(encoding="utf-8").splitlines() == expected
+    assert capsys.readouterr().out == (
+        f"fairness: 2 curves, {len(expected) - 1} rows -> {out}\n")
+
+    out = tmp_path / "a.json"
+    assert main(["asymmetry", scenario, "--gaps-db", "5,10", "--grid", grid_text,
+                 "--out", str(out)]) == 0
+    curves = json.loads(out.read_text(encoding="utf-8"))["curves"]
+    results = optimizer.asymmetry_sweep(cfg, 0.7, spec, [5.0, 10.0], grid)
+    for curve, result in zip(curves, results, strict=True):
+        lines = (tmp_path / curve["csv"]).read_text(encoding="utf-8").splitlines()
+        assert lines == _sweep_lines(result)
+        assert curve["feasible_points"] == len(lines) - 1 == count
+        assert curve["infeasible_tail_start"] is None
+
+
+@pytest.mark.parametrize("grid", ["0.01:0.99:200", "0.01:0.99:20000"])
+def test_refused_split_names_its_first_bad_value(tmp_path, scenario, capsys, grid):
+    # At r02 = 1e-16 the weak user's share rounds below zero at some grid values.
+    out = tmp_path / "out" / "s.csv"
+    assert main(["sweep", scenario, "--r02", "1e-16", "--grid", grid,
+                 "--out", str(out)]) == 3
+    assert not out.parent.exists()
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: a2_sq must be finite and >= 0, got -\S+\n", err)
+    assert "array(" not in err and len(err) < 100
+
+
 def test_rerun_of_an_unreadable_manifest_exits_3(tmp_path, capsys):
     # json refuses to convert an integer of more than 4300 digits
     huge = tmp_path / "huge.json"
@@ -844,11 +926,11 @@ def test_csv_cells_match_fixed_scientific_formatting():
     ])
     cells = np.concatenate([cells, -cells])
     cells = np.concatenate([cells, np.ones(-len(cells) % 7)]).reshape(-1, 7)
-    assert len(cells) > 2 * csvtext.CSV_BLOCK_ROWS and len(cells) % csvtext.CSV_BLOCK_ROWS
+    assert len(cells) > 2 * csvtext.BLOCK_ROWS and len(cells) % csvtext.BLOCK_ROWS
     header = "a,b,c,d,e,f,g"
-    chunks = list(csv_chunks(header, cells))
+    chunks = list(csv_chunks(header, [cells]))
     # the header, one chunk per row block, the final newline
-    assert len(chunks) == 2 + -(-len(cells) // csvtext.CSV_BLOCK_ROWS)
+    assert len(chunks) == 2 + -(-len(cells) // csvtext.BLOCK_ROWS)
     assert b"".join(chunks).decode("ascii").split("\n") == [
         header, *(",".join("%.8e" % v for v in row) for row in cells.tolist()), ""]
     assert b"".join(csv_chunks("a", [[2.0], [-0.5]])) == (

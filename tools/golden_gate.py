@@ -71,6 +71,12 @@ BASE = {
     # several multi-block CSVs written as one output set
     "asymmetry-dense": (["asymmetry", "baseline.txt", "--gaps-db", "5,10",
                          "--grid", DENSE_GRID], "a.json"),
+    # 1 025 feasible rows: one row past a 1 024-row block
+    "sweep-block-plus-one": (["sweep", "baseline.txt", "--grid", "0.01:0.5:1025"],
+                             "s.csv"),
+    # the first curve stops at its onset partway through a block
+    "fairness-partial-block": (["fairness", "baseline.txt", "--r02-list", "0.7,1.5",
+                                "--grid", "0.01:0.99:3000"], "f.csv"),
 }
 
 # Hand-edited manifests: name -> (base run, changed entries).
