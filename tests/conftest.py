@@ -1,11 +1,14 @@
 """Shared helpers for the test suite."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from radcom import ScenarioConfig, WaveformKind
+from radcom.radar import FM_LAWS, echo_power
+from radcom.waveforms import BAND_MARGIN, MIN_OVERSAMPLING, _smooth_len
 
 # The radar-share grid of the command line's --grid 0.01:0.99:200.
 GRID = {"lo": 0.01, "hi": 0.99, "count": 200}
@@ -41,3 +44,50 @@ def exact_crlb(cfg: ScenarioConfig, ar_sq: float, spec, k: int) -> Fraction:
     echo_tw = (Fraction(eta) ** 2 * Fraction(h_gain) ** 2 * Fraction(ar_sq)
                     * Fraction(cfg.total_power_mw) * Fraction(spec.time_bandwidth))
     return Fraction(cfg.sigma_r_sq) / (echo_tw * c * pi_w * pi_w)
+
+
+McBandModel = namedtuple(
+    "McBandModel", "bins template omega delay_w amplitude scale fft_len max_lag")
+
+
+def mc_band_model(cfg: ScenarioConfig, alloc, spec, delay_s: float) -> McBandModel:
+    """The Monte Carlo's per-bin model, built here from the phase law.
+
+    The template is the pulse at its n = round(8 TW) midpoints, zero-padded to
+    fft_len, the least 5-smooth length >= n_obs = n + ceil(8 W tau) + 8.  The
+    fields: the kept bins k, signed, where f / W = 8 k / fft_len lies within
+    BAND_MARGIN of the law's frequency range; the template's DFT X_k;
+    omega_k / W; the delay tau W; the echo amplitude A; the noise's standard
+    deviation per real dimension in time (radar noise white over 8 W, plus
+    the comm echoes); fft_len; and the largest kept lag n_obs - n, in samples.
+    """
+    cells = MIN_OVERSAMPLING * spec.time_bandwidth
+    n = round(cells)
+    law = FM_LAWS[spec.kind]
+    pulse = np.exp(2j * math.pi * spec.time_bandwidth * law.phase((np.arange(n) + 0.5) / cells))
+    n_obs = n + int(math.ceil(delay_s * (MIN_OVERSAMPLING * spec.bandwidth_hz))) + 8
+    fft_len = _smooth_len(n_obs)
+    per_bin = MIN_OVERSAMPLING / fft_len
+    bins = np.arange(math.ceil((law.freq(0.0) - BAND_MARGIN) / per_bin),
+                     math.floor((law.freq(1.0) + BAND_MARGIN) / per_bin) + 1)
+    scale = math.sqrt(cfg.sigma_r_sq * MIN_OVERSAMPLING
+                      + echo_power(cfg, alloc.a1_sq + alloc.a2_sq, 1) / 2.0)
+    return McBandModel(bins=bins, template=np.fft.fft(pulse, fft_len)[bins],
+                       omega=(2.0 * math.pi * per_bin) * bins,
+                       delay_w=delay_s * spec.bandwidth_hz,
+                       amplitude=math.sqrt(echo_power(cfg, alloc.ar_sq, 1)),
+                       scale=scale, fft_len=fft_len, max_lag=n_obs - n)
+
+
+def mc_band_bound(cfg: ScenarioConfig, alloc, spec, delay_s: float) -> float:
+    """The exact Fisher bound 1/J on the delay, s^2, in the Monte Carlo's
+    per-bin model with an unknown echo phase (Kay 1993, ch. 3):
+    J = (2 A^2 / sigma_b^2) (sum w^2 |X|^2 - (sum w |X|^2)^2 / sum |X|^2),
+    with w = omega / W over the kept bins and sigma_b^2 = 2 scale^2 fft_len
+    the noise power E|N_k|^2 of one bin."""
+    m = mc_band_model(cfg, alloc, spec, delay_s)
+    power = np.abs(m.template) ** 2
+    total, first, second = (math.fsum(power * m.omega ** i) for i in range(3))
+    sigma_b_sq = 2.0 * m.scale ** 2 * m.fft_len
+    j_w = 2.0 * m.amplitude ** 2 / sigma_b_sq * (second - first * first / total)
+    return 1.0 / j_w / spec.bandwidth_hz / spec.bandwidth_hz
