@@ -28,8 +28,7 @@ import numpy as np
 from . import __version__
 from .csvtext import csv_chunks
 from .errors import InfeasibleError, RadcomError, ValidationError
-from .optimizer import (SweepResult, asymmetry_sweep, lowered_h2_gain, star_point,
-                        tradeoff_sweep)
+from .optimizer import SweepResult, asymmetry_sweep, star_point, tradeoff_sweep
 from .radar import (FM_LAWS, WaveformKind, WaveformSpec, analytic_energy,
                     analytic_rms_bandwidth_sq)
 from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
@@ -244,8 +243,8 @@ def _asymmetry(cfg, params, paths):
                               params["grid"])
     curves = [{
         "gap_db": gap,
-        "h1_gain": cfg.h1_gain,
-        "h2_gain": lowered_h2_gain(cfg, gap),
+        "h1_gain": result.cfg.h1_gain,
+        "h2_gain": result.cfg.h2_gain,
         "infeasible_tail_start": result.infeasible_tail_start,
         "feasible_points": len(result.grid),
         "csv": str(csv_path),

@@ -239,13 +239,8 @@ def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
     results = []
     for gap in gaps_db:
         try:
-            lowered = replace(cfg, h2_gain=lowered_h2_gain(cfg, gap))
+            lowered = replace(cfg, h2_gain=cfg.h1_gain * db_to_linear(-gap))
         except ValidationError as err:
             raise ValidationError(f"asymmetry gap {gap:g} dB: {err}") from err
         results.append(tradeoff_sweep(lowered, r02, spec, grid))
     return results
-
-
-def lowered_h2_gain(cfg: ScenarioConfig, gap_db: float) -> float:
-    """The weak user's gain gap_db below the strong user's: h1_gain * 10^(-gap/10)."""
-    return cfg.h1_gain * db_to_linear(-gap_db)

@@ -194,7 +194,8 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     tau W, so a power-of-two W keeps the efficiency's bits.
 
     The estimator is only compared against the bound in its asymptotic
-    region; runs below MIN_MC_SNR_DB of post-integration SNR are refused.
+    region; runs below MIN_MC_SNR_DB of post-integration SNR are refused,
+    and so are runs whose bound or variance leaves the float range.
     """
     if trials < MIN_MC_TRIALS:
         raise ValidationError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
@@ -213,6 +214,10 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
             f"post-integration SNR {snr_db:.2f} dB is below the "
             f"{MIN_MC_SNR_DB:g} dB asymptotic-region guard; the bound "
             "comparison would be meaningless")
+    crlb = crlb_delay(cfg, alloc, spec, 1)
+    if not (math.isfinite(crlb) and crlb > 0.0):
+        raise ValidationError(f"delay bound {crlb:g} s^2 is outside the float range; "
+                              "the efficiency would be meaningless")
 
     fs = MIN_OVERSAMPLING * w_hz
     xt = synthesize(spec, fs).samples
@@ -247,7 +252,6 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     batch = TRIALS_PER_STREAM
     while batch > 1 and batch * n_bins > BATCH_BINS:
         batch //= 2
-    crlb = crlb_delay(cfg, alloc, spec, 1)
     del xt, template
 
     def block_sq(k: int, draws: np.ndarray, coarse: np.ndarray,
@@ -299,6 +303,8 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
                  np.empty((batch, coarse_len), complex),
                  np.empty((batch, n_bins), complex)))
     empirical_var = sum_sq / trials / w_hz / w_hz
+    if math.isinf(empirical_var):   # a bound within a few percent of the float maximum
+        raise ValidationError(f"delay variance past the float range (bound {crlb:g} s^2)")
     return McDelayReport(
         trials=trials,
         true_delay_s=true_delay_s,

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from radcom import ScenarioConfig, WaveformKind
-from radcom.radar import FM_LAWS, echo_power
+from radcom.radar import FM_LAWS, WaveformKind, echo_power
+from radcom.scenario import ScenarioConfig
 from radcom.waveforms import BAND_MARGIN, MIN_OVERSAMPLING, _smooth_len
 
 # The radar-share grid of the command line's --grid 0.01:0.99:200.

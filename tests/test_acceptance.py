@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import GRID, random_table_like_config
-from radcom import (PowerAllocation, QosRequirement,
-                    ScenarioConfig, WaveformKind, WaveformSpec,
-                    analytic_rms_bandwidth_sq, asymmetry_sweep,
-                    max_radar_allocation, mc_delay_estimation,
-                    optimal_allocation_for_sumrate,
-                    rate_report, star_point, synthesize,
-                    total_estimation_variance, tradeoff_sweep)
+from radcom.comms import rate_report
+from radcom.optimizer import (asymmetry_sweep, max_radar_allocation,
+                              optimal_allocation_for_sumrate, star_point, tradeoff_sweep)
+from radcom.radar import (WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
+                          total_estimation_variance)
+from radcom.scenario import PowerAllocation, QosRequirement, ScenarioConfig
+from radcom.waveforms import mc_delay_estimation, synthesize
 from radcom.cli import main
 from radcom.waveforms import instfreq_moment, spectral_moment
 

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import exact_crlb
-from radcom import (QosRequirement, ScenarioConfig, WaveformKind, WaveformSpec, cli,
-                    csvtext, default_grid, max_radar_allocation, optimizer)
+from radcom import cli, csvtext, optimizer
 from radcom.cli import main
 from radcom.csvtext import csv_chunks
+from radcom.optimizer import default_grid, max_radar_allocation
+from radcom.radar import WaveformKind, WaveformSpec
+from radcom.scenario import QosRequirement, ScenarioConfig
 
 NUMBER = re.compile(r"^(-?\d\.\d{8}e[+-]\d{2,3}|inf|nan)$")
 
@@ -176,6 +178,9 @@ SCENARIO_FILES = {
     "undefined": "eta1=1e200, h1_gain=1e-200, h2_gain=1e-210\n",
     # a post-integration SNR echo TW / sigma_r^2 of 1e383
     "snr_overflow": "total_power_mw=1e200, sigma_r_sq=1e-200\n",
+    # 20 and 280 dB of SNR whose delay bounds leave the float range
+    "bound_overflow": "sigma_r_sq=1e-19, bandwidth_hz=1e-160\n",
+    "bound_underflow": "sigma_r_sq=1e-45, bandwidth_hz=1e150\n",
     # 20 dB more noise at user 1 than at user 2 outweighs its 10 dB stronger channel
     "noisy": "sigma1_sq=1e-9\n",
     # 5 dB more noise at user 1 leaves it 5 dB ahead in h/sigma^2
@@ -185,6 +190,7 @@ NOT_FINITE = "line 2: value for 'h1_gain' must be finite: "
 BANDWIDTH = "bandwidth_hz must be > 0 with (pi W)^2 finite and > 0, got "
 ECHO = ("target 1's full-power echo eta1^2 h1_gain^2 total_power_mw leaves the float "
         "range, got eta1={eta1}, h1_gain={h1_gain}, total_power_mw=1")
+BOUND_RANGE = "s^2 is outside the float range; the efficiency would be meaningless"
 GRID_BOUNDS = "grid bounds must satisfy 0 <= lo <= hi < 1, got [0.5, 0.1]"
 SIC_VIOLATED = ("SIC ordering violated: require h2_gain > 0 and h1_gain/sigma1_sq > "
                 "h2_gain/sigma2_sq (user 1 is the strong user), got h1_gain=1e-09, ")
@@ -224,6 +230,10 @@ USAGE_ERRORS = {
                                ECHO.format(eta1="1e+139", h1_gain="2e+212")),
     "mc-delay-snr-overflow": (["mc-delay", "{snr_overflow}", "--delay", "6.2832e-6"],
                               "linear value must be finite and > 0, got inf"),
+    "mc-delay-bound-overflow": (["mc-delay", "{bound_overflow}", "--delay", "6.2832e161",
+                                 "--trials", "100"], f"delay bound inf {BOUND_RANGE}"),
+    "mc-delay-bound-underflow": (["mc-delay", "{bound_underflow}", "--delay", "6.2832e-149",
+                                  "--trials", "100"], f"delay bound 0 {BOUND_RANGE}"),
     # eta1^2 overflows and h1_gain^2 underflows: inf * 0 is nan
     "sweep-echo-nan": (["sweep", "{undefined}"],
                        ECHO.format(eta1="1e+200", h1_gain="1e-200")),

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_table_like_config
-from radcom import (PowerAllocation, ScenarioConfig, ValidationError,
-                    compute_sinr, jain_fairness, optimal_allocation_for_sumrate,
-                    rate_report)
+from radcom.comms import compute_sinr, jain_fairness, rate_report
+from radcom.errors import ValidationError
+from radcom.optimizer import optimal_allocation_for_sumrate
+from radcom.scenario import PowerAllocation, ScenarioConfig
 
 CFG = ScenarioConfig()
 # Sum-rate optimum for r02 = 1 at half the power on the radar.

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import GRID, exact_crlb, random_table_like_config
-from radcom import (InfeasibleError, PowerAllocation,
-                    QosRequirement, ScenarioConfig, ValidationError, WaveformKind,
-                    WaveformSpec, asymmetry_sweep, crlb_delay, default_grid, jain_fairness,
-                    max_radar_allocation, optimal_allocation_for_sumrate, rate_report,
-                    sample_feasible_region, star_point, total_estimation_variance,
-                    tradeoff_sweep)
-from radcom.optimizer import _evaluate
+from radcom.comms import jain_fairness, rate_report
+from radcom.errors import InfeasibleError, ValidationError
+from radcom.optimizer import (_evaluate, asymmetry_sweep, default_grid, max_radar_allocation,
+                              optimal_allocation_for_sumrate, sample_feasible_region,
+                              star_point, tradeoff_sweep)
+from radcom.radar import WaveformKind, WaveformSpec, crlb_delay, total_estimation_variance
+from radcom.scenario import PowerAllocation, QosRequirement, ScenarioConfig
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)

@@ -2,11 +2,29 @@
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
-import radcom
-
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "radcom").glob("*.py"))
+
+
+def _public_names():
+    """(module, name) for every module-level def, class and assignment
+    whose name has no leading underscore."""
+    names = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            names += [(path.stem, name) for name in targets if not name.startswith("_")]
+    return names
 
 
 def _loaded_names(path):
@@ -31,14 +49,18 @@ def _loaded_names(path):
 
 
 def _names_read_outside_tests():
-    # The package's __init__ only re-exports, so it does not count as a use.
+    # The package's __init__ holds only its docstring and __version__.
     sources = [p for p in (ROOT / "src" / "radcom").glob("*.py") if p.name != "__init__.py"]
     sources += sorted((ROOT / "perfbench").glob("*.py"))
     return set().union(*(_loaded_names(p) for p in sources))
 
 
 def test_every_public_name_is_used_outside_its_definition():
-    unused = sorted(set(radcom.__all__) - _names_read_outside_tests())
+    names = _public_names()
+    # Every module but the package's __init__ defines public names.
+    assert {module for module, _ in names} == {p.stem for p in MODULES} - {"__init__"}
+    used = _names_read_outside_tests()
+    unused = sorted(f"{module}.{name}" for module, name in names if name not in used)
     assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"
 
 
@@ -50,7 +72,8 @@ def test_every_public_dataclass_field_is_read():
     ``crlb``): that read counts for the field too.
     """
     used = _names_read_outside_tests()
-    classes = [getattr(radcom, name) for name in radcom.__all__]
+    classes = [getattr(importlib.import_module(f"radcom.{module}"), name)
+               for module, name in _public_names()]
     unread = sorted(f"{cls.__name__}.{f.name}" for cls in classes
                     if dataclasses.is_dataclass(cls)
                     for f in dataclasses.fields(cls) if f.name not in used)

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from radcom import (PowerAllocation, QosRequirement,
-                    ScenarioConfig, ValidationError, WaveformKind, WaveformSpec,
-                    analytic_energy, analytic_rms_bandwidth_sq, crlb_delay,
-                    numeric_energy, star_point, synthesize,
-                    total_estimation_variance, tradeoff_sweep)
-from radcom.waveforms import instfreq_moment
+from radcom.errors import ValidationError
+from radcom.optimizer import star_point, tradeoff_sweep
+from radcom.radar import (WaveformKind, WaveformSpec, analytic_energy,
+                          analytic_rms_bandwidth_sq, crlb_delay, total_estimation_variance)
+from radcom.scenario import PowerAllocation, QosRequirement, ScenarioConfig
+from radcom.waveforms import instfreq_moment, numeric_energy, synthesize
 
 CFG = ScenarioConfig()
 LINEAR = WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 1000.0)

@@ -7,11 +7,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from radcom import (PowerAllocation, QosRequirement, ScenarioConfig,
-                    ValidationError, WaveformKind, WaveformSpec,
-                    db_to_linear, linear_to_db, load_scenario,
-                    optimal_allocation_for_sumrate, rate_report)
-from radcom.scenario import checked_number, scenario_from_report, scenario_report_fields
+from radcom.comms import rate_report
+from radcom.errors import ValidationError
+from radcom.optimizer import optimal_allocation_for_sumrate
+from radcom.radar import WaveformKind, WaveformSpec
+from radcom.scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
+                             db_to_linear, linear_to_db, load_scenario,
+                             scenario_from_report, scenario_report_fields)
 
 # The scenario file's dB/dBm keys and the field each one sets.
 DB_KEYS = {

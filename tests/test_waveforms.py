@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 from conftest import mc_band_bound, mc_band_model
 
-from radcom import (InfeasibleError, PowerAllocation,
-                    SampledWaveform, ScenarioConfig, ValidationError,
-                    WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
-                    mc_delay_estimation, numeric_energy,
-                    post_integration_snr_db, synthesize)
 from radcom import waveforms
-from radcom.radar import FM_LAWS, crlb_delay, echo_power
-from radcom.waveforms import (NEWTON_STEPS, TRIALS_PER_STREAM, _smooth_len,
-                              instfreq_moment, spectral_moment)
+from radcom.errors import InfeasibleError, ValidationError
+from radcom.radar import (FM_LAWS, WaveformKind, WaveformSpec, analytic_rms_bandwidth_sq,
+                          crlb_delay, echo_power, post_integration_snr_db)
+from radcom.scenario import PowerAllocation, ScenarioConfig
+from radcom.waveforms import (NEWTON_STEPS, TRIALS_PER_STREAM, SampledWaveform, _smooth_len,
+                              instfreq_moment, mc_delay_estimation, numeric_energy,
+                              spectral_moment, synthesize)
 
 W_HZ = 2e7
 SHORT_W = 2e6   # TW = 100 with the same 50 us pulse as LINEAR
@@ -155,6 +154,31 @@ def test_mc_guards():
     with pytest.raises(InfeasibleError, match="SNR"):
         mc_delay_estimation(ScenarioConfig(), RADAR_ONLY, LINEAR,
                             DELAY_S, 200, 0)
+
+
+@pytest.mark.parametrize("w_hz, sigma_r_sq, delay_s", [
+    (1e-160, 1e-19, 6.2832e161),    # the bound overflows to inf
+    (1e150, 1e-45, 6.2832e-149),    # the bound underflows to 0
+])
+def test_mc_refuses_a_bound_outside_the_float_range(monkeypatch, w_hz, sigma_r_sq, delay_s):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(waveforms, "_sum_sq_by_block", no_trials)
+    spec = WaveformSpec(WaveformKind.LINEAR_FM, w_hz, 1000.0)
+    with pytest.raises(ValidationError, match="outside the float range"):
+        mc_delay_estimation(ScenarioConfig(sigma_r_sq=sigma_r_sq, bandwidth_hz=w_hz),
+                            RADAR_ONLY, spec, delay_s, 100, 0)
+
+
+def test_mc_refuses_a_variance_past_the_float_range():
+    # A bound about 1.5 % below the float maximum: the run's efficiency of
+    # about 1.02 puts its variance past it.
+    w_hz = 4.144e-156
+    cfg = ScenarioConfig(sigma_r_sq=1e-19, bandwidth_hz=w_hz)
+    spec = WaveformSpec(WaveformKind.LINEAR_FM, w_hz, 1000.0)
+    assert math.isfinite(crlb_delay(cfg, RADAR_ONLY, spec, 1))
+    with pytest.raises(ValidationError, match="delay variance past the float range"):
+        mc_delay_estimation(cfg, RADAR_ONLY, spec, 6.2832 / w_hz, 400, 12345)
 
 
 def test_mc_is_deterministic_for_a_seed():

@@ -291,6 +291,15 @@ def _cases() -> dict[str, list]:
         "usage-mc-delay-tw-1e15": [
             ("write", "long.txt", "time_bandwidth=1e15\nsigma_r_sq=1e-19\n"),
             _with_out(["mc-delay", "long.txt", "--delay", "6.2832e-6"], "mc.json")],
+        # delay bounds past the float range at 20 and 280 dB of SNR
+        "usage-mc-delay-bound-overflow": [
+            ("write", "tiny.txt", "sigma_r_sq=1e-19\nbandwidth_hz=1e-160\n"),
+            _with_out(["mc-delay", "tiny.txt", "--delay", "6.2832e161", "--trials", "100"],
+                      "mc.json")],
+        "usage-mc-delay-bound-underflow": [
+            ("write", "huge.txt", "sigma_r_sq=1e-45\nbandwidth_hz=1e150\n"),
+            _with_out(["mc-delay", "huge.txt", "--delay", "6.2832e-149", "--trials", "100"],
+                      "mc.json")],
         # moments whose plain squares overflow a float
         "waveform-validate-bandwidth-1e150": [_with_out(
             ["waveform-validate", "--bandwidth-hz", "1e150"], "w.csv")],
