@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,10 +184,11 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     1 / (3 W) and gives the coarse peak over the lags in [0, n_obs - n];
     NEWTON_STEPS Newton steps on |C(tau)|^2, C(tau) = sum_k Y_k
     exp(i omega_k tau), refine it.  So a trial costs 2 K normals, one L-point
-    inverse FFT and, per Newton step, K phase factors and three K-sums.  The
-    trials run in batches of at most BATCH_BINS kept bins, one draw and one
-    batched inverse FFT per batch, in buffers per worker whose size does
-    not depend on ``trials``.  Block k of TRIALS_PER_STREAM trials draws from
+    inverse FFT and, per Newton step, about 2 sqrt(K) complex exponentials
+    and two small matrix products, which release the GIL.  The trials run
+    in batches of at most BATCH_BINS kept bins, one draw and one batched
+    inverse FFT per batch, in buffers per worker whose size does not
+    depend on ``trials``.  Block k of TRIALS_PER_STREAM trials draws from
     its own stream, seeded by ``SeedSequence(seed, spawn_key=(k,))``, and
     the blocks run on one worker per usable CPU; no output depends on the
     number of workers or on the batch size.  Every trial works in f / W and
@@ -218,6 +219,8 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     if not (math.isfinite(crlb) and crlb > 0.0):
         raise ValidationError(f"delay bound {crlb:g} s^2 is outside the float range; "
                               "the efficiency would be meaningless")
+    # The efficiency's denominator, crlb W^2: it keeps its digits where crlb is subnormal.
+    crlb_w_sq = float(crlb_delay(cfg, alloc, replace(spec, bandwidth_hz=1.0), 1))
 
     fs = MIN_OVERSAMPLING * w_hz
     xt = synthesize(spec, fs).samples
@@ -249,18 +252,26 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     coarse_len = _smooth_len(2 * n_bins)
     coarse_step = fft_len / (MIN_OVERSAMPLING * coarse_len)    # tau W per coarse lag
     coarse_lags = max_lag * coarse_len // fft_len + 1          # those in [0, max_lag]
+    # Bin k = m Q + r sits at row m, column r of an M x Q grid, which fits a coarse
+    # row (M Q < K + Q <= 2 K <= L), and omega_k = a_m + b_r: a_m = omega_mQ and
+    # b_r = r bin_step.  b_pows times B_r is rows 2r and 2r + 1 of [B, B b, B b^2]
+    # in the real form that the grid's float view multiplies: row r and i times it.
+    cols = math.isqrt(n_bins - 1) + 1
+    rows = -(-n_bins // cols)
+    a_b = np.concatenate((omega[::cols], bin_step * np.arange(cols)))    # a_m, then b_r
+    a_pows, b_pows = (np.array([x ** 0, x, x * x]) for x in np.split(a_b, [rows]))
+    b_pows = b_pows.T[:, None, :] * np.array([[1.0], [1j]])
     batch = TRIALS_PER_STREAM
     while batch > 1 and batch * n_bins > BATCH_BINS:
         batch //= 2
     del xt, template
 
-    def block_sq(k: int, draws: np.ndarray, coarse: np.ndarray,
-                 ramp: np.ndarray) -> float:
+    def block_sq(k: int, draws: np.ndarray, coarse: np.ndarray) -> float:
         """Block k's squared delay errors, in units of 1 / W^2, summed in
         trial order.  Its batches run through the rows of the buffers: one
-        draw fills them in trial order, and every later step is elementwise,
-        a row's inverse FFT or a sum along a row, so each trial matches a
-        one-row loop over the block's stream bit for bit."""
+        draw fills them in trial order, and every later step is elementwise
+        or a row's inverse FFT, argmax or matrix product, of one shape for
+        every row, so each trial matches a one-row loop bit for bit."""
         y = draws.view(complex)     # real parts at even columns, imaginary at odd
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         sum_sq = 0.0
@@ -275,21 +286,21 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
             # turns each coarse lag by a unit phase and keeps its magnitude.
             corr = np.fft.ifft(yb, coarse_len, axis=1, out=coarse[:b])
             tau_w = coarse_step * np.argmax(np.abs(corr[:, :coarse_lags]), axis=1)
+            coarse[:b, :n_bins] = yb    # the coarse rows are free once the argmax is taken
+            coarse[:b, n_bins:rows * cols] = 0.0
+            grid = coarse[:b, :rows * cols].view(float).reshape(b, rows, 2 * cols)
             for _ in range(NEWTON_STEPS):
-                # exp(i omega_k tau) as a running product along the bins; then
-                # C, C' / i and -C'' are the sums of p, omega p, omega^2 p.  The
-                # step is in real arithmetic, which rounds the same per element
-                # of an array as on one float.
-                p = ramp[:b]
-                p[:] = np.exp(1j * (bin_step * tau_w))[:, None]
-                p[:, 0] = np.exp(1j * (omega[0] * tau_w))
-                np.cumprod(p, axis=1, out=p)
-                p *= yb
-                c0 = p.sum(axis=1)
-                p *= omega
-                c1 = p.sum(axis=1)
-                p *= omega
-                c2 = p.sum(axis=1)
+                # exp(i omega_k tau) = A_m B_r, A = exp(i a tau), B = exp(i b tau);
+                # with omega^2 = a^2 + 2 a b + b^2, C, C' / i and -C'' are sums in
+                # [1, a, a^2] times A (grid times [B, B b, B b^2]).  The step is in real
+                # arithmetic, which rounds the same per element of an array as on one float.
+                phase = np.exp(1j * np.multiply.outer(tau_w, a_b))
+                bw = np.multiply(phase[:, rows:, None, None], b_pows, order="C")
+                s = (grid @ bw.view(float).reshape(b, 2 * cols, 6)).view(complex)
+                s *= phase[:, :rows, None]
+                s = (a_pows @ s.view(float)).view(complex)
+                c0, c1 = s[:, 0, 0], s[:, 1, 0] + s[:, 0, 1]
+                c2 = s[:, 2, 0] + 2.0 * s[:, 1, 1] + s[:, 0, 2]
                 tau_w += ((c0.real * c1.imag - c0.imag * c1.real)
                           / (c1.real * c1.real + c1.imag * c1.imag
                              - c0.real * c2.real - c0.imag * c2.imag))
@@ -300,8 +311,7 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
     sum_sq = _sum_sq_by_block(
         block_sq, -(-trials // TRIALS_PER_STREAM),
         lambda: (np.empty((batch, 2 * n_bins)),
-                 np.empty((batch, coarse_len), complex),
-                 np.empty((batch, n_bins), complex)))
+                 np.empty((batch, coarse_len), complex)))
     empirical_var = sum_sq / trials / w_hz / w_hz
     if math.isinf(empirical_var):   # a bound within a few percent of the float maximum
         raise ValidationError(f"delay variance past the float range (bound {crlb:g} s^2)")
@@ -311,6 +321,6 @@ def mc_delay_estimation(cfg: ScenarioConfig, alloc: PowerAllocation,
         snr_post_db=snr_db,
         empirical_var=empirical_var,
         crlb=crlb,
-        efficiency=empirical_var / crlb,
+        efficiency=sum_sq / trials / crlb_w_sq,
         seed=seed,
     )

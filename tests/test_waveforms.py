@@ -318,6 +318,16 @@ def test_mc_efficiency_stays_in_the_band_at_100_db():
     assert 0.8 <= report.efficiency <= 3.0
 
 
+def test_mc_efficiency_stays_in_the_band_at_250_db():
+    # The precision floor: delay errors of about 2e-13 / W rms.  Two Newton
+    # steps would leave 6e-7 / W; phases as a running product over the bins
+    # read 5.2 at 280 dB.
+    cfg = ScenarioConfig(sigma_r_sq=echo_power(ScenarioConfig(), 1.0, 1) * 1000.0 / 1e25)
+    report = mc_delay_estimation(cfg, RADAR_ONLY, LINEAR, DELAY_S, 400, 1)
+    assert report.snr_post_db == pytest.approx(250.0)
+    assert 0.8 <= report.efficiency <= 3.0
+
+
 def test_the_closed_form_is_the_per_bin_bound_at_large_tw():
     # The paper's (pi W)^2 moment leaves out the kept band's edges, which the
     # per-bin model's exact bound counts: 0.8 % at TW = 100, 0.08 % at 1000.
@@ -388,16 +398,28 @@ def test_comm_echoes_act_as_extra_radar_noise():
                 1.0 + inr, rel=0.02, abs=0)
 
 
-def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
-    """empirical_var from a plain loop over the per-bin model of
-    conftest.mc_band_model, one trial at a time.  Block k of
+def _real_form(y):
+    """The real matrix that a complex matrix's float view multiplies as y:
+    rows 2j and 2j + 1 hold row j of y and of i y, as (real, imaginary) pairs."""
+    return np.stack((y, 1j * y), axis=1).view(float).reshape(2 * len(y), -1)
+
+
+def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed, direct_phases=False):
+    """The mean squared delay error in tau W, from a plain loop over the per-bin
+    model of conftest.mc_band_model, one trial at a time.  Block k of
     TRIALS_PER_STREAM trials draws from SeedSequence(seed, spawn_key=(k,)).
     Per trial: 2 K normals, read as (real, imaginary) pairs, into a one-row
     buffer; Y = A |X|^2 exp(-i omega tau) plus the noise times conj(X); the
     coarse peak over the lags in [0, max_lag] of Y's inverse DFT, zero-padded
     to L = the least 5-smooth length >= 2 K; and NEWTON_STEPS Newton steps on
     |C(t)|^2, C(t) = sum_k Y_k exp(i omega_k t), in tau W.  Each block's
-    squared errors are summed in trial order, and the block sums by fsum."""
+    squared errors are summed in trial order, and the block sums by fsum.
+
+    Each Newton step lays Y out as an M x Q grid, Q = isqrt(K - 1) + 1, with
+    bin k = m Q + r at row m, column r and omega_k = a_m + b_r, a_m = omega_mQ
+    and b_r = r (omega_1 - omega_0), and takes C, C' / i and -C'' from two
+    products of real matrices.  With ``direct_phases`` it sums Y_k
+    exp(i omega_k t) times 1, omega_k and omega_k^2 instead."""
     m = mc_band_model(cfg, alloc, spec, delay_s)
     n_bins = len(m.bins)
     signal = m.amplitude * np.abs(m.template) ** 2 * np.exp(-1j * (m.omega * m.delay_w))
@@ -408,6 +430,9 @@ def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
     coarse_step = m.fft_len / (8.0 * coarse_len)
     coarse_lags = m.max_lag * coarse_len // m.fft_len + 1
     bin_step = 2.0 * math.pi * (8.0 / m.fft_len)    # omega / W from one bin to the next
+    cols = math.isqrt(n_bins - 1) + 1
+    rows = -(-n_bins // cols)
+    a_m, b_r = m.omega[::cols], bin_step * np.arange(cols)
     g = np.empty(2 * n_bins)
     y = g.view(complex)
     block_sums = []
@@ -421,19 +446,30 @@ def _one_trial_loop(cfg, alloc, spec, delay_s, trials, seed):
         y += signal
         corr = np.fft.ifft(y, coarse_len)
         tau = coarse_step * int(np.argmax(np.abs(corr[:coarse_lags])))
+        grid = np.zeros(rows * cols, complex)
+        grid[:n_bins] = y
+        grid = grid.view(float).reshape(rows, 2 * cols)
         for _ in range(NEWTON_STEPS):
-            # exp(i omega_k tau) as a running product from the lowest kept bin.
-            ramp = np.full(n_bins, np.exp(1j * (bin_step * tau)))
-            ramp[0] = np.exp(1j * (m.omega[0] * tau))
-            p = np.cumprod(ramp) * y
-            q = p * m.omega
+            if direct_phases:
+                p = np.exp(1j * (m.omega * tau)) * y
+                c0, c1, c2 = (complex(np.sum(p * m.omega ** j)) for j in range(3))
+            else:
+                # C, C' / i, -C'': with A_m = exp(i a_m t), B_r = exp(i b_r t)
+                # and omega^2 = a^2 + 2 a b + b^2, the 3 x 3 products
+                # [A, A a, A a^2] Y [B, B b, B b^2] give them as sums of entries.
+                b_part = (np.exp(1j * (b_r * tau))[:, None]
+                          * np.stack((b_r ** 0, b_r, b_r * b_r), axis=1))
+                s = (grid @ _real_form(b_part)).view(complex)
+                s *= np.exp(1j * (a_m * tau))[:, None]
+                s = (np.array([a_m ** 0, a_m, a_m * a_m]) @ s.view(float)).view(complex)
+                c0, c1, c2 = (complex(c) for c in (s[0, 0], s[1, 0] + s[0, 1],
+                                                   s[2, 0] + 2.0 * s[1, 1] + s[0, 2]))
             # C = c0, C' = i c1, C'' = -c2; tau - (|C|^2)' / (|C|^2)'' in floats.
-            c0, c1, c2 = (complex(c) for c in (p.sum(), q.sum(), (q * m.omega).sum()))
             tau += ((c0.real * c1.imag - c0.imag * c1.real)
                     / (c1.real * c1.real + c1.imag * c1.imag
                        - c0.real * c2.real - c0.imag * c2.imag))
         block_sums[-1] += (tau - m.delay_w) ** 2
-    return math.fsum(block_sums) / trials / spec.bandwidth_hz / spec.bandwidth_hz
+    return math.fsum(block_sums) / trials
 
 
 # (time-bandwidth, bandwidth, radar noise, delay): the delay range is [2/W, T/2].
@@ -458,16 +494,19 @@ def test_mc_matches_the_original_trial_loop(kind, alloc, tw, w_hz, sigma_r_sq, d
     spec = WaveformSpec(kind, w_hz, tw)
     report = mc_delay_estimation(cfg, alloc, spec, delay_s, 100, 2024)
     reference = _one_trial_loop(cfg, alloc, spec, delay_s, 100, 2024)
-    assert report.empirical_var == reference
-    assert report.efficiency == reference / crlb_delay(cfg, alloc, spec, 1)
+    assert report.empirical_var == reference / w_hz / w_hz
+    # The efficiency is over crlb W^2, the bound at W = 1.
+    crlb_w_sq = crlb_delay(cfg, alloc, WaveformSpec(kind, 1.0, tw), 1)
+    assert report.efficiency == reference / crlb_w_sq
 
 
 @pytest.mark.parametrize("kind", [WaveformKind.LINEAR_FM, WaveformKind.PARABOLIC_FM],
                          ids=["linear", "parabolic"])
-@pytest.mark.parametrize("k", [-480, 480])
+@pytest.mark.parametrize("k", [-480, 480, 487])
 def test_mc_efficiency_is_exact_under_a_power_of_two_bandwidth(kind, k):
     # W 2^k with the delay scaled by 2^-k samples the same pulse and echo, so
-    # every delay error scales by 2^-k and the efficiency keeps its bits.
+    # every delay error scales by 2^-k and the efficiency keeps its bits, also
+    # at k = 487, where the bound in s^2 is subnormal (about 5e-311).
     tw, w_hz, sigma_r_sq, delay_s = MC_CASES["tw100-inside"]
     cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq)
     reference = mc_delay_estimation(cfg, RADAR_ONLY, WaveformSpec(kind, w_hz, tw),
@@ -487,7 +526,21 @@ def test_mc_batches_match_the_one_trial_loop_bitwise(spec, trials):
     alloc = PowerAllocation(0.2, 0.55, 0.25)
     report = mc_delay_estimation(cfg, alloc, spec, DELAY_S, trials, 2024)
     assert report.empirical_var == _one_trial_loop(cfg, alloc, spec, DELAY_S,
-                                                   trials, 2024)
+                                                   trials, 2024) / W_HZ / W_HZ
+
+
+@pytest.mark.parametrize("spec", [LINEAR, PARABOLIC], ids=["linear", "parabolic"])
+@pytest.mark.parametrize("case", ["tw100-inside", "tw1000"])
+def test_mc_newton_matches_directly_computed_phases(spec, case):
+    # One exponential per bin and three sums along the bins, against the
+    # factored phases and the two matrix products: only rounding differs.
+    tw, w_hz, sigma_r_sq, delay_s = MC_CASES[case]
+    cfg = ScenarioConfig(sigma_r_sq=sigma_r_sq, bandwidth_hz=w_hz, time_bandwidth=tw)
+    spec = WaveformSpec(spec.kind, w_hz, tw)
+    alloc = PowerAllocation(0.2, 0.55, 0.25)
+    report = mc_delay_estimation(cfg, alloc, spec, delay_s, 100, 2024)
+    direct = _one_trial_loop(cfg, alloc, spec, delay_s, 100, 2024, direct_phases=True)
+    assert report.empirical_var == pytest.approx(direct / w_hz / w_hz, rel=1e-12, abs=0)
 
 
 def test_smooth_fft_length_is_the_least_5_smooth_bound():
