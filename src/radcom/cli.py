@@ -9,6 +9,9 @@ paths and a pure ``compute``.  The command line and ``rerun`` feed one
 pipeline (check the params, claim the outputs, compute, write, report), so
 a manifest's params pass exactly the checks the command line applies.
 
+Parsing, ``--help``, ``--version`` and usage errors load no numeric module:
+each param check and compute imports what it uses when it runs.
+
 Exit codes: 0 success, 2 domain infeasibility, 3 usage or config error.
 """
 
@@ -19,22 +22,13 @@ import contextlib
 import json
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .csvtext import csv_chunks
-from .errors import InfeasibleError, RadcomError, ValidationError
-from .optimizer import SweepResult, asymmetry_sweep, star_point, tradeoff_sweep
-from .radar import (FM_LAWS, WaveformKind, WaveformSpec, analytic_energy,
-                    analytic_rms_bandwidth_sq)
-from .scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
-                       load_scenario, scenario_from_report, scenario_report_fields)
-from .waveforms import (MIN_OVERSAMPLING, instfreq_moment, mc_delay_estimation,
-                        numeric_energy, spectral_moment, synthesize)
+from .errors import (MIN_OVERSAMPLING, InfeasibleError, RadcomError, ValidationError,
+                     checked_number)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -48,7 +42,8 @@ def _json_content(payload: dict) -> Iterable[bytes]:
     yield (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _load_scenario_file(path: str) -> ScenarioConfig:
+def _load_scenario_file(path: str):
+    from .scenario import load_scenario
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -60,9 +55,10 @@ def _manifest_path(out_path: Path) -> Path:
     return Path(str(out_path) + ".manifest.json")
 
 
-def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
+def _write_outputs(command: str, cfg, params: dict,
                    files: dict[Path, Iterable[bytes]]) -> None:
     """Write the data files, then the manifest beside the first (primary) one."""
+    from .scenario import scenario_report_fields
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -100,6 +96,7 @@ def _write_outputs(command: str, cfg: ScenarioConfig | None, params: dict,
 # manifest records, and returns the manifest value or raises ValidationError.
 
 def _waveform(name) -> str:
+    from .radar import WaveformKind
     try:
         return WaveformKind(name).value
     except ValueError:
@@ -161,6 +158,7 @@ def _qos_pair(item) -> list[float]:
 
 def _alloc(value) -> list[float]:
     """a1_sq:a2_sq:ar_sq text, or a manifest's split, within the unit power budget."""
+    from .scenario import PowerAllocation
     try:
         a1, a2, ar = (value.split(":") if isinstance(value, str)
                       else [checked_number("share", share) for share in value])
@@ -181,13 +179,16 @@ SWEEP_HEADER = ("ar_sq,a1_sq,a2_sq,r1,r2,r_sum,sigma_eps_sq,"
                 "sigma_eps_sq_norm,log10_norm,fairness")
 
 
-def _spec(cfg: ScenarioConfig, params: dict) -> WaveformSpec:
+def _spec(cfg, params: dict):
+    from .radar import WaveformKind, WaveformSpec
     return WaveformSpec(kind=WaveformKind(params["waveform"]),
                         bandwidth_hz=cfg.bandwidth_hz,
                         time_bandwidth=cfg.time_bandwidth)
 
 
-def _sweep_csv(result: SweepResult) -> Iterable[bytes]:
+def _sweep_csv(result) -> Iterable[bytes]:
+    import numpy as np
+    from .csvtext import csv_chunks
     return csv_chunks(SWEEP_HEADER, (np.column_stack([
         c.alloc.ar_sq, c.alloc.a1_sq, c.alloc.a2_sq, c.r1, c.r2, c.r_sum,
         c.sigma_eps_sq, c.sigma_eps_sq_normalized,
@@ -195,6 +196,7 @@ def _sweep_csv(result: SweepResult) -> Iterable[bytes]:
 
 
 def _sweep(cfg, params, paths):
+    from .optimizer import tradeoff_sweep
     result = tradeoff_sweep(cfg, params["r02"], _spec(cfg, params), params["grid"])
     tail = result.infeasible_tail_start
     line = (f"sweep: {len(result.grid)} feasible points -> {paths[0]}"
@@ -203,6 +205,9 @@ def _sweep(cfg, params, paths):
 
 
 def _starpoints(cfg, params, paths):
+    from .csvtext import csv_chunks
+    from .optimizer import star_point
+    from .scenario import QosRequirement
     spec = _spec(cfg, params)
     rows = []
     for r01, r02 in params["qos"]:
@@ -213,6 +218,9 @@ def _starpoints(cfg, params, paths):
 
 
 def _fairness(cfg, params, paths):
+    import numpy as np
+    from .csvtext import csv_chunks
+    from .optimizer import tradeoff_sweep
     spec = _spec(cfg, params)
     results = [tradeoff_sweep(cfg, r02, spec, params["grid"]) for r02 in params["r02_list"]]
     blocks = (np.column_stack([np.full(len(c.r_sum), result.r02), c.alloc.ar_sq,
@@ -238,6 +246,7 @@ def _asymmetry_outputs(out: Path, params: dict) -> list[Path]:
 
 
 def _asymmetry(cfg, params, paths):
+    from .optimizer import asymmetry_sweep
     gaps = params["gaps_db"]
     results = asymmetry_sweep(cfg, params["r02"], _spec(cfg, params), gaps,
                               params["grid"])
@@ -261,6 +270,11 @@ def _asymmetry(cfg, params, paths):
 
 
 def _waveform_validate(cfg, params, paths):
+    import numpy as np
+    from .csvtext import csv_chunks
+    from .radar import (FM_LAWS, WaveformKind, WaveformSpec, analytic_energy,
+                        analytic_rms_bandwidth_sq)
+    from .waveforms import instfreq_moment, numeric_energy, spectral_moment, synthesize
     kind = WaveformKind(params["waveform"])
     bandwidth_hz = params["bandwidth_hz"]
     num, den = FM_LAWS[kind].moment   # the deviations compare W-free normalized moments
@@ -290,6 +304,9 @@ def _waveform_validate(cfg, params, paths):
 
 
 def _mc_delay(cfg, params, paths):
+    from dataclasses import asdict
+    from .scenario import PowerAllocation
+    from .waveforms import mc_delay_estimation
     report = mc_delay_estimation(cfg, PowerAllocation(*params["alloc"]),
                                  _spec(cfg, params), true_delay_s=params["delay_s"],
                                  trials=params["trials"], seed=params["seed"])
@@ -314,15 +331,11 @@ WAVEFORM = _opt("--waveform", _waveform, default="linear", help="linear or parab
 GRID = _opt("--grid", _grid, default="0.01:0.99:200", help="radar-share grid lo:hi:count")
 
 
-@dataclass(frozen=True)
-class Command:
-    """One subcommand, declared once for the command line and for ``rerun``."""
-
-    help: str
-    options: tuple        # _opt entries, in --help order
-    compute: Callable     # (cfg, params, paths) -> ({path: content}, summary, exit code)
-    outputs: Callable = lambda out, params: [out]   # data paths, primary first
-    scenario: bool = True
+# One subcommand, declared once for the command line and for ``rerun``.  compute
+# maps (cfg, params, paths) to ({path: content}, summary, exit code); outputs maps
+# (out, params) to the data paths, primary first.  Not a dataclass: that loads inspect.
+Command = namedtuple("Command", "help options compute outputs scenario",
+                     defaults=(lambda out, params: [out], True))
 
 
 COMMANDS = {
@@ -443,6 +456,7 @@ def _rerun(path: str, out: str | None, force: bool) -> int:
     command = manifest.get("command")
     if command not in COMMANDS:
         raise ValidationError(f"manifest names unknown command {command!r}")
+    from .scenario import scenario_from_report
     try:
         return _run(command, manifest.get("params", {}),
                     lambda: scenario_from_report(manifest.get("scenario")),

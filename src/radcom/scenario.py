@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_number
 
 
 def db_to_linear(value_db: float) -> float:
@@ -30,21 +30,6 @@ def linear_to_db(value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValidationError(f"linear value must be finite and > 0, got {value!r}")
     return 10.0 * math.log10(value)
-
-
-def checked_number(name: str, value, integer: bool = False):
-    """``value`` if JSON gave it as a number (an integer if ``integer``, else one
-    a float can hold), never a bool."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        what = "an integer" if integer else "a number"
-        raise ValidationError(f"{name} must be {what}, got {value!r}")
-    if not integer:
-        try:
-            float(value)
-        except OverflowError:
-            raise ValidationError(
-                f"{name} is too large for a float, got {value!r}") from None
-    return value
 
 
 @dataclass(frozen=True)

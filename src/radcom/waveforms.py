@@ -26,12 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import MIN_OVERSAMPLING, InfeasibleError, ValidationError
 from .radar import (FM_LAWS, WaveformSpec, crlb_delay, echo_power,
                     post_integration_snr_db)
 from .scenario import PowerAllocation, ScenarioConfig
 
-MIN_OVERSAMPLING = 8.0          # sample_rate_hz >= MIN_OVERSAMPLING * W
 MIN_MC_SNR_DB = 10.0            # asymptotic-region guard for the estimator
 MIN_MC_TRIALS = 100
 TRIALS_PER_STREAM = 64          # Monte Carlo trials per seeded stream, run by one worker
