@@ -157,18 +157,17 @@ def _qos_pair(item) -> list[float]:
 
 
 def _alloc(value) -> list[float]:
-    """a1_sq:a2_sq:ar_sq text, or a manifest's split, within the unit power budget."""
+    """a1_sq:a2_sq:ar_sq text, or a manifest's split; PowerAllocation checks the shares."""
     from .scenario import PowerAllocation
     try:
         a1, a2, ar = (value.split(":") if isinstance(value, str)
                       else [checked_number("share", share) for share in value])
-        alloc = PowerAllocation(float(a1), float(a2), float(ar))
+        shares = [float(a1), float(a2), float(ar)]
     except (ValueError, TypeError):   # ValidationError is a ValueError
         raise ValidationError(
             f"allocation must look like a1_sq:a2_sq:ar_sq, got {value!r}") from None
-    if max(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq) > 1.0 or alloc.power_sum > 1.0 + 1e-12:
-        raise ValidationError(f"allocation {value!r} exceeds the unit power budget")
-    return [alloc.a1_sq, alloc.a2_sq, alloc.ar_sq]
+    PowerAllocation(*shares)
+    return shares
 
 
 # Computations.  Each maps a scenario and checked params to the content of

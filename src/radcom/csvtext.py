@@ -1,8 +1,8 @@
 """CSV text whose every cell is byte-identical to C's ``%.8e``.
 
-Cells are formatted with numpy in blocks of rows, one chunk of bytes per
-block, so a writer never holds a whole file; the few cells whose digits the
-fast path cannot prove (see ``_csv_block``) are written by ``%`` itself.
+Cells are formatted with numpy, one chunk of bytes per table handed in (the
+callers hand in a curve's row blocks, never a whole curve); the few cells whose
+digits the fast path cannot prove (see ``_csv_block``) are written by ``%``.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-# Rows per block: a curve is evaluated and its CSV text formatted this many
-# rows at a time, so a dense command holds one block's temporaries, never a
-# whole curve.
-BLOCK_ROWS = 1024
 _HEAD_WORD = int.from_bytes(b",\x000.", "little")   # separator, sign, leading digit, point
 
 
@@ -43,7 +39,7 @@ def _format_tables() -> tuple[np.ndarray, ...]:
 
 def csv_chunks(header: str, tables: Iterable) -> Iterator[bytes]:
     """CSV bytes of tables of floats, one after another: the header, one chunk
-    per block of BLOCK_ROWS rows of each table, a newline.
+    per non-empty table, a newline.
 
     Every cell is exactly ``"%.8e" % x``.  A table is taken from ``tables``
     only when the one before it is written, so a generator of row blocks
@@ -52,8 +48,8 @@ def csv_chunks(header: str, tables: Iterable) -> Iterator[bytes]:
     yield header.encode()
     for rows in tables:
         table = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-        for start in range(0, len(table), BLOCK_ROWS):
-            yield _csv_block(table[start:start + BLOCK_ROWS])
+        if len(table):
+            yield _csv_block(table)
     yield b"\n"
 
 

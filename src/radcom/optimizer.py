@@ -16,10 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .comms import jain_fairness, rate_report
-from .csvtext import BLOCK_ROWS
 from .errors import InfeasibleError, ValidationError
 from .radar import WaveformSpec, total_estimation_variance
 from .scenario import PowerAllocation, QosRequirement, ScenarioConfig, db_to_linear
+
+# Rows per block: a curve is evaluated, and its CSV text formatted, this many
+# rows at a time, so a dense command holds one block's temporaries, never a
+# whole curve.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -47,10 +51,8 @@ class TradeoffPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Tradeoff curve for one waveform and weak-user QoS level, evaluated on demand.
-
-    ``curve`` evaluates the whole curve at once; ``blocks`` yields the same
-    points BLOCK_ROWS at a time, so a writer holds one block, never the curve.
+    """Tradeoff curve for one waveform and weak-user QoS level, evaluated on
+    demand BLOCK_ROWS points at a time, so a writer holds one block, never the curve.
     """
 
     cfg: ScenarioConfig
@@ -59,19 +61,13 @@ class SweepResult:
     grid: np.ndarray                           # feasible radar shares, ascending
     infeasible_tail_start: float | None        # ar_sq beyond which no split exists
 
-    @property
-    def curve(self) -> TradeoffPoint:
-        """Every point of the curve: array fields, ascending in ar_sq."""
-        return self._points(self.grid)
-
     def blocks(self) -> Iterator[TradeoffPoint]:
-        """The curve's points in consecutive blocks of at most BLOCK_ROWS."""
+        """The curve's points, ascending in ar_sq, in consecutive array-valued
+        blocks of at most BLOCK_ROWS."""
         for start in range(0, len(self.grid), BLOCK_ROWS):
-            yield self._points(self.grid[start:start + BLOCK_ROWS])
-
-    def _points(self, ar_sq: np.ndarray) -> TradeoffPoint:
-        alloc = optimal_allocation_for_sumrate(self.cfg, self.r02, ar_sq)
-        return _evaluate(self.cfg, alloc, self.spec)
+            ar_sq = self.grid[start:start + BLOCK_ROWS]
+            alloc = optimal_allocation_for_sumrate(self.cfg, self.r02, ar_sq)
+            yield _evaluate(self.cfg, alloc, self.spec)
 
 
 def default_grid(lo: float, hi: float, count: int) -> np.ndarray:

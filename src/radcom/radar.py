@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_pulse
 from .scenario import PowerAllocation, ScenarioConfig, linear_to_db
 
 
@@ -50,14 +50,7 @@ class WaveformSpec:
     def __post_init__(self):
         if not isinstance(self.kind, WaveformKind):
             raise ValidationError(f"kind must be a WaveformKind, got {self.kind!r}")
-        # The closed-form moments square pi W, which must neither overflow nor vanish.
-        pi_w = math.pi * self.bandwidth_hz
-        if not (self.bandwidth_hz > 0.0 and 0.0 < pi_w * pi_w < math.inf):
-            raise ValidationError(f"bandwidth_hz must be > 0 with (pi W)^2 finite and "
-                                  f"> 0, got {self.bandwidth_hz!r}")
-        if not (math.isfinite(self.time_bandwidth) and self.time_bandwidth >= 1.0):
-            raise ValidationError(
-                f"time_bandwidth must be >= 1, got {self.time_bandwidth!r}")
+        check_pulse(self.bandwidth_hz, self.time_bandwidth)
 
     @property
     def duration_s(self) -> float:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError, checked_number
+from .errors import ValidationError, check_pulse, checked_number
 
 
 def db_to_linear(value_db: float) -> float:
@@ -55,10 +55,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("sigma1_sq", "sigma2_sq", "sigma_r_sq", "eta1", "eta2",
-                     "bandwidth_hz", "total_power_mw"):
+                     "total_power_mw"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+        check_pulse(self.bandwidth_hz, self.time_bandwidth)
         if not (math.isfinite(self.h1_gain) and math.isfinite(self.h2_gain)):
             raise ValidationError("channel gains must be finite")
         # User 1 strips s2 by SIC before decoding s1, which is sound only when
@@ -71,9 +72,6 @@ class ScenarioConfig:
                 "h1_gain/sigma1_sq > h2_gain/sigma2_sq (user 1 is the strong user), "
                 f"got h1_gain={self.h1_gain:.6g}, h2_gain={self.h2_gain:.6g}, "
                 f"sigma1_sq={self.sigma1_sq:.6g}, sigma2_sq={self.sigma2_sq:.6g}")
-        if not (math.isfinite(self.time_bandwidth) and self.time_bandwidth >= 1.0):
-            raise ValidationError(
-                f"time_bandwidth must be >= 1, got {self.time_bandwidth!r}")
         for k in (1, 2):   # float products give inf or nan (inf * 0), never raise
             if not math.isfinite(self.echo_gain(k) * self.total_power_mw):
                 raise ValidationError(
@@ -94,9 +92,10 @@ class ScenarioConfig:
 class PowerAllocation:
     """Fractions of total transmit power given to s1, s2 and the radar waveform.
 
-    Construction only requires finite, non-negative values; the power budget
-    and the QoS rates are the optimizer's to meet (see :mod:`radcom.optimizer`).
-    Array fractions hold many splits.
+    Every split, however made, meets the unit power budget: each share is
+    finite, >= 0 and <= 1, and the shares sum to at most 1 + 1e-12.  The QoS
+    rates are the optimizer's to meet (see :mod:`radcom.optimizer`).  Array
+    fractions hold many splits, each checked on its own.
     """
 
     a1_sq: float  # power fraction of user-1 signal
@@ -104,18 +103,22 @@ class PowerAllocation:
     ar_sq: float  # power fraction of radar waveform
 
     def __post_init__(self):
-        for name in ("a1_sq", "a2_sq", "ar_sq"):
-            value = getattr(self, name)
+        shares = (self.a1_sq, self.a2_sq, self.ar_sq)
+        for name, value in zip(("a1_sq", "a2_sq", "ar_sq"), shares):
             ok = (0.0 <= value) & (value < math.inf)
             if not np.all(ok):
                 if np.ndim(value):   # name the first offending entry, not the array
                     value = np.asarray(value)[~ok][0].item()
                 raise ValidationError(
                     f"{name} must be finite and >= 0, got {value!r}")
-
-    @property
-    def power_sum(self) -> float:
-        return self.a1_sq + self.a2_sq + self.ar_sq
+        a1, a2, ar = shares
+        over = (a1 > 1.0) | (a2 > 1.0) | (ar > 1.0) | (a1 + a2 + ar > 1.0 + 1e-12)
+        if np.any(over):
+            if np.ndim(over):   # the first offending split's shares
+                first = np.argmax(over)
+                shares = [v.flat[first].item() for v in np.broadcast_arrays(*shares)]
+            raise ValidationError("allocation {!r}:{!r}:{!r} exceeds the unit power budget"
+                                  .format(*shares))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,34 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 import math
 from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
+from radcom.optimizer import TradeoffPoint
 from radcom.radar import FM_LAWS, WaveformKind, echo_power
-from radcom.scenario import ScenarioConfig
+from radcom.scenario import PowerAllocation, ScenarioConfig
 from radcom.waveforms import BAND_MARGIN, MIN_OVERSAMPLING, _smooth_len
 
 # The radar-share grid of the command line's --grid 0.01:0.99:200.
 GRID = {"lo": 0.01, "hi": 0.99, "count": 200}
+
+
+def whole_curve(result) -> TradeoffPoint:
+    """Every point of a SweepResult as one array-valued TradeoffPoint: its
+    blocks() joined, ascending in ar_sq."""
+    blocks = list(result.blocks())
+
+    def joined(read):
+        return np.concatenate([read(block) for block in blocks])
+
+    alloc = PowerAllocation(*(joined(lambda b, name=name: getattr(b.alloc, name))
+                              for name in ("a1_sq", "a2_sq", "ar_sq")))
+    return TradeoffPoint(alloc, **{
+        f.name: joined(lambda b, name=f.name: getattr(b, name))
+        for f in dataclasses.fields(TradeoffPoint) if f.name != "alloc"})
 
 
 def random_table_like_config(rng: np.random.Generator) -> ScenarioConfig:

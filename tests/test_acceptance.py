@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import GRID, random_table_like_config
+from conftest import GRID, random_table_like_config, whole_curve
 from radcom.comms import rate_report
 from radcom.optimizer import (asymmetry_sweep, max_radar_allocation,
                               optimal_allocation_for_sumrate, star_point, tradeoff_sweep)
@@ -176,7 +176,7 @@ def test_criterion_7_fairness_ordering():
     expected = {0.7: 0.668, 1.0: 0.760, 1.5: 0.940}
     observed = {}
     for r02, target in expected.items():
-        points = tradeoff_sweep(CFG, r02, LINEAR, GRID).curve.split()
+        points = whole_curve(tradeoff_sweep(CFG, r02, LINEAR, GRID)).split()
         # the sum rate is maximal at the smallest radar share (first point)
         assert points[0].r_sum == max(pt.r_sum for pt in points)
         observed[r02] = points[0].fairness
@@ -186,7 +186,7 @@ def test_criterion_7_fairness_ordering():
 
 @verdict(8, "sum rate degrades pointwise as channel asymmetry grows")
 def test_criterion_8_asymmetry_degradation():
-    results = [r.curve.split() for r in
+    results = [whole_curve(r).split() for r in
                asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0], GRID)]
     n_common = min(len(points) for points in results)
     assert n_common > 0

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import exact_crlb
+from conftest import exact_crlb, whole_curve
 from radcom import cli, csvtext, optimizer
 from radcom.cli import main
 from radcom.csvtext import csv_chunks
@@ -258,6 +258,12 @@ USAGE_ERRORS = {
                         "empty QoS list entry"),
     "qos-single": (["starpoints", "{scenario}", "--qos", "1.5"],
                    "QoS pair must look like r01:r02, got '1.5'"),
+    # PowerAllocation's own refusals, a share joined to its flag included
+    "alloc-over-budget": (["mc-delay", "{scenario}", "--delay", "6.2832e-6",
+                           "--alloc", "0.5:0.5:0.5"],
+                          "allocation 0.5:0.5:0.5 exceeds the unit power budget"),
+    "alloc-negative": (["mc-delay", "{scenario}", "--delay", "6.2832e-6",
+                        "--alloc=-0.1:0.2:0.5"], "a1_sq must be finite and >= 0, got -0.1"),
     "gap-zero": (["asymmetry", "{scenario}", "--gaps-db", "0,5"],
                  "asymmetry gap must be > 0 dB to keep h1_gain > h2_gain, got 0.0"),
     # scenarios breaking the SIC ordering
@@ -508,6 +514,7 @@ ENTRY_ERRORS = {
 PARAM_ERRORS = {
     "qos-empty": "empty QoS list",
     "r02-deleted": "manifest is missing or mistypes a field: 'r02'",
+    "alloc-over-budget": "allocation 0.5:0.5:0.5 exceeds the unit power budget",
 }
 
 
@@ -779,7 +786,7 @@ def _cells(*columns):
 
 
 def _sweep_lines(result):
-    c = result.curve
+    c = whole_curve(result)
     return [cli.SWEEP_HEADER, *_cells(
         c.alloc.ar_sq, c.alloc.a1_sq, c.alloc.a2_sq, c.r1, c.r2, c.r_sum, c.sigma_eps_sq,
         c.sigma_eps_sq_normalized, np.log10(c.sigma_eps_sq_normalized), c.fairness)]
@@ -791,7 +798,7 @@ def test_block_boundaries_never_change_bytes(tmp_path, scenario, capsys, blocks,
     # On 0.01:0.5 r02 = 0.7 is feasible at every grid value (onset ~0.80, or
     # later for the smaller gap), so each sweep CSV holds `count` rows, while
     # r02 = 1.5 (onset ~0.42) ends the second fairness curve partway.
-    count = blocks * csvtext.BLOCK_ROWS + extra
+    count = blocks * optimizer.BLOCK_ROWS + extra
     grid = {"lo": 0.01, "hi": 0.5, "count": count}
     grid_text = f"0.01:0.5:{count}"
     cfg = ScenarioConfig()
@@ -808,7 +815,7 @@ def test_block_boundaries_never_change_bytes(tmp_path, scenario, capsys, blocks,
                  "--out", str(out)]) == 0
     expected = ["r02,ar_sq,r_sum,fairness"]
     for r02 in (0.7, 1.5):
-        c = optimizer.tradeoff_sweep(cfg, r02, spec, grid).curve
+        c = whole_curve(optimizer.tradeoff_sweep(cfg, r02, spec, grid))
         expected += _cells(np.full(len(c.r_sum), r02), c.alloc.ar_sq, c.r_sum, c.fairness)
     assert out.read_text(encoding="utf-8").splitlines() == expected
     assert capsys.readouterr().out == (
@@ -936,17 +943,17 @@ def test_csv_cells_match_fixed_scientific_formatting():
     ])
     cells = np.concatenate([cells, -cells])
     cells = np.concatenate([cells, np.ones(-len(cells) % 7)]).reshape(-1, 7)
-    assert len(cells) > 2 * csvtext.BLOCK_ROWS and len(cells) % csvtext.BLOCK_ROWS
     header = "a,b,c,d,e,f,g"
-    chunks = list(csv_chunks(header, [cells]))
-    # the header, one chunk per row block, the final newline
-    assert len(chunks) == 2 + -(-len(cells) // csvtext.BLOCK_ROWS)
+    chunks = list(csv_chunks(header, [cells[:5], cells[5:]]))
+    # the header, one chunk per table, the final newline
+    assert len(chunks) == 4
     assert b"".join(chunks).decode("ascii").split("\n") == [
         header, *(",".join("%.8e" % v for v in row) for row in cells.tolist()), ""]
     assert b"".join(csv_chunks("a", [[2.0], [-0.5]])) == (
         b"a\n2.00000000e+00\n-5.00000000e-01\n")
+    # an empty table adds no chunk
     assert (list(csv_chunks(header, [])) == list(csv_chunks(header, np.empty((0, 7))))
-            == [header.encode(), b"\n"])
+            == list(csv_chunks(header, [np.empty((0, 7))])) == [header.encode(), b"\n"])
 
 
 @pytest.mark.parametrize("bandwidth", ["1e-160", "1e-150"])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import GRID, exact_crlb, random_table_like_config
+from conftest import GRID, exact_crlb, random_table_like_config, whole_curve
 from radcom.comms import jain_fairness, rate_report
 from radcom.errors import InfeasibleError, ValidationError
 from radcom.optimizer import (_evaluate, asymmetry_sweep, default_grid, max_radar_allocation,
@@ -107,11 +107,11 @@ def test_star_point_reference_values(qos, norm_expected, rsum_expected):
 def test_sweep_infeasibility_onset(r02, tail_expected):
     result = tradeoff_sweep(CFG, r02, LINEAR, GRID)
     assert result.infeasible_tail_start == pytest.approx(tail_expected, abs=1e-3)
-    assert result.curve.split()[-1].alloc.ar_sq < result.infeasible_tail_start
+    assert whole_curve(result).split()[-1].alloc.ar_sq < result.infeasible_tail_start
 
 
 def test_sweep_points_are_ordered_and_monotone():
-    points = tradeoff_sweep(CFG, 0.7, LINEAR, GRID).curve.split()
+    points = whole_curve(tradeoff_sweep(CFG, 0.7, LINEAR, GRID)).split()
     ar = [pt.alloc.ar_sq for pt in points]
     r_sum = [pt.r_sum for pt in points]
     sigma = [pt.sigma_eps_sq for pt in points]
@@ -122,13 +122,13 @@ def test_sweep_points_are_ordered_and_monotone():
 
 def test_sweep_holds_the_weak_user_at_its_qos():
     result = tradeoff_sweep(CFG, 1.0, LINEAR, GRID)
-    for pt in result.curve.split():
+    for pt in whole_curve(result).split():
         assert pt.r2 == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_sweep_points_recompute_consistently():
     result = tradeoff_sweep(CFG, 0.7, LINEAR, {"lo": 0.05, "hi": 0.75, "count": 15})
-    for pt in result.curve.split():
+    for pt in whole_curve(result).split():
         fresh = sum(rate_report(CFG, pt.alloc))
         assert pt.r_sum == pytest.approx(fresh, rel=1e-9, abs=0)
         bound = total_estimation_variance(CFG, pt.alloc, LINEAR)
@@ -137,7 +137,7 @@ def test_sweep_points_recompute_consistently():
 
 def test_sweep_zero_radar_share_is_flagged_infinite():
     result = tradeoff_sweep(CFG, 0.7, LINEAR, {"lo": 0.0, "hi": 0.0, "count": 1})
-    points = result.curve.split()
+    points = whole_curve(result).split()
     assert len(points) == 1
     assert math.isinf(points[0].sigma_eps_sq)
     assert math.isinf(points[0].sigma_eps_sq_normalized)
@@ -220,7 +220,7 @@ def test_swapping_waveforms_rescales_only_the_radar_side():
     lin = tradeoff_sweep(CFG, 0.7, LINEAR, grid)
     par = tradeoff_sweep(
         CFG, 0.7, WaveformSpec(WaveformKind.PARABOLIC_FM, 2e7, 1000.0), grid)
-    for a, b in zip(lin.curve.split(), par.curve.split()):
+    for a, b in zip(whole_curve(lin).split(), whole_curve(par).split()):
         assert b.r_sum == a.r_sum
         assert b.r1 == a.r1
         assert b.fairness == a.fairness
@@ -231,8 +231,9 @@ def test_asymmetry_ten_db_gap_reproduces_the_baseline():
     grid = {"lo": 0.05, "hi": 0.7, "count": 20}
     baseline = tradeoff_sweep(CFG, 0.7, LINEAR, grid)
     swept = asymmetry_sweep(CFG, 0.7, LINEAR, [10.0], grid)[0]
-    assert len(swept.curve.r_sum) == len(baseline.curve.r_sum)
-    for mine, ref in zip(swept.curve.split(), baseline.curve.split()):
+    swept_curve, baseline_curve = whole_curve(swept), whole_curve(baseline)
+    assert len(swept_curve.r_sum) == len(baseline_curve.r_sum)
+    for mine, ref in zip(swept_curve.split(), baseline_curve.split()):
         assert mine.r_sum == pytest.approx(ref.r_sum, rel=1e-9, abs=0)
         assert mine.sigma_eps_sq == pytest.approx(ref.sigma_eps_sq, rel=1e-9, abs=0)
 
@@ -246,7 +247,7 @@ def test_asymmetry_rejects_non_positive_gaps():
 
 def test_larger_asymmetry_degrades_the_sum_rate_pointwise():
     grid = {"lo": 0.05, "hi": 0.3, "count": 12}
-    results = [r.curve.split() for r in
+    results = [whole_curve(r).split() for r in
                asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, 10.0, 15.0], grid)]
     for tighter, looser in zip(results[1:], results[:-1]):
         n = min(len(tighter), len(looser))
@@ -280,7 +281,7 @@ def test_sweep_columns_equal_the_scalar_api(kind):
         for lo, hi, count in ((0.01, 0.99, 2000), (0.0, 0.9, 37)):
             result = tradeoff_sweep(cfg, r02, spec, {"lo": lo, "hi": hi, "count": count})
             grid = default_grid(lo, hi, count)
-            points = result.curve.split()
+            points = whole_curve(result).split()
             assert 0 < len(points) < len(grid)
             # the sweep stops exactly where the scalar split turns infeasible
             with pytest.raises(InfeasibleError):
@@ -441,12 +442,13 @@ def test_random_accepted_configs_meet_qos_and_optimality():
             assert_exact_bound(wide, spec, bound_rng.uniform(0.01, 1.0))
         r01, r02 = 10.0 ** rng.uniform(-2.0, 0.9, size=2)
         try:
-            curve = tradeoff_sweep(cfg, r02, LINEAR, grid).curve
+            curve = whole_curve(tradeoff_sweep(cfg, r02, LINEAR, grid))
         except InfeasibleError:
             pass
         else:
             assert np.all(curve.r2 >= r02 * (1.0 - 1e-9))
-            assert np.all(curve.alloc.power_sum <= 1.0 + 1e-12)
+            a = curve.alloc
+            assert np.all(a.a1_sq + a.a2_sq + a.ar_sq <= 1.0 + 1e-12)
             checked["sweep"] += 1
 
         # No split of the whole simplex that meets r02 beats the closed form.

@@ -27,32 +27,47 @@ def _public_names():
     return names
 
 
+def _public_members():
+    """(module, class, name) for every public method and property of a
+    module-level public class."""
+    return [(path.stem, node.name, member.name)
+            for path in MODULES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for member in node.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")]
+
+
 def _loaded_names(path):
-    """Names a module reads: bare names in load context and attribute names.
+    """Names a module reads, as (bare names in load context, attribute names).
 
     Definitions (def, class, assignment targets) and imports are not reads,
-    and neither is a ``__post_init__`` body: a field that only its own
-    check reads does nothing.
+    and neither is an attribute read in a ``__post_init__`` body: a field or
+    property that only its own check reads does nothing.  A function that
+    such a check calls by its bare name is read.
     """
-    names = set()
-    todo = [ast.parse(path.read_text(encoding="utf-8"))]
+    names, attributes = set(), set()
+    todo = [(ast.parse(path.read_text(encoding="utf-8")), False)]
     while todo:
-        node = todo.pop()
-        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
-            continue
+        node, in_check = todo.pop()
+        in_check |= isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        todo.extend(ast.iter_child_nodes(node))
-    return names
+        elif isinstance(node, ast.Attribute) and not in_check:
+            attributes.add(node.attr)
+        todo.extend((child, in_check) for child in ast.iter_child_nodes(node))
+    return names, attributes
 
 
-def _names_read_outside_tests():
+def _names_read_outside_tests(attributes_only=False):
+    """Every name src/ and perfbench/ read; with attributes_only, only those
+    read as ``obj.name``, the one way to reach a method or property."""
     # The package's __init__ holds only its docstring and __version__.
     sources = [p for p in (ROOT / "src" / "radcom").glob("*.py") if p.name != "__init__.py"]
     sources += sorted((ROOT / "perfbench").glob("*.py"))
-    return set().union(*(_loaded_names(p) for p in sources))
+    reads = [_loaded_names(p) for p in sources]
+    return set().union(*(attributes if attributes_only else names | attributes
+                         for names, attributes in reads))
 
 
 def test_every_public_name_is_used_outside_its_definition():
@@ -78,3 +93,20 @@ def test_every_public_dataclass_field_is_read():
                     if dataclasses.is_dataclass(cls)
                     for f in dataclasses.fields(cls) if f.name not in used)
     assert not unread, f"dataclass fields nothing in src/ or perfbench/ reads: {unread}"
+
+
+def test_every_public_method_and_property_is_read():
+    """No public method or property of a public class exists only for tests.
+
+    Only attribute reads count, so a local variable of the same name (a
+    ``curve`` in perfbench) does not.  The scan is still by name, so it cannot
+    see a member that shares its name with an attribute read elsewhere:
+    ``TradeoffPoint.split`` counts as read because ``str.split`` in
+    ``cli.py`` shares the name.
+    """
+    members = _public_members()
+    assert ("optimizer", "SweepResult", "blocks") in members
+    used = _names_read_outside_tests(attributes_only=True)
+    unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in members
+                    if name not in used)
+    assert not unread, f"public members nothing in src/ or perfbench/ reads: {unread}"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import whole_curve
 from radcom.errors import ValidationError
 from radcom.optimizer import star_point, tradeoff_sweep
 from radcom.radar import (WaveformKind, WaveformSpec, analytic_energy,
@@ -126,7 +127,8 @@ def test_bound_depends_on_allocation_only_through_radar_share():
 def test_normalized_bound_at_least_one():
     full = star_point(CFG, QosRequirement(0.0, 0.0), LINEAR)
     grids = [{"lo": ar, "hi": ar, "count": 1} for ar in (0.05, 0.3, 0.77, 0.999)]
-    points = [tradeoff_sweep(CFG, 1e-3, LINEAR, grid).curve.split()[0] for grid in grids]
+    points = [whole_curve(tradeoff_sweep(CFG, 1e-3, LINEAR, grid)).split()[0]
+              for grid in grids]
     for pt in [*points, full]:
         ar = pt.alloc.ar_sq
         if ar == 1.0:

@@ -171,6 +171,18 @@ def test_invariant_violations_name_the_field(source, field):
         load_scenario(source)
 
 
+@pytest.mark.parametrize("bandwidth", [1e200, 1e-300])
+def test_scenario_refuses_a_pulse_whose_squared_bandwidth_leaves_the_float_range(bandwidth):
+    # (pi W)^2 overflows, or underflows to 0: the pulse check WaveformSpec makes
+    text = f"bandwidth_hz must be > 0 with (pi W)^2 finite and > 0, got {bandwidth!r}"
+    for make in (lambda: ScenarioConfig(bandwidth_hz=bandwidth),
+                 lambda: load_scenario(f"bandwidth_hz={bandwidth!r}"),
+                 lambda: WaveformSpec(WaveformKind.LINEAR_FM, bandwidth, 1000.0)):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == text
+
+
 def test_noisier_strong_user_loads_only_with_the_ordering():
     # 5 dB more noise at user 1 still leaves it 5 dB ahead in h/sigma^2.
     with warnings.catch_warnings():
@@ -207,7 +219,7 @@ def test_validate_allocation_accepts_the_optimal_split():
         assert alloc.a1_sq == pytest.approx(0.09189, abs=1e-5)
         assert alloc.a2_sq == pytest.approx(0.40811, abs=1e-5)
         assert PowerAllocation(alloc.a1_sq, alloc.a2_sq, alloc.ar_sq) == alloc
-        assert alloc.power_sum <= 1.0
+        assert alloc.a1_sq + alloc.a2_sq + alloc.ar_sq <= 1.0
         assert rate_report(cfg, alloc)[1] == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
@@ -216,6 +228,31 @@ def test_power_allocation_rejects_negative_and_non_finite():
         PowerAllocation(-0.1, 0.5, 0.2)
     with pytest.raises(ValidationError):
         PowerAllocation(0.1, math.nan, 0.2)
+
+
+def test_power_allocation_holds_the_unit_budget():
+    for shares in [(0.9, 0.9, 0.9), (0.5, 0.5, 0.5), (1.0 + 1e-13, 0.0, 0.0),
+                   (0.0, 0.0, 1.5), (0.5, 0.5, 1e-11)]:
+        with pytest.raises(ValidationError, match="exceeds the unit power budget"):
+            PowerAllocation(*shares)
+    # the budget's edges, and a sum past 1 by less than the 1e-12 slack
+    for shares in [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.5, 0.5, 1e-13), (0.0, 0.0, 0.0)]:
+        PowerAllocation(*shares)
+
+
+def test_array_split_names_its_over_budget_entry():
+    a1 = np.array([0.3, 0.3, 0.75, 0.3])
+    ar = np.array([0.1, 0.2, 0.3, 0.4])
+    # a scalar share broadcasts against the arrays
+    for a2 in (np.full(4, 0.2), 0.2):
+        with pytest.raises(ValidationError, match=r"^allocation 0\.75:0\.2:0\.3 exceeds "
+                                                  r"the unit power budget$"):
+            PowerAllocation(a1, a2, ar)
+    a1[2] = 0.3
+    PowerAllocation(a1, 0.2, ar)
+    ar[3] = 1.25
+    with pytest.raises(ValidationError, match=r"^allocation 0\.3:0\.2:1\.25 exceeds"):
+        PowerAllocation(a1, 0.2, ar)
 
 
 def test_qos_requirement_rejects_negative():

@@ -170,6 +170,16 @@ def test_mc_refuses_a_bound_outside_the_float_range(monkeypatch, w_hz, sigma_r_s
                             RADAR_ONLY, spec, delay_s, 100, 0)
 
 
+def test_mc_refuses_an_over_budget_split_before_any_trial(monkeypatch):
+    # 270 % of the power: the split itself is refused, so no trial runs
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(waveforms, "_sum_sq_by_block", no_trials)
+    with pytest.raises(ValidationError, match="exceeds the unit power budget"):
+        mc_delay_estimation(BOOSTED, PowerAllocation(0.9, 0.9, 0.9), LINEAR,
+                            DELAY_S, 150, 5)
+
+
 def test_mc_refuses_a_variance_past_the_float_range():
     # A bound about 1.5 % below the float maximum: the run's efficiency of
     # about 1.02 puts its variance past it.

@@ -131,6 +131,9 @@ EDITED = {
     "scenario-db-key-alone-4000": ("sweep", {"scenario.h1_gain": DELETE,
                                              "scenario.h1_gain_db": 4000.0}),
     "r02-huge": ("sweep", {"params.r02": 10 ** 400}),
+    # params the command does not take, or lacks
+    "param-unknown": ("sweep", {"params.step": 1}),
+    "param-deleted": ("sweep", {"params.r02": DELETE}),
 }
 
 # Usage errors (exit 3): name -> argv.
@@ -166,12 +169,20 @@ USAGE = {
     "mc-delay-alloc-short": ["mc-delay", "boosted.txt", *MC, "--alloc", "0.1:0.2"],
     "mc-delay-alloc-negative": ["mc-delay", "boosted.txt", *MC,
                                 "--alloc", "-0.1:0.2:0.5"],
+    # joined to its flag, so argparse takes the leading minus as a value
+    "mc-delay-alloc-negative-joined": ["mc-delay", "boosted.txt", *MC,
+                                       "--alloc=-0.1:0.2:0.5"],
+    "mc-delay-alloc-no-radar": ["mc-delay", "boosted.txt", *MC, "--alloc", "0.5:0.5:0"],
+    "mc-delay-delay-1e-9": ["mc-delay", "boosted.txt", "--delay", "1e-9",
+                            "--trials", "150", "--seed", "5"],
     "mc-delay-seed-negative": ["mc-delay", "boosted.txt", *MC, "--seed", "-1"],
     "mc-delay-few-trials": ["mc-delay", "boosted.txt", *MC, "--trials", "10"],
     "sweep-grid-huge-count": ["sweep", "baseline.txt", "--grid",
                               "0:0.5:99999999999999999999"],
     # 711 PiB, beyond any 57-bit address space: numpy refuses it without allocating
     "sweep-grid-711-pib": ["sweep", "baseline.txt", "--grid", "0:0.5:100000000000000000"],
+    # a QoS rate so small that the weak user's share rounds below 0 (ROADMAP item 1)
+    "sweep-r02-1e-16": ["sweep", "baseline.txt", "--r02", "1e-16"],
     "sweep-bandwidth-1e200": ["sweep", "wide.txt"],
     "sweep-bandwidth-1e-300": ["sweep", "narrow.txt"],
     "waveform-validate-bandwidth-1e300": ["waveform-validate", "--bandwidth-hz", "1e300"],
@@ -239,6 +250,9 @@ def _cases() -> dict[str, list]:
                           ["rerun", "m.json", "--out", "r/s.csv"]],
         "manifest-not-json": [("write", "m.json", "not json\n"),
                               ["rerun", "m.json", "--out", "r/s.csv"]],
+        # a directory to make where a file is: nothing is left behind
+        "out-under-a-file": [("write", "f", "keep\n"),
+                             _with_out(["sweep", "baseline.txt"], "f/s.csv")],
         "manifest-huge-integer": [("write", "m.json", '{"r02": ' + "1" * 5000 + "}\n"),
                                   ["rerun", "m.json", "--out", "r/s.csv"]],
         # refusals to overwrite (exit 3)
