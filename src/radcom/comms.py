@@ -8,12 +8,9 @@ at both terminals and already removed, so it never appears as interference.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ValidationError
-from .scenario import PowerAllocation, ScenarioConfig
+from .scenario import PowerAllocation, ScenarioConfig, check_nonnegative
 
 
 def compute_sinr(cfg: ScenarioConfig,
@@ -48,7 +45,7 @@ def jain_fairness(r1: float, r2: float) -> float:
     Each rate may be a float or an array (one entry per split); all-zero
     rates give nan, for floats as for each entry of arrays.
     """
-    if not all(np.all((0.0 <= r) & (r < math.inf)) for r in (r1, r2)):
-        raise ValidationError(f"rates must be finite and >= 0, got {[r1, r2]!r}")
+    check_nonnegative("r1", r1)
+    check_nonnegative("r2", r2)
     with np.errstate(invalid="ignore"):
         return np.divide((r1 + r2) * (r1 + r2), 2 * (r1 * r1 + r2 * r2))

@@ -79,6 +79,13 @@ class ScenarioConfig:
                     f"leaves the float range, got eta{k}={getattr(self, f'eta{k}'):.6g}, "
                     f"h{k}_gain={getattr(self, f'h{k}_gain'):.6g}, "
                     f"total_power_mw={self.total_power_mw:.6g}")
+        for k in (1, 2):   # the SNR of user k's whole-power signal, as rates read it
+            gain, noise = getattr(self, f"h{k}_gain"), getattr(self, f"sigma{k}_sq")
+            if not math.isfinite(gain * self.total_power_mw / noise):
+                raise ValidationError(
+                    f"user {k}'s full-power SNR h{k}_gain total_power_mw / sigma{k}_sq "
+                    f"leaves the float range, got h{k}_gain={gain:.6g}, "
+                    f"total_power_mw={self.total_power_mw:.6g}, sigma{k}_sq={noise:.6g}")
 
     def echo_gain(self, k: int) -> float:
         """Radar target k's two-way gain eta^2 h^2: user k's cross-section and gain."""
@@ -86,6 +93,16 @@ class ScenarioConfig:
             raise ValidationError(f"target index must be 1 or 2, got {k!r}")
         eta, h = (self.eta1, self.h1_gain) if k == 1 else (self.eta2, self.h2_gain)
         return eta * eta * (h * h)
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Refuse a value, a float or an array, that is not finite and >= 0; an
+    array's refusal names its first offending entry, not the whole array."""
+    ok = (0.0 <= value) & (value < math.inf)
+    if not np.all(ok):
+        if np.ndim(value):
+            value = np.asarray(value)[~ok][0].item()
+        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +122,7 @@ class PowerAllocation:
     def __post_init__(self):
         shares = (self.a1_sq, self.a2_sq, self.ar_sq)
         for name, value in zip(("a1_sq", "a2_sq", "ar_sq"), shares):
-            ok = (0.0 <= value) & (value < math.inf)
-            if not np.all(ok):
-                if np.ndim(value):   # name the first offending entry, not the array
-                    value = np.asarray(value)[~ok][0].item()
-                raise ValidationError(
-                    f"{name} must be finite and >= 0, got {value!r}")
+            check_nonnegative(name, value)
         a1, a2, ar = shares
         over = (a1 > 1.0) | (a2 > 1.0) | (ar > 1.0) | (a1 + a2 + ar > 1.0 + 1e-12)
         if np.any(over):
@@ -129,10 +141,8 @@ class QosRequirement:
     r02: float  # weak user minimum rate
 
     def __post_init__(self):
-        for name in ("r01", "r02"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        check_nonnegative("r01", self.r01)
+        check_nonnegative("r02", self.r02)
 
 
 # Scenario-file keys: every field's own name takes its linear value, and

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV/JSON formatting, manifests, reruns."""
 
+import ast
 import builtins
 import errno
 import json
@@ -9,6 +10,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import golden_gate
 import numpy as np
 import pytest
 
@@ -66,27 +68,12 @@ def test_sweep_writes_feasible_rows_and_manifest(tmp_path, scenario):
     assert manifest["outputs"] == [str(out)]
 
 
-def test_sweep_restricted_grid_is_infeasible(tmp_path, scenario):
-    out = tmp_path / "sweep.csv"
-    code = main(["sweep", scenario, "--r02", "1.5", "--grid", "0.5:0.9:50",
-                 "--out", str(out)])
-    assert code == 2
-    assert not out.exists()
-
-
 def test_outputs_are_not_overwritten_without_force(tmp_path, scenario):
     out = tmp_path / "sweep.csv"
     args = ["sweep", scenario, "--out", str(out)]
     assert main(args) == 0
     assert main(args) == 3
     assert main(args + ["--force"]) == 0
-
-
-def test_bad_flags_exit_3(tmp_path, scenario):
-    out = str(tmp_path / "x.csv")
-    # argparse's own usage errors, whose text varies between Python versions
-    assert main(["sweep", scenario, "--waveform", "triangular", "--out", out]) == 3
-    assert main(["bogus-command"]) == 3
 
 
 def test_starpoints_defaults(tmp_path, scenario):
@@ -97,11 +84,6 @@ def test_starpoints_defaults(tmp_path, scenario):
     assert len(rows) == 3
     ar_values = [float(r[2]) for r in rows]
     assert ar_values == pytest.approx([0.709, 0.770, 0.258], abs=1e-3)
-
-
-def test_starpoints_infeasible_qos(tmp_path, scenario):
-    out = tmp_path / "stars.csv"
-    assert main(["starpoints", scenario, "--qos", "5:5", "--out", str(out)]) == 2
 
 
 def test_fairness_curves_and_ordering(tmp_path, scenario):
@@ -119,205 +101,148 @@ def test_fairness_curves_and_ordering(tmp_path, scenario):
     assert first_point[1.5] > first_point[1.0] > first_point[0.7]
 
 
-def test_fairness_unreachable_qos(tmp_path, scenario):
-    out = tmp_path / "fairness.csv"
-    assert main(["fairness", scenario, "--r02-list", "3", "--out", str(out)]) == 2
+CATALOGUE = golden_gate.catalogue()
+REFUSALS = {case.name: case for case in CATALOGUE if case.codes}
+ROOT = Path(__file__).resolve().parent.parent
 
 
-SWEEP_OVERFLOW = "no grid point is feasible for r02 = 2000 (kappa_min = inf)"
+def test_no_catalogue_case_is_defined_twice():
+    names = [case.name for case in CATALOGUE]
+    assert sorted({name for name in names if names.count(name) > 1}) == []
+    # a dict literal keeps only the last of two equal keys, silently
+    source = Path(golden_gate.__file__).read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            keys = [key.value for key in node.keys if isinstance(key, ast.Constant)]
+            assert len(keys) == len(set(keys)), keys
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["sweep", "--r02", "2000"], SWEEP_OVERFLOW),
-    (["fairness", "--r02-list", "0.7,2000"], SWEEP_OVERFLOW),
-    (["asymmetry", "--r02", "2000"], SWEEP_OVERFLOW),
-    (["sweep", "--r02", "1024"],
-     "no grid point is feasible for r02 = 1024 (kappa_min = inf)"),
-    (["starpoints", "--qos", "2000:0.7"],
-     "QoS (2000, 0.7) needs communications power inf"),
-    (["starpoints", "--qos", "1e308:1"],
-     "QoS (1e+308, 1) needs communications power inf"),
-    (["starpoints", "--qos", "2000:0"],
-     "QoS (2000, 0) needs communications power inf >= 1"),
-], ids=["sweep", "fairness", "asymmetry", "sweep-1024", "starpoints-r01",
-        "starpoints-1e308", "starpoints-zero-r02"])
-def test_qos_whose_power_overflows_a_float_exits_2(tmp_path, scenario, capsys, argv,
-                                                   error):
-    # 2^r overflows a float from r = 1024 bits/s/Hz on.
-    out = tmp_path / "out" / "data"
-    assert main([argv[0], scenario, *argv[1:], "--out", str(out)]) == 2
-    assert not out.parent.exists()
-    assert capsys.readouterr().err.startswith(f"error: {error}")
+def _tree(directory):
+    return {p: p.is_file() and p.read_bytes() for p in directory.rglob("*")}
 
 
-def test_numbers_too_large_for_their_field_exit_3(tmp_path, scenario, capsys):
-    out = tmp_path / "out" / "s.csv"
-    # numpy refuses this count before allocating anything
-    assert main(["sweep", scenario, "--grid", "0:0.5:99999999999999999999",
-                 "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("error: grid count 99999999999999999999 is too "
-                                       "large: Maximum allowed size exceeded\n")
-    assert not out.parent.exists()
+def _refuse(tmp_path, monkeypatch, capsys, *names):
+    """Run catalogue refusals in process through the gate's steps, each in its
+    own directory: every exit code, the last stderr line, and a directory that
+    each refusing command left as it found it (but for waveform-validate's
+    exit 2, which writes its CSV by design)."""
+    for name in names:
+        case, directory = REFUSALS[name], tmp_path / name
+
+        def command(argv):
+            before = _tree(directory)
+            code = main(argv)
+            if code == 3 or (code == 2 and case.steps[0][0] != "waveform-validate"):
+                assert _tree(directory) == before, argv
+            return code, *capsys.readouterr()
+
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        golden_gate.prepare(ROOT, directory)
+        records = golden_gate.run_steps(directory, case.steps, command)
+        assert not golden_gate.moved(case, [code for code, _, _ in records], records[-1][2])
 
 
-# The scenario files each refusal below starts with; {name} is the path of name.txt.
-SCENARIO_FILES = {
-    "scenario": "# baseline parameters\n",
-    "long": "time_bandwidth=1e15\nsigma_r_sq=1e-19\n",
-    "bad": "h1_gain=oops\n",
-    "si": "si_suppression_db=110\n",
-    "huge_db": "h1_gain_db=4000\n",
-    "nan_db": "h1_gain_db=nan\n",
-    **{f"{name}_gain": f"# gains\neta1=0.2, h1_gain={text}\n"
-       for name, text in (("inf", "inf"), ("minus_inf", "-inf"), ("nan", "nan"))},
-    "wide": "bandwidth_hz=1e200\n",
-    "narrow": "bandwidth_hz=1e-300\n",
-    # full-power echoes eta^2 h^2 P past the float range
-    "loud": "h1_gain=7.5e157\n",
-    "louder": "h1_gain=2e212, eta1=1e139\n",
-    "undefined": "eta1=1e200, h1_gain=1e-200, h2_gain=1e-210\n",
-    # a post-integration SNR echo TW / sigma_r^2 of 1e383
-    "snr_overflow": "total_power_mw=1e200, sigma_r_sq=1e-200\n",
-    # 20 and 280 dB of SNR whose delay bounds leave the float range
-    "bound_overflow": "sigma_r_sq=1e-19, bandwidth_hz=1e-160\n",
-    "bound_underflow": "sigma_r_sq=1e-45, bandwidth_hz=1e150\n",
-    # 20 dB more noise at user 1 than at user 2 outweighs its 10 dB stronger channel
-    "noisy": "sigma1_sq=1e-9\n",
-    # 5 dB more noise at user 1 leaves it 5 dB ahead in h/sigma^2
-    "noisier": "sigma1_sq_dbm=-100\n",
-}
-NOT_FINITE = "line 2: value for 'h1_gain' must be finite: "
-BANDWIDTH = "bandwidth_hz must be > 0 with (pi W)^2 finite and > 0, got "
-ECHO = ("target 1's full-power echo eta1^2 h1_gain^2 total_power_mw leaves the float "
-        "range, got eta1={eta1}, h1_gain={h1_gain}, total_power_mw=1")
-BOUND_RANGE = "s^2 is outside the float range; the efficiency would be meaningless"
-GRID_BOUNDS = "grid bounds must satisfy 0 <= lo <= hi < 1, got [0.5, 0.1]"
-SIC_VIOLATED = ("SIC ordering violated: require h2_gain > 0 and h1_gain/sigma1_sq > "
-                "h2_gain/sigma2_sq (user 1 is the strong user), got h1_gain=1e-09, ")
-NOISY_GAINS = "h2_gain=1e-10, sigma1_sq=1e-09, sigma2_sq=3.16228e-11"
-# Command lines refused with exit 3 and this error ({tmp} is the test's directory,
-# also the working one; a command line without --out gets one).
-USAGE_ERRORS = {
-    "missing-scenario": (["sweep", "{tmp}/missing.txt"],
-                         "cannot read scenario file {tmp}/missing.txt: [Errno 2] "
-                         "No such file or directory: '{tmp}/missing.txt'"),
-    "malformed-scenario": (["sweep", "{bad}"],
-                           "line 1: value for 'h1_gain' is not a number: 'oops'"),
-    "deleted-si-suppression-key": (["sweep", "{si}"],
-                                   "line 1: unknown key 'si_suppression_db'"),
-    # numbers too large for their field, or not finite
-    "h1-gain-db-4000": (["sweep", "{huge_db}"],
-                        "line 1: h1_gain_db=4000: dB value 4000.0 is too large for a "
-                        "float"),
-    "h1-gain-db-nan": (["sweep", "{nan_db}"],
-                       "line 1: h1_gain_db=nan: dB value must be finite, got nan"),
-    "h1-gain-inf": (["sweep", "{inf_gain}"], f"{NOT_FINITE}'inf'"),
-    "h1-gain-minus-inf": (["sweep", "{minus_inf_gain}"], f"{NOT_FINITE}'-inf'"),
-    "h1-gain-nan": (["sweep", "{nan_gain}"], f"{NOT_FINITE}'nan'"),
-    # (pi W)^2 overflows a float, or underflows to 0
-    "sweep-bandwidth-1e200": (["sweep", "{wide}"], f"{BANDWIDTH}1e+200"),
-    "sweep-bandwidth-1e-300": (["sweep", "{narrow}"], f"{BANDWIDTH}1e-300"),
-    "bandwidth-1e300": (["waveform-validate", "--bandwidth-hz", "1e300"],
-                        f"{BANDWIDTH}1e+300"),
-    "bandwidth-1e-300": (["waveform-validate", "--bandwidth-hz", "1e-300"],
-                         f"{BANDWIDTH}1e-300"),
-    # a full-power echo that overflows a float
-    "sweep-echo-overflow": (["sweep", "{loud}"],
-                            ECHO.format(eta1="0.1", h1_gain="7.5e+157")),
-    "starpoints-echo-overflow": (["starpoints", "{loud}"],
-                                 ECHO.format(eta1="0.1", h1_gain="7.5e+157")),
-    "mc-delay-echo-overflow": (["mc-delay", "{louder}", "--delay", "6.2832e-6"],
-                               ECHO.format(eta1="1e+139", h1_gain="2e+212")),
-    "mc-delay-snr-overflow": (["mc-delay", "{snr_overflow}", "--delay", "6.2832e-6"],
-                              "linear value must be finite and > 0, got inf"),
-    "mc-delay-bound-overflow": (["mc-delay", "{bound_overflow}", "--delay", "6.2832e161",
-                                 "--trials", "100"], f"delay bound inf {BOUND_RANGE}"),
-    "mc-delay-bound-underflow": (["mc-delay", "{bound_underflow}", "--delay", "6.2832e-149",
-                                  "--trials", "100"], f"delay bound 0 {BOUND_RANGE}"),
-    # eta1^2 overflows and h1_gain^2 underflows: inf * 0 is nan
-    "sweep-echo-nan": (["sweep", "{undefined}"],
-                       ECHO.format(eta1="1e+200", h1_gain="1e-200")),
-    "grid-nope": (["sweep", "{scenario}", "--grid", "nope"],
-                  "grid must look like lo:hi:count, got 'nope'"),
-    "grid-reversed": (["sweep", "{scenario}", "--grid", "0.5:0.1:10"], GRID_BOUNDS),
-    "grid-repeated": (["sweep", "{scenario}", "--grid", "0.5:0.5:10"],
-                      "grid values must be strictly increasing"),
-    "grid-zero-count": (["sweep", "{scenario}", "--grid", "0.1:0.5:0"],
-                        "grid needs at least one point, got 0"),
-    # numpy refuses 711 PiB, beyond any 57-bit address space, without allocating it
-    "grid-count-711-pib": (["sweep", "{scenario}", "--grid", "0:0.5:100000000000000000"],
-                           "grid count 100000000000000000 is too large: Unable to "
-                           "allocate 711. PiB for an array with shape "
-                           "(100000000000000000,) and data type float64"),
-    "fairness-grid-reversed": (["fairness", "{scenario}", "--grid", "0.5:0.1:10"],
-                               GRID_BOUNDS),
-    # the grid is checked where it is used: a malformed scenario is reported first
-    "malformed-scenario-and-grid": (["sweep", "{bad}", "--grid", "0.5:0.1:10"],
-                                    "line 1: value for 'h1_gain' is not a number: 'oops'"),
-    "qos-empty-entry": (["starpoints", "{scenario}", "--qos", ""],
-                        "empty QoS list entry"),
-    "qos-single": (["starpoints", "{scenario}", "--qos", "1.5"],
-                   "QoS pair must look like r01:r02, got '1.5'"),
-    # PowerAllocation's own refusals, a share joined to its flag included
-    "alloc-over-budget": (["mc-delay", "{scenario}", "--delay", "6.2832e-6",
-                           "--alloc", "0.5:0.5:0.5"],
-                          "allocation 0.5:0.5:0.5 exceeds the unit power budget"),
-    "alloc-negative": (["mc-delay", "{scenario}", "--delay", "6.2832e-6",
-                        "--alloc=-0.1:0.2:0.5"], "a1_sq must be finite and >= 0, got -0.1"),
-    "gap-zero": (["asymmetry", "{scenario}", "--gaps-db", "0,5"],
-                 "asymmetry gap must be > 0 dB to keep h1_gain > h2_gain, got 0.0"),
-    # scenarios breaking the SIC ordering
-    "sic-ordering-sweep": (["sweep", "{noisy}"], f"{SIC_VIOLATED}{NOISY_GAINS}"),
-    "sic-ordering-starpoints": (["starpoints", "{noisy}"], f"{SIC_VIOLATED}{NOISY_GAINS}"),
-    "sic-ordering-asymmetry": (["asymmetry", "{noisy}"], f"{SIC_VIOLATED}{NOISY_GAINS}"),
-    # a 3 dB gap keeps h1_gain > h2_gain but puts user 2 ahead in h/sigma^2;
-    # the refusal names the gap that broke the ordering
-    "sic-ordering-asymmetry-gap": (["asymmetry", "{noisier}", "--gaps-db", "10,3"],
-                                   f"asymmetry gap 3 dB: {SIC_VIOLATED}"
-                                   "h2_gain=5.01187e-10, sigma1_sq=1e-10, "
-                                   "sigma2_sq=3.16228e-11"),
-    "rerun-missing-manifest": (["rerun", "{tmp}/nope.json"],
-                               "cannot load manifest: [Errno 2] No such file or directory: "
-                               "'{tmp}/nope.json'"),
-    # pulses too long to sample: numpy refuses each size without allocating it
-    "tw-1e15": (["waveform-validate", "--tw-list", "1e15"],
-                "pulse of 1.6e+16 samples is too large to sample: Unable to "
-                "allocate 114. PiB for an array with shape (16000000000000000,) and "
-                "data type int64"),
-    "oversampling-1e300": (["waveform-validate", "--oversampling", "1e300"],
-                           "pulse of 1e+302 samples is too large to sample: Maximum "
-                           "allowed size exceeded"),
-    "mc-delay-tw-1e15": (["mc-delay", "{long}", "--delay", "6.2832e-6"],
-                         "pulse of 8e+15 samples is too large to sample: "
-                         "Unable to allocate 56.8 PiB for an array with shape "
-                         "(8000000000000000,) and data type int64"),
-    # output paths that name no file, refused before any work even with --force
-    "sweep-out-empty": (["sweep", "{scenario}", "--out", "", "--force"],
-                        "output path '' names no file"),
-    "sweep-out-dot": (["sweep", "{scenario}", "--out", ".", "--force"],
-                      "output path '.' names no file"),
-    "sweep-out-root": (["sweep", "{scenario}", "--out", "/", "--force"],
-                       "output path '/' names no file"),
-    "asymmetry-out-empty": (["asymmetry", "{scenario}", "--out", ""],
-                            "output path '' names no file"),
+@pytest.mark.parametrize("name", REFUSALS)
+def test_catalogue_refusal(tmp_path, monkeypatch, capsys, name):
+    _refuse(tmp_path, monkeypatch, capsys, name)
+
+
+# Tests whose cases the catalogue took over keep their names and ids, each now
+# running its catalogue cases: test -> its cases, or {id: the id's cases}.
+FORMER = {
+    "test_usage_errors_exit_3_and_write_nothing": {
+        **{name: f"usage-{name}" for name in (
+            "sweep-bandwidth-1e200", "sweep-bandwidth-1e-300", "sweep-echo-overflow",
+            "starpoints-echo-overflow", "sweep-echo-nan", "mc-delay-echo-overflow",
+            "mc-delay-snr-overflow", "mc-delay-bound-overflow", "mc-delay-bound-underflow",
+            "mc-delay-tw-1e15", "fairness-grid-reversed", "sweep-out-empty", "sweep-out-dot",
+            "sweep-out-root", "asymmetry-out-empty")},
+        **{name: f"usage-sweep-{name}" for name in (
+            "missing-scenario", "h1-gain-db-4000", "h1-gain-db-nan", "grid-nope",
+            "grid-reversed", "grid-repeated", "grid-zero-count")},
+        **{name: f"usage-waveform-validate-{name}" for name in (
+            "bandwidth-1e300", "bandwidth-1e-300", "tw-1e15", "oversampling-1e300")},
+        **{f"h1-gain-{n}": f"usage-sweep-gains-{n}" for n in ("inf", "minus-inf", "nan")},
+        **{f"sic-ordering-{n}": f"noisy-{n}" for n in ("sweep", "starpoints", "asymmetry")},
+        "sic-ordering-asymmetry-gap": "noisier-asymmetry-10-3",
+        "malformed-scenario": "usage-sweep-bad-scenario",
+        "malformed-scenario-and-grid": "usage-sweep-bad-scenario-and-grid",
+        "deleted-si-suppression-key": "sweep-si-suppression",
+        "grid-count-711-pib": "usage-sweep-grid-711-pib",
+        "qos-empty-entry": "usage-starpoints-qos-empty",
+        "qos-single": "usage-starpoints-qos-single",
+        "alloc-over-budget": "usage-mc-delay-alloc-over-budget",
+        "alloc-negative": "usage-mc-delay-alloc-negative-joined",
+        "gap-zero": "usage-asymmetry-gap-zero",
+        "rerun-missing-manifest": "rerun-missing-manifest",
+    },
+    "test_qos_whose_power_overflows_a_float_exits_2": {
+        "sweep": "infeasible-sweep-r02-2000", "sweep-1024": "infeasible-sweep-r02-1024",
+        "fairness": "infeasible-fairness-r02-0.7-2000",
+        "asymmetry": "infeasible-asymmetry-r02-2000",
+        "starpoints-r01": "infeasible-starpoints-qos-2000",
+        "starpoints-1e308": "infeasible-starpoints-qos-1e308",
+        "starpoints-zero-r02": "infeasible-starpoints-qos-2000-0",
+    },
+    "test_rerun_checks_manifest_params_like_the_command_line": {
+        "empty-gap-list": "edited-gaps-empty", "r02-deleted": "edited-param-deleted",
+        "unknown-param": "edited-param-unknown", **{name: f"edited-{name}" for name in (
+            "qos-empty", "qos-single", "qos-triple", "alloc-over-budget",
+            "grid-missing-count", "grid-unknown-key", "grid-list", "r02-huge",
+            "r02-list-huge", "grid-count-huge", "seed-true", "seed-fraction", "trials-text",
+            "delay-text", "r02-true", "r02-text", "bandwidth-true", "oversampling-text",
+            "r02-list-true", "qos-true", "alloc-true", "grid-count-true", "grid-lo-false")},
+    },
+    "test_rerun_refuses_a_malformed_manifest": {
+        "list": "manifest-list", "no-outputs": "edited-outputs-empty",
+        "outputs-text": "edited-outputs-text", "outputs-number": "edited-outputs-number",
+        "unknown-command": "edited-command-bogus", "no-scenario": "edited-scenario-null",
+    },
+    "test_refused_split_names_its_first_bad_value": {
+        "0.01:0.99:200": "usage-sweep-r02-1e-16",
+        "0.01:0.99:20000": "usage-sweep-r02-1e-16-dense",
+    },
+    # without the existing output each command exits 2 (infeasible QoS, SNR guard)
+    "test_existing_output_wins_over_exit_2": {
+        "starpoints-infeasible-qos": "infeasible-starpoints "
+                                     "refuse-existing-starpoints-infeasible",
+        "mc-delay-below-snr-guard": "infeasible-mc-delay refuse-existing-mc-delay-guard",
+    },
+    "test_sweep_restricted_grid_is_infeasible": "infeasible-sweep",
+    "test_starpoints_infeasible_qos": "infeasible-starpoints",
+    "test_fairness_unreachable_qos": "infeasible-fairness",
+    "test_numbers_too_large_for_their_field_exit_3": "usage-sweep-grid-huge-count",
+    "test_rerun_of_an_unreadable_manifest_exits_3": "manifest-huge-integer manifest-latin1",
+    "test_bad_flags_exit_3": "usage-sweep-waveform-triangular bogus-command",
+    "test_rerun_refuses_an_output_path_that_names_no_file": "rerun-outputs-empty "
+                                                            "rerun-outputs-dot rerun-out-empty",
+    # {gap:g} keeps 6 digits, so both gaps would name one CSV, as an exact repeat does
+    "test_distinct_gaps_sharing_a_csv_name_exit_3": {
+        "force0": "usage-asymmetry-gaps-collide usage-asymmetry-gaps-repeated",
+        "force1": "gap-collision refuse-repeated-gap",
+    },
+    # an existing output is refused before the QoS or the grid is even checked
+    "test_refused_sweep_writes_nothing": "refuse-existing-manifest "
+                                         "refuse-existing-manifest-infeasible "
+                                         "refuse-existing-manifest-bad-grid",
 }
 
 
-@pytest.mark.parametrize("case", list(USAGE_ERRORS))
-def test_usage_errors_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch, case):
-    monkeypatch.chdir(tmp_path)
-    names = {"tmp": tmp_path}
-    for name, text in SCENARIO_FILES.items():
-        names[name] = tmp_path / f"{name}.txt"
-        names[name].write_text(text, encoding="utf-8")
-    argv, error = USAGE_ERRORS[case]
-    argv = [arg.format(**names) for arg in argv]
-    if "--out" not in argv:
-        argv += ["--out", str(tmp_path / "out" / "data")]
-    assert main(argv) == 3
-    assert capsys.readouterr().err == f"error: {error.format(**names)}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"{name}.txt" for name in SCENARIO_FILES)
+def _former(test):
+    """A test that runs FORMER[test]'s cases under their ids."""
+    ids = FORMER[test]
+    if isinstance(ids, str):
+        return lambda tmp_path, monkeypatch, capsys: _refuse(
+            tmp_path, monkeypatch, capsys, *ids.split())
+
+    @pytest.mark.parametrize("names", list(ids.values()), ids=list(ids))
+    def former(tmp_path, monkeypatch, capsys, names):
+        _refuse(tmp_path, monkeypatch, capsys, *names.split())
+    return former
+
+
+globals().update((test, _former(test)) for test in FORMER)
 
 
 def test_asymmetry_outputs(tmp_path, scenario):
@@ -453,113 +378,6 @@ def test_rerun_reproduces_every_output(tmp_path, scenario, boosted, case):
 
 
 DELETE = object()  # an edit that removes the key
-# Manifest params the command line refuses, as (command line, output, param, value):
-# the manifest of a valid run gets the param edited to the value.
-BAD_MANIFEST_PARAMS = {
-    "empty-gap-list": (["asymmetry", "--gaps-db", "5"], "asym.json", "gaps_db", []),
-    "qos-empty": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos", []),
-    "r02-deleted": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r02", DELETE),
-    "qos-single": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos", [[1.5]]),
-    "qos-triple": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos",
-                   [[1.5, 0.7, 3]]),
-    "alloc-over-budget": (["mc-delay", "--delay", "6.2832e-6", "--trials", "100"],
-                          "mc.json", "alloc", [0.5, 0.5, 0.5]),
-    "unknown-param": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r03", 0.7),
-    "grid-missing-count": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
-                           {"lo": 0.01, "hi": 0.99}),
-    "grid-unknown-key": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "grid",
-                         {"lo": 0.01, "hi": 0.99, "count": 20, "step": 0.05}),
-    "grid-list": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
-                  ["lo", "hi", "count"]),
-    # numbers too large for their field
-    "r02-huge": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r02", 10 ** 400),
-    "r02-list-huge": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "r02_list",
-                      [0.7, 10 ** 400]),
-    "grid-count-huge": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
-                        {"lo": 0.0, "hi": 0.5, "count": 10 ** 20}),
-}
-MC_RUN = ["mc-delay", "--delay", "6.2832e-6", "--trials", "100"]
-WAVEFORM_RUN = ["waveform-validate", "--tw-list", "100"]
-# Values of int and float options that argparse would not turn into their type.
-MISTYPED_PARAMS = {
-    "seed-true": (MC_RUN, "mc.json", "seed", True),
-    "seed-fraction": (MC_RUN, "mc.json", "seed", 1.5),
-    "trials-text": (MC_RUN, "mc.json", "trials", "100"),
-    "delay-text": (MC_RUN, "mc.json", "delay_s", "6e-6"),
-    "r02-true": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "r02", True),
-    "r02-text": (["asymmetry", "--gaps-db", "5", "--grid", "0.01:0.99:20"], "asym.json",
-                 "r02", "0.7"),
-    "bandwidth-true": (WAVEFORM_RUN, "w.csv", "bandwidth_hz", True),
-    "oversampling-text": (WAVEFORM_RUN, "w.csv", "oversampling", "16"),
-    # The entries of lists, pairs, splits and grids take the same number rule.
-    "r02-list-true": (["fairness", "--grid", "0.01:0.99:20"], "fair.csv", "r02_list",
-                      [0.7, True]),
-    "qos-true": (["starpoints", "--qos", "1.5:0.7"], "stars.csv", "qos", [[True, 0.7]]),
-    "alloc-true": (MC_RUN, "mc.json", "alloc", [0, 0, True]),
-    "grid-count-true": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
-                        {"lo": 0.01, "hi": 0.99, "count": True}),
-    "grid-lo-false": (["sweep", "--grid", "0.01:0.99:20"], "sweep.csv", "grid",
-                      {"lo": False, "hi": 0.99, "count": 20}),
-}
-BAD_MANIFEST_PARAMS.update(MISTYPED_PARAMS)
-# A mistyped entry's error; a list, pair or split keeps its own wording.
-ENTRY_ERRORS = {
-    "r02-list-true": "bad r02 list [0.7, True]",
-    "qos-true": "QoS pair must look like r01:r02, got [True, 0.7]",
-    "alloc-true": "allocation must look like a1_sq:a2_sq:ar_sq, got [0, 0, True]",
-    "grid-count-true": "grid count must be an integer, got True",
-    "grid-lo-false": "grid lo must be a number, got False",
-}
-# The whole stderr line of a refusal.
-PARAM_ERRORS = {
-    "qos-empty": "empty QoS list",
-    "r02-deleted": "manifest is missing or mistypes a field: 'r02'",
-    "alloc-over-budget": "allocation 0.5:0.5:0.5 exceeds the unit power budget",
-}
-
-
-@pytest.mark.parametrize("case", list(BAD_MANIFEST_PARAMS))
-def test_rerun_checks_manifest_params_like_the_command_line(tmp_path, capsys, boosted,
-                                                            case):
-    (command, *flags), name, param, value = BAD_MANIFEST_PARAMS[case]
-    out = tmp_path / name
-    scenario = [boosted] if cli.COMMANDS[command].scenario else []
-    assert main([command, *scenario, *flags, "--out", str(out)]) == 0
-    manifest_path = tmp_path / (name + ".manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if value is DELETE:
-        del manifest["params"][param]
-    else:
-        manifest["params"][param] = value
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    replay = tmp_path / "replay"
-    assert main(["rerun", str(manifest_path), "--out", str(replay / name)]) == 3
-    assert not replay.exists()
-    if case in MISTYPED_PARAMS:
-        expected = ENTRY_ERRORS.get(case, f"{param} must be ")
-        assert f"error: {expected}" in capsys.readouterr().err
-    if case in PARAM_ERRORS:
-        assert capsys.readouterr().err == f"error: {PARAM_ERRORS[case]}\n"
-
-
-# Hand edits of a sweep manifest's scenario, each refused with exit 3 and this error.
-REFUSED_SCENARIOS = {
-    "edited-view": ({"sigma_r_sq_dbm": -80.0},
-                    "sigma_r_sq_dbm=-80.0 is not the view -110.0 of sigma_r_sq=1e-11"),
-    "misspelt-key": ({"sigma_r_sq": DELETE, "sigma_r_sqq": 1e-11},
-                     "unknown scenario key 'sigma_r_sqq'"),
-    "unknown-key": ({"bogus": 1.0}, "unknown scenario key 'bogus'"),
-    "true": ({"eta1": True}, "eta1 must be a number, got True"),
-    "text": ({"h1_gain": "1e-9"}, "h1_gain must be a number, got '1e-9'"),
-    "null": ({"eta2": None}, "eta2 must be a number, got None"),
-    "huge-integer": ({"eta1": 10 ** 400},
-                     f"eta1 is too large for a float, got {10 ** 400}"),
-    "huge-db-key-alone": ({"h1_gain": DELETE, "h1_gain_db": 4000.0},
-                          "dB value 4000.0 is too large for a float"),
-    # json writes it as Infinity
-    "infinite-gain": ({"h1_gain": math.inf, "h1_gain_db": DELETE},
-                      "channel gains must be finite"),
-}
 # Hand edits that rerun as a scenario file holding the given text would run.
 ACCEPTED_SCENARIOS = {
     "linear-without-view": ({"sigma_r_sq": 1e-10, "sigma_r_sq_dbm": DELETE},
@@ -579,18 +397,12 @@ def _edit_scenario(manifest_path, target, changes):
     target.write_text(json.dumps(manifest), encoding="utf-8")
 
 
-def test_rerun_reads_the_manifest_scenario_like_a_scenario_file(tmp_path, scenario, capsys):
+def test_rerun_reads_the_manifest_scenario_like_a_scenario_file(tmp_path, scenario):
     grid = ["--grid", "0.01:0.99:20"]
     original = tmp_path / "run" / "s.csv"
     assert main(["sweep", scenario, *grid, "--out", str(original)]) == 0
     manifest = tmp_path / "run" / "s.csv.manifest.json"
     edited = tmp_path / "edited.json"
-    capsys.readouterr()
-    for case, (changes, error) in REFUSED_SCENARIOS.items():
-        _edit_scenario(manifest, edited, changes)
-        assert main(["rerun", str(edited), "--out", str(tmp_path / "r" / "s.csv")]) == 3, case
-        assert not (tmp_path / "r").exists()
-        assert capsys.readouterr().err == f"error: {error}\n"
     for case, (changes, text) in ACCEPTED_SCENARIOS.items():
         _edit_scenario(manifest, edited, changes)
         rerun, direct = tmp_path / case / "rerun.csv", tmp_path / case / "direct.csv"
@@ -602,55 +414,6 @@ def test_rerun_reads_the_manifest_scenario_like_a_scenario_file(tmp_path, scenar
         written = [json.loads(Path(f"{p}.manifest.json").read_text(encoding="utf-8"))
                    for p in (rerun, direct)]
         assert written[0]["scenario"] == written[1]["scenario"]
-
-
-# Whole-manifest edits of a sweep's manifest, each refused with exit 3 and this error.
-MALFORMED_MANIFESTS = {
-    "list": (lambda manifest: [1, 2], "manifest must be a JSON object"),
-    "no-outputs": (lambda manifest: {**manifest, "outputs": []},
-                   "manifest lists no outputs"),
-    "outputs-text": (lambda manifest: {**manifest, "outputs": "zz.csv"},
-                     "manifest outputs must be a list of paths, got 'zz.csv'"),
-    "outputs-number": (lambda manifest: {**manifest, "outputs": [1]},
-                       "manifest outputs must be a list of paths, got [1]"),
-    "unknown-command": (lambda manifest: {**manifest, "command": "bogus"},
-                        "manifest names unknown command 'bogus'"),
-    "no-scenario": (lambda manifest: {**manifest, "scenario": None},
-                    "manifest holds no scenario"),
-}
-
-
-@pytest.mark.parametrize("case", list(MALFORMED_MANIFESTS))
-def test_rerun_refuses_a_malformed_manifest(tmp_path, scenario, capsys, case):
-    edit, error = MALFORMED_MANIFESTS[case]
-    assert main(["sweep", scenario, "--grid", "0.01:0.99:20",
-                 "--out", str(tmp_path / "run" / "s.csv")]) == 0
-    manifest = json.loads((tmp_path / "run" / "s.csv.manifest.json").read_text())
-    edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(edit(manifest)), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["rerun", str(edited), "--out", str(tmp_path / "r" / "s.csv")]) == 3
-    assert capsys.readouterr().err == f"error: {error}\n"
-    assert not (tmp_path / "r").exists()
-
-
-def test_rerun_refuses_an_output_path_that_names_no_file(tmp_path, scenario, capsys,
-                                                         monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["sweep", scenario, "--grid", "0.01:0.99:20", "--out", "run/s.csv"]) == 0
-    manifest = json.loads(Path("run/s.csv.manifest.json").read_text(encoding="utf-8"))
-    capsys.readouterr()
-    for path in ("", "."):
-        Path("edited.json").write_text(json.dumps({**manifest, "outputs": [path]}),
-                                       encoding="utf-8")
-        assert main(["rerun", "edited.json", "--force"]) == 3
-        assert capsys.readouterr().err == f"error: output path {path!r} names no file\n"
-    assert main(["rerun", "run/s.csv.manifest.json", "--out", "", "--force"]) == 3
-    assert capsys.readouterr().err == "error: output path '' names no file\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json", "run",
-                                                          "scenario.txt"]
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-        "s.csv", "s.csv.manifest.json"]
 
 
 def test_mc_delay_rejects_a_negative_seed(tmp_path, boosted):
@@ -833,65 +596,8 @@ def test_block_boundaries_never_change_bytes(tmp_path, scenario, capsys, blocks,
         assert curve["infeasible_tail_start"] is None
 
 
-@pytest.mark.parametrize("grid", ["0.01:0.99:200", "0.01:0.99:20000"])
-def test_refused_split_names_its_first_bad_value(tmp_path, scenario, capsys, grid):
-    # At r02 = 1e-16 the weak user's share rounds below zero at some grid values.
-    out = tmp_path / "out" / "s.csv"
-    assert main(["sweep", scenario, "--r02", "1e-16", "--grid", grid,
-                 "--out", str(out)]) == 3
-    assert not out.parent.exists()
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: a2_sq must be finite and >= 0, got -\S+\n", err)
-    assert "array(" not in err and len(err) < 100
-
-
-def test_rerun_of_an_unreadable_manifest_exits_3(tmp_path, capsys):
-    # json refuses to convert an integer of more than 4300 digits
-    huge = tmp_path / "huge.json"
-    huge.write_text('{"r02": ' + "1" * 5000 + "}\n", encoding="utf-8")
-    latin1 = tmp_path / "latin1.json"
-    latin1.write_bytes(b'{"command": "sweep\xe9"}\n')
-    for manifest, error in [(huge, "Exceeds the limit (4300 digits)"),
-                            (latin1, "'utf-8' codec can't decode byte 0xe9")]:
-        assert main(["rerun", str(manifest), "--out", str(tmp_path / "r" / "s.csv")]) == 3
-        assert capsys.readouterr().err.startswith(f"error: cannot load manifest: {error}")
-    assert not (tmp_path / "r").exists()
-
-
 def test_version_flag():
     assert main(["--version"]) == 0
-
-
-def test_refused_sweep_writes_nothing(tmp_path, scenario, capsys):
-    out = tmp_path / "sweep.csv"
-    manifest = tmp_path / "sweep.csv.manifest.json"
-    manifest.write_text("{}\n", encoding="utf-8")
-    assert main(["sweep", scenario, "--out", str(out)]) == 3
-    assert not out.exists()
-    assert manifest.read_text(encoding="utf-8") == "{}\n"
-    # an existing output is refused before the QoS or the grid is even checked
-    capsys.readouterr()
-    for inputs in (["--r02", "3"], ["--grid", "0.5:0.1:10"]):
-        assert main(["sweep", scenario, *inputs, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            f"error: refusing to overwrite {manifest} (use --force)\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "scenario.txt", "sweep.csv.manifest.json"]
-
-
-@pytest.mark.parametrize("argv, name", [
-    (["starpoints", "--qos", "5:5"], "stars.csv"),
-    (["mc-delay", "--delay", "6.2832e-6", "--trials", "100"], "mc.json"),
-], ids=["starpoints-infeasible-qos", "mc-delay-below-snr-guard"])
-def test_existing_output_wins_over_exit_2(tmp_path, scenario, argv, name):
-    # Without the existing output each command exits 2 (infeasible QoS, SNR guard).
-    args = [argv[0], scenario, *argv[1:]]
-    assert main(args + ["--out", str(tmp_path / "fresh" / name)]) == 2
-    existing = tmp_path / name
-    existing.write_text("keep\n", encoding="utf-8")
-    assert main(args + ["--out", str(existing)]) == 3
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "scenario.txt"])
-    assert existing.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_refused_asymmetry_writes_nothing(tmp_path, scenario):
@@ -905,22 +611,6 @@ def test_refused_asymmetry_writes_nothing(tmp_path, scenario):
     assert main(["asymmetry", scenario, "--out", str(out), "--force"]) == 0
     assert (tmp_path / "asym_gap5db.csv").exists()
     assert existing.read_text(encoding="utf-8").startswith("ar_sq,")
-
-
-@pytest.mark.parametrize("force", [[], ["--force"]])
-def test_distinct_gaps_sharing_a_csv_name_exit_3(tmp_path, scenario, capsys, force):
-    # {gap:g} keeps 6 digits, so both gaps would name asym_gap10db.csv.
-    out = tmp_path / "asym.json"
-    assert main(["asymmetry", scenario, "--gaps-db", "10,10.0000001",
-                 "--out", str(out)] + force) == 3
-    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
-    assert capsys.readouterr().err == (
-        "error: gaps 10.0 and 10.0000001 dB would both write asym_gap10db.csv\n")
-    # an exact repeat names one CSV too
-    assert main(["asymmetry", scenario, "--gaps-db", "5,5", "--out", str(out)] + force) == 3
-    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
-    assert capsys.readouterr().err == (
-        "error: gaps 5.0 and 5.0 dB would both write asym_gap5db.csv\n")
 
 
 def test_csv_cells_match_fixed_scientific_formatting():

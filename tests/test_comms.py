@@ -160,3 +160,11 @@ def test_jain_fairness_over_arrays_marks_all_zero_entries_nan():
     assert math.isnan(index[2])
     with pytest.raises(ValidationError):
         jain_fairness(r1, np.array([1.0, -1.0, 0.0]))
+
+
+def test_jain_fairness_names_the_first_offending_rate():
+    # not the whole arrays
+    with pytest.raises(ValidationError, match=r"^r2 must be finite and >= 0, got -1\.0$"):
+        jain_fairness(np.ones(3), np.array([1.0, -1.0, -math.inf]))
+    with pytest.raises(ValidationError, match=r"^r1 must be finite and >= 0, got inf$"):
+        jain_fairness(math.inf, 1.0)

@@ -9,7 +9,7 @@ import pytest
 
 from radcom.comms import rate_report
 from radcom.errors import ValidationError
-from radcom.optimizer import optimal_allocation_for_sumrate
+from radcom.optimizer import optimal_allocation_for_sumrate, star_point
 from radcom.radar import WaveformKind, WaveformSpec
 from radcom.scenario import (PowerAllocation, QosRequirement, ScenarioConfig, checked_number,
                              db_to_linear, linear_to_db, load_scenario,
@@ -181,6 +181,24 @@ def test_scenario_refuses_a_pulse_whose_squared_bandwidth_leaves_the_float_range
         with pytest.raises(ValidationError) as err:
             make()
         assert str(err.value) == text
+
+
+def test_scenario_refuses_a_user_snr_past_the_float_range():
+    # h1 / sigma1^2 = 1e311 at a subnormal noise power, before any rate is taken
+    with pytest.raises(ValidationError) as err:
+        load_scenario("sigma1_sq=1e-320")
+    assert str(err.value) == (
+        "user 1's full-power SNR h1_gain total_power_mw / sigma1_sq leaves the float "
+        "range, got h1_gain=1e-09, total_power_mw=1, sigma1_sq=9.99989e-321")
+    # h2 P overflows although h2 P / sigma2^2 is 1e300 and every echo is finite
+    with pytest.raises(ValidationError, match=r"^user 2's full-power SNR .* "
+                                              r"sigma2_sq=1e\+10$"):
+        ScenarioConfig(h1_gain=1e-9, sigma1_sq=1e-150, h2_gain=1e150, sigma2_sq=1e10,
+                       eta2=1e-160, total_power_mw=1e160)
+    # a subnormal noise power whose SNR is finite still loads, with exact rates
+    cfg = load_scenario("sigma1_sq=1e-308")
+    star = star_point(cfg, QosRequirement(1.5, 0.7), _pulse(cfg))
+    assert "%.8e" % star.r_sum == "2.20000000e+00"
 
 
 def test_noisier_strong_user_loads_only_with_the_ordering():
