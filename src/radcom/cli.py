@@ -136,36 +136,35 @@ def _floats(what: str) -> Callable:
     return check
 
 
+def _colon_numbers(what: str, form: str, value) -> list[float]:
+    """Colon-joined text or a manifest's list, one float per field of form (r01:r02)."""
+    try:
+        items = (value.split(":") if isinstance(value, str)
+                 else [checked_number(what, item) for item in value])
+        if len(items) != len(form.split(":")):
+            raise ValueError
+        return [float(item) for item in items]
+    except (ValueError, TypeError):   # ValidationError is a ValueError
+        raise ValidationError(f"{what} must look like {form}, got {value!r}") from None
+
+
 def _qos(value) -> list[list[float]]:
     """QoS pairs: repeated r01:r02 texts (none given: the defaults) or a manifest's."""
     if value is None:
         return [list(pair) for pair in DEFAULT_QOS_PAIRS]
+    if not isinstance(value, list):
+        raise ValidationError(f"QoS pairs must be a list, got {value!r}")
     if not value:
         raise ValidationError("empty QoS list")
     if any(isinstance(item, str) and not item.strip() for item in value):
         raise ValidationError("empty QoS list entry")
-    return [_qos_pair(item) for item in value]
-
-
-def _qos_pair(item) -> list[float]:
-    try:
-        r01, r02 = (item.split(":") if isinstance(item, str)
-                    else [checked_number("QoS rate", rate) for rate in item])
-        return [float(r01), float(r02)]
-    except (ValueError, TypeError):
-        raise ValidationError(f"QoS pair must look like r01:r02, got {item!r}") from None
+    return [_colon_numbers("QoS pair", "r01:r02", item) for item in value]
 
 
 def _alloc(value) -> list[float]:
     """a1_sq:a2_sq:ar_sq text, or a manifest's split; PowerAllocation checks the shares."""
     from .scenario import PowerAllocation
-    try:
-        a1, a2, ar = (value.split(":") if isinstance(value, str)
-                      else [checked_number("share", share) for share in value])
-        shares = [float(a1), float(a2), float(ar)]
-    except (ValueError, TypeError):   # ValidationError is a ValueError
-        raise ValidationError(
-            f"allocation must look like a1_sq:a2_sq:ar_sq, got {value!r}") from None
+    shares = _colon_numbers("allocation", "a1_sq:a2_sq:ar_sq", value)
     PowerAllocation(*shares)
     return shares
 

@@ -111,17 +111,12 @@ def optimal_allocation_for_sumrate(cfg: ScenarioConfig, r02: float,
     Puts the communications budget kappa = 1 - ar_sq entirely on the
     constraint line and sizes the weak user's share so its rate equals r02
     exactly; the remainder goes to the strong user.  ar_sq may be an array,
-    giving one split per entry.
+    giving one split per entry.  Feasibility is tradeoff_sweep's to decide:
+    past the QoS onset a1_sq turns negative, which PowerAllocation refuses.
     """
-    if not np.all((0.0 <= ar_sq) & (ar_sq < 1.0)):
-        raise ValidationError(f"ar_sq must be in [0, 1), got {ar_sq!r}")
     need = _weak_user_need(cfg, r02)
     kappa = 1.0 - ar_sq
     h2 = cfg.h2_gain
-    if not np.all(kappa * h2 >= need):
-        raise InfeasibleError(
-            f"QoS r02 = {r02:g} needs a communications budget of at least "
-            f"kappa_min = {need / h2:.6g}, but 1 - ar_sq = {np.min(kappa):.6g}")
     a1 = np.divide(kappa * h2 - need, h2 * 2.0 ** r02)
     # Pair the two fractions so their sum reproduces kappa bitwise.
     a2 = kappa - a1
@@ -225,8 +220,6 @@ def asymmetry_sweep(cfg: ScenarioConfig, r02: float, spec: WaveformSpec,
     must be strictly positive, and each lowered scenario must still keep
     the SIC ordering of :class:`~radcom.scenario.ScenarioConfig`.
     """
-    if len(gaps_db) == 0:
-        raise ValidationError("need at least one asymmetry gap")
     for gap in gaps_db:
         if not (math.isfinite(gap) and gap > 0.0):
             raise ValidationError(

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError, check_pulse
+from .errors import check_pulse
 from .scenario import PowerAllocation, ScenarioConfig, linear_to_db
 
 
@@ -48,8 +48,6 @@ class WaveformSpec:
     time_bandwidth: float    # TW product, dimensionless
 
     def __post_init__(self):
-        if not isinstance(self.kind, WaveformKind):
-            raise ValidationError(f"kind must be a WaveformKind, got {self.kind!r}")
         check_pulse(self.bandwidth_hz, self.time_bandwidth)
 
     @property

@@ -89,9 +89,7 @@ class ScenarioConfig:
 
     def echo_gain(self, k: int) -> float:
         """Radar target k's two-way gain eta^2 h^2: user k's cross-section and gain."""
-        if k not in (1, 2):
-            raise ValidationError(f"target index must be 1 or 2, got {k!r}")
-        eta, h = (self.eta1, self.h1_gain) if k == 1 else (self.eta2, self.h2_gain)
+        eta, h = {1: (self.eta1, self.h1_gain), 2: (self.eta2, self.h2_gain)}[k]
         return eta * eta * (h * h)
 
 
@@ -126,9 +124,6 @@ class PowerAllocation:
         a1, a2, ar = shares
         over = (a1 > 1.0) | (a2 > 1.0) | (ar > 1.0) | (a1 + a2 + ar > 1.0 + 1e-12)
         if np.any(over):
-            if np.ndim(over):   # the first offending split's shares
-                first = np.argmax(over)
-                shares = [v.flat[first].item() for v in np.broadcast_arrays(*shares)]
             raise ValidationError("allocation {!r}:{!r}:{!r} exceeds the unit power budget"
                                   .format(*shares))
 

@@ -31,8 +31,21 @@ def test_optimal_allocation_reference_split():
     assert rate_report(CFG, alloc)[1] == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
+def _feasible(cfg, r02, ar_sq):
+    """The one feasibility rule, tradeoff_sweep's, asked about one radar share."""
+    try:
+        tradeoff_sweep(cfg, r02, LINEAR, {"lo": ar_sq, "hi": ar_sq, "count": 1})
+    except InfeasibleError:
+        return False
+    return True
+
+
 def test_optimal_allocation_infeasible_when_budget_too_small():
     with pytest.raises(InfeasibleError, match="kappa_min = 0.578"):
+        tradeoff_sweep(CFG, 1.5, LINEAR, {"lo": 0.5, "hi": 0.5, "count": 1})
+    # the split itself decides nothing: past the onset its strong user's share
+    # turns negative, which the power budget refuses
+    with pytest.raises(ValidationError, match="a1_sq must be finite and >= 0"):
         optimal_allocation_for_sumrate(CFG, 1.5, 0.5)
 
 
@@ -150,12 +163,11 @@ def test_sweep_with_no_feasible_point_raises():
     # a QoS no budget can carry fails even on the full default grid
     with pytest.raises(InfeasibleError):
         tradeoff_sweep(CFG, 3.0, LINEAR, GRID)
-    # so does one whose least power overflows a float
+    # so does one whose least power overflows a float, on one point as on many
     for r02 in (1024.0, 2000.0):
-        with pytest.raises(InfeasibleError, match=r"kappa_min = inf\)"):
-            tradeoff_sweep(CFG, r02, LINEAR, GRID)
-        with pytest.raises(InfeasibleError, match="kappa_min = inf,"):
-            optimal_allocation_for_sumrate(CFG, r02, 0.5)
+        for grid in (GRID, {"lo": 0.5, "hi": 0.5, "count": 1}):
+            with pytest.raises(InfeasibleError, match=r"kappa_min = inf\)"):
+                tradeoff_sweep(CFG, r02, LINEAR, grid)
 
 
 # Grids {lo, hi, count} that default_grid refuses, with a part of its error.
@@ -239,10 +251,11 @@ def test_asymmetry_ten_db_gap_reproduces_the_baseline():
 
 
 def test_asymmetry_rejects_non_positive_gaps():
-    with pytest.raises(ValidationError, match="> 0 dB"):
-        asymmetry_sweep(CFG, 0.7, LINEAR, [0.0], GRID)
-    with pytest.raises(ValidationError):
-        asymmetry_sweep(CFG, 0.7, LINEAR, [], GRID)
+    for gap in (0.0, -3.0, math.nan):
+        with pytest.raises(ValidationError, match="> 0 dB"):
+            asymmetry_sweep(CFG, 0.7, LINEAR, [5.0, gap], GRID)
+    # no gap, no curve; the command line refuses an empty gap list itself
+    assert asymmetry_sweep(CFG, 0.7, LINEAR, [], GRID) == []
 
 
 def test_larger_asymmetry_degrades_the_sum_rate_pointwise():
@@ -262,10 +275,9 @@ def test_random_configs_keep_the_qos_equality():
         cfg = random_table_like_config(rng)
         r02 = rng.uniform(0.1, 2.0)
         ar_sq = rng.uniform(0.0, 0.9)
-        try:
-            alloc = optimal_allocation_for_sumrate(cfg, r02, ar_sq)
-        except InfeasibleError:
+        if not _feasible(cfg, r02, ar_sq):
             continue
+        alloc = optimal_allocation_for_sumrate(cfg, r02, ar_sq)
         assert alloc.a1_sq + alloc.a2_sq == 1.0 - ar_sq
         assert rate_report(cfg, alloc)[1] == pytest.approx(r02, rel=1e-9, abs=0)
 
@@ -283,9 +295,9 @@ def test_sweep_columns_equal_the_scalar_api(kind):
             grid = default_grid(lo, hi, count)
             points = whole_curve(result).split()
             assert 0 < len(points) < len(grid)
-            # the sweep stops exactly where the scalar split turns infeasible
-            with pytest.raises(InfeasibleError):
-                optimal_allocation_for_sumrate(cfg, r02, float(grid[len(points)]))
+            # the sweep stops exactly where its rule, asked about one share, turns
+            assert _feasible(cfg, r02, float(grid[len(points) - 1]))
+            assert not _feasible(cfg, r02, float(grid[len(points)]))
             for pt, ar_sq in zip(points, grid):
                 alloc = optimal_allocation_for_sumrate(cfg, r02, float(ar_sq))
                 assert pt.alloc == alloc

@@ -1,8 +1,13 @@
-"""Every public name earns its place: something outside tests uses it."""
+"""Every public name earns its place: something outside tests uses it, and
+every statement of the package runs in some command-line case."""
 
 import ast
 import dataclasses
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,3 +115,114 @@ def test_every_public_method_and_property_is_read():
     unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in members
                     if name not in used)
     assert not unread, f"public members nothing in src/ or perfbench/ reads: {unread}"
+
+
+# Runs every golden-gate case in process under a line tracer and prints the
+# (file, line) of every line event in a frame of the package.  A fresh
+# interpreter, so that import-time lines and cached functions run here too.
+TRACE_CATALOGUE = r"""
+import contextlib, io, json, os, sys, tempfile
+from pathlib import Path
+
+root, package = Path(sys.argv[1]), sys.argv[2]
+hits = set()
+
+def trace(frame, event, arg):
+    if not frame.f_code.co_filename.startswith(package):
+        return None
+    if event == "line":
+        hits.add((frame.f_code.co_filename, frame.f_lineno))
+    return trace
+
+sys.settrace(trace)
+import golden_gate
+from radcom.cli import main
+
+def command(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv), out.getvalue(), err.getvalue()
+
+with tempfile.TemporaryDirectory() as tmp:
+    for case in golden_gate.catalogue():
+        case_dir = Path(tmp) / case.name
+        case_dir.mkdir()
+        os.chdir(case_dir)
+        golden_gate.prepare(root, case_dir)
+        golden_gate.run_steps(case_dir, case.steps, command)
+    os.chdir(root)
+sys.settrace(None)
+print(json.dumps(sorted(hits)))
+"""
+
+# module.qualname -> why no catalogue case runs some statement of it.
+UNRUN = {
+    "waveforms._usable_cpus": "the fallback where the OS keeps no affinity mask "
+                              "(test_usable_cpus_is_the_affinity_mask_or_else_the_cpu_count)",
+    "waveforms._sum_sq_by_block": "a failing trial, raised after the join "
+                                  "(test_mc_keeps_no_per_trial_buffer)",
+    "waveforms._sum_sq_by_block.work": "a failing trial stops every worker "
+                                       "(test_mc_keeps_no_per_trial_buffer)",
+    "optimizer.sample_feasible_region": "no command samples the region (ROADMAP item 12)",
+    "optimizer.TradeoffPoint.split": "sample_feasible_region is its one caller",
+    "cli.<module>": "sys.exit(main()) under __main__, which the gate's subprocesses run",
+}
+
+
+def _blocks(node):
+    """The statement lists directly inside a statement."""
+    inner = getattr(node, "handlers", []) + getattr(node, "cases", [])
+    return ([getattr(node, name, []) for name in ("body", "orelse", "finalbody")]
+            + [part.body for part in inner])
+
+
+def _statements(path):
+    """(qualname, first line, own lines) of each statement of a module but its
+    docstrings: module-level ones are ``<module>``'s, and a compound
+    statement's own lines end where its first inner statement begins."""
+    found = []
+
+    def visit(body, qualname):
+        for i, node in enumerate(body):
+            blocks = _blocks(node)
+            if not (i == 0 and isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                end = min([block[0].lineno for block in blocks if block],
+                          default=node.end_lineno + 1)
+                found.append((qualname, node.lineno,
+                              range(node.lineno, max(end, node.lineno + 1))))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = node.name if qualname == "<module>" else f"{qualname}.{node.name}"
+            else:
+                inner = qualname
+            for block in blocks:
+                visit(block, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")).body, "<module>")
+    return found
+
+
+def test_every_statement_runs_in_some_catalogue_case():
+    """Every statement of src/radcom runs in some case of tools/golden_gate.py,
+    but in the functions of UNRUN, each of which keeps an unrun statement.
+    A new unrun statement takes a catalogue case, or goes."""
+    package = ROOT / "src" / "radcom"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(str(ROOT / d) for d in ("src", "tools"))}
+    child = subprocess.run(
+        [sys.executable, "-c", TRACE_CATALOGUE, str(ROOT), f"{package}{os.sep}"],
+        env=env, capture_output=True, text=True, check=False)
+    assert child.returncode == 0, child.stderr
+    hits = {(Path(name).name, line) for name, line in json.loads(child.stdout)}
+    unrun = []
+    for path in MODULES:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        unrun += [(f"{path.stem}.{qualname}",
+                   f"{path.name}:{first}: {lines[first - 1].strip()}")
+                  for qualname, first, own in _statements(path)
+                  if not any((path.name, line) in hits for line in own)]
+    dead = [where for name, where in unrun if name not in UNRUN]
+    assert not dead, "statements no catalogue case runs:\n" + "\n".join(dead)
+    ran = set(UNRUN) - {name for name, _ in unrun}
+    assert not ran, f"exempt, yet every statement runs: {sorted(ran)}"

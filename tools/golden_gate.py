@@ -17,9 +17,9 @@ directly:
     python tools/golden_gate.py .           /tmp/gate-change
     diff -r /tmp/gate-parent /tmp/gate-change
 
-The cases are the one catalogue of command lines: a case whose last command
-refuses (exit 2 or 3) records every command's exit code and the refusal's
-last stderr line, and tier-1 (``tests/test_cli.py``) runs each refusal in
+The cases are the one catalogue of command lines: a case in which a command
+refuses (exit 2 or 3) records every command's exit code and each refusal's
+last stderr line, and tier-1 (``tests/test_cli.py``) runs each such case in
 process through the same steps.  At the end the script lists every case in
 which a command exited 1 (an uncaught error) or wrote ``Traceback`` or
 ``Warning`` to stderr, or whose exit codes or refusal differ from its
@@ -87,7 +87,8 @@ NO_MANIFEST = "cannot load manifest: [Errno 2] No such file or directory: {!r}"
 HUGE = 10 ** 400
 
 # Base runs: name -> (argv without --out, primary output[, the stderr line of a
-# run whose check fails: it exits 2 and still writes its CSV]).
+# run whose check fails, up to the path it names: it exits 2 and still writes
+# its CSV]).
 BASE = {
     "sweep": (["sweep", "baseline.txt"], "s.csv"),
     "sweep-parabolic": (["sweep", "baseline.txt", "--waveform", "parabolic"], "s.csv"),
@@ -103,7 +104,7 @@ BASE = {
                                 "--waveform", "parabolic", "--trials", "101"], "mc.json"),
     "waveform-validate-coarse": (["waveform-validate", "--oversampling", "8"], "w.csv",
                                  "waveform-validate: FAILED, instantaneous-frequency moment "
-                                 "off by 1.563e-06 (> 1e-06) -> w.csv"),
+                                 "off by 1.563e-06 (> 1e-06)"),
     # over 300 000 cells together, across many CSV row blocks
     "sweep-dense": (["sweep", "baseline.txt", "--grid", DENSE_GRID], "s.csv"),
     "fairness-dense": (["fairness", "baseline.txt", "--grid", DENSE_GRID], "f.csv"),
@@ -127,6 +128,9 @@ EDITED = {
     "qos-single": ("starpoints", {"params.qos": [[1.5]]}, QOS_PAIR + "[1.5]"),
     "qos-triple": ("starpoints", {"params.qos": [[1.5, 0.7, 3]]}, QOS_PAIR + "[1.5, 0.7, 3]"),
     "qos-empty": ("starpoints", {"params.qos": []}, "empty QoS list"),
+    "qos-text": ("starpoints", {"params.qos": "1.5:0.7"},
+                 "QoS pairs must be a list, got '1.5:0.7'"),
+    "qos-number": ("starpoints", {"params.qos": 5}, "QoS pairs must be a list, got 5"),
     "alloc-over-budget": ("mc-delay-split", {"params.alloc": [0.5, 0.5, 0.5]}, BUDGET),
     "alloc-short": ("mc-delay-split", {"params.alloc": [0.5, 0.5]}, ALLOC + "[0.5, 0.5]"),
     "seed-negative": ("mc-delay-split", {"params.seed": -1}, "seed must be >= 0, got -1"),
@@ -434,14 +438,14 @@ STUDY = {
 
 
 class Case(NamedTuple):
-    """One command-line case: its steps and, when its last command refuses
-    (exit 2 or 3), every command's exit code and the refusing command's last
-    stderr line.  A line that argparse writes (it starts with ``radcom``)
-    need only begin with ``line``: Python versions word its tail differently."""
+    """One command-line case: its steps and, when a command refuses (exit 2
+    or 3), every command's exit code and each refusing command's last stderr
+    line, in order.  A line that argparse writes (it starts with ``radcom``)
+    need only begin with its entry: Python versions word its tail differently."""
     name: str
     steps: list
     codes: tuple[int, ...] = ()
-    line: str = ""
+    lines: tuple[str, ...] = ()
 
 
 def _with_out(argv: list[str], out: str) -> list[str]:
@@ -478,9 +482,12 @@ def catalogue() -> list[Case]:
             ("write", "wide-boosted.txt", "bandwidth_hz=2e110\nsigma_r_sq=1e-19\n"),
             _with_out(["mc-delay", "wide-boosted.txt", "--waveform", "parabolic",
                        "--delay", "6.2832e-109", "--trials", "200"], "mc.json")],
+        # empty comma-separated entries are skipped: the baseline sweep's bytes
+        "sweep-empty-entries": [("write", "empty.txt", "h1_gain=1e-9,,\n, sigma_r_sq=1e-11,\n"),
+                                _with_out(["sweep", "empty.txt"], "s.csv")],
     }.items()]
     # argparse's own refusals (exit 3): name -> (argv, its last line).
-    cases += [Case(name, [argv], (3,), line) for name, (argv, line) in {
+    cases += [Case(name, [argv], (3,), (line,)) for name, (argv, line) in {
         "no-arguments": ([], "radcom: error: the following arguments are required: command"),
         "bogus-command": (["bogus-command"], "radcom: error: argument command: invalid "
                           "choice: 'bogus-command'"),
@@ -496,8 +503,10 @@ def catalogue() -> list[Case]:
                                            "-0.1:0.2:0.5", "--out", "out"], "radcom mc-delay: "
                                           "error: argument --alloc: expected one argument"),
     }.items()]
-    # Other refusals: name -> (steps, message[, every exit code, when not one 3]).
-    cases += [Case(name, steps, tuple(codes) or (3,), f"error: {message}")
+    # Other refusals (exit 3): name -> (steps, the message of each refusal[,
+    # every exit code, when not one 3]).
+    cases += [Case(name, steps, tuple(codes) or (3,),
+                   (f"error: {message}",) * (codes.count(3) or 1))
               for name, (steps, message, *codes) in {
         "sweep-si-suppression": ([_with_out(["sweep", "si.txt"], "s.csv")],
                                  "line 1: unknown key 'si_suppression_db'"),
@@ -568,9 +577,13 @@ def catalogue() -> list[Case]:
         "rerun-out-empty": ([_with_out(["sweep", "baseline.txt"], "s.csv"),
                              ["rerun", "s.csv.manifest.json", "--out", "", "--force"]],
                             NO_FILE.format(""), 0, 3),
+        # a refusal while the curve is written removes the directories it made
+        "usage-sweep-r02-1e-16-new-dir": ([_with_out(
+            ["sweep", "baseline.txt", "--r02", "1e-16"], "new/deeper/s.csv")],
+            "a2_sq must be finite and >= 0, got -1.1102230246251565e-16"),
     }.items()]
     cases += [Case(name, [("write", file, text), _with_out([argv[0], file, *argv[1:]], out)],
-                   (3,), f"error: {message}")
+                   (3,), (f"error: {message}",))
               for name, (file, text, argv, out, message) in SCENARIO_FILES.items()]
     # delay bounds whose denominators are subnormal (1e-150) or zero (1e-160)
     for bandwidth in ("1e-160", "1e-150"):
@@ -591,35 +604,40 @@ def catalogue() -> list[Case]:
     cases += [Case(f"help-{command}", [[command, "--help"]]) for command in COMMANDS]
     for name, (argv, out, *failed) in BASE.items():
         manifest = f"{out}.manifest.json"
+        steps = [_with_out(argv, out), ["rerun", manifest, "--out", f"replay/{out}"],
+                 ["rerun", manifest], ["rerun", manifest, "--force"]]
         # rerun without --force refuses to overwrite the outputs
-        base, replay = ((2,), (2, 2, 3, 2)) if failed else ((), ())
-        cases.append(Case(f"base-{name}", [_with_out(argv, out)], base, *failed))
-        cases.append(Case(f"replay-{name}", [_with_out(argv, out),
-                                             ["rerun", manifest, "--out", f"replay/{out}"],
-                                             ["rerun", manifest],
-                                             ["rerun", manifest, "--force"]], replay, *failed))
+        refusal = f"error: {OVERWRITE.format(out)}"
+        if failed:
+            ran = [f"{failed[0]} -> {path}" for path in (out, f"replay/{out}", out)]
+            cases.append(Case(f"base-{name}", steps[:1], (2,), (ran[0],)))
+            cases.append(Case(f"replay-{name}", steps, (2, 2, 3, 2),
+                              (ran[0], ran[1], refusal, ran[2])))
+        else:
+            cases.append(Case(f"base-{name}", steps[:1]))
+            cases.append(Case(f"replay-{name}", steps, (0, 0, 3, 0), (refusal,)))
     for name, (base, changes, message) in EDITED.items():
         argv, out = BASE[base]
         cases.append(Case(f"edited-{name}", [
             _with_out(argv, out), ("edit", f"{out}.manifest.json", "m.json", changes),
             ["rerun", "m.json", "--out", f"r/{out}"]],
-            *([(0, 3), f"error: {message}"] if message else [])))
-    cases += [Case(f"usage-{name}", [_with_out(argv, "out")], (3,), f"error: {message}")
+            *([(0, 3), (f"error: {message}",)] if message else [])))
+    cases += [Case(f"usage-{name}", [_with_out(argv, "out")], (3,), (f"error: {message}",))
               for name, (argv, message) in USAGE.items()]
-    cases += [Case(f"infeasible-{name}", [_with_out(argv, out)], (2,), f"error: {message}")
+    cases += [Case(f"infeasible-{name}", [_with_out(argv, out)], (2,), (f"error: {message}",))
               for name, (argv, out, message) in INFEASIBLE.items()]
     cases += [Case(f"refuse-existing-{name}", [("write", out, "keep\n"), _with_out(argv, out)],
-                   (3,), f"error: {OVERWRITE.format(out)}")
+                   (3,), (f"error: {OVERWRITE.format(out)}",))
               for name, (argv, out) in EXISTING_OUTPUT.items()]
     for name, (argv, out, *noisier) in STUDY.items():
         for stem, refusal in (("noisy", [3, NOISY]), ("noisier", noisier)):
             cases.append(Case(f"{stem}-{name}", [
                 _with_out([argv[0], f"{stem}.txt", *argv[1:]], out)],
-                *([tuple(refusal[:1]), f"error: {refusal[1]}"] if refusal else [])))
+                *([tuple(refusal[:1]), (f"error: {refusal[1]}",)] if refusal else [])))
     cases.append(Case("noisy-sweep-rerun", [
         _with_out(["sweep", "noisy.txt"], "s.csv"),
         ["rerun", "s.csv.manifest.json", "--out", "r/s.csv"]],
-        (3, 3), f"error: {NO_MANIFEST.format('s.csv.manifest.json')}"))
+        (3, 3), (f"error: {NOISY}", f"error: {NO_MANIFEST.format('s.csv.manifest.json')}")))
     cases.append(Case("noisier-sweep-rerun", [
         _with_out(["sweep", "noisier.txt"], "s.csv"),
         ["rerun", "s.csv.manifest.json", "--out", "r/s.csv"]]))
@@ -664,16 +682,19 @@ def run_steps(case_dir: Path, steps: list,
     return records
 
 
-def moved(case: Case, codes: list[int], stderr: str) -> str:
-    """How a run (every exit code, the last command's stderr) differs from its
-    catalogue entry, or "" if it does not."""
-    last = (stderr.splitlines() or [""])[-1]
-    same = (last.startswith(case.line) if case.line.startswith("radcom")
-            else stderr == case.line + "\n")
-    if tuple(codes) == case.codes and same or not case.codes and codes[-1] not in (2, 3):
+def moved(case: Case, records: list) -> str:
+    """How a run (each command's exit code, stdout and stderr) differs from
+    its catalogue entry, or "" if it does not."""
+    codes = tuple(code for code, _, _ in records)
+    refusals = [stderr for code, _, stderr in records if code in (2, 3)]
+    lasts = [(stderr.splitlines() or [""])[-1] for stderr in refusals]
+    same = len(refusals) == len(case.lines) and all(
+        last.startswith(line) if line.startswith("radcom") else stderr == line + "\n"
+        for stderr, last, line in zip(refusals, lasts, case.lines))
+    if codes == case.codes and same or not case.codes and not refusals:
         return ""
-    return (f"exit codes {tuple(codes)} and last stderr line {last!r}; "
-            f"the catalogue holds {case.codes} and {case.line!r}")
+    return (f"exit codes {codes} and refusal lines {lasts}; "
+            f"the catalogue holds {case.codes} and {list(case.lines)}")
 
 
 def run_case(src: Path, case_dir: Path, case: Case) -> list[str]:
@@ -700,7 +721,7 @@ def run_case(src: Path, case_dir: Path, case: Case) -> list[str]:
                                              in zip(headers, records)), encoding="utf-8")
     problems = [] if not any(code == 1 or "Traceback" in err or "Warning" in err
                              for code, _, err in records) else ["crashed or warned"]
-    difference = moved(case, codes, records[-1][2])
+    difference = moved(case, records)
     return problems + [f"moved from its catalogue entry ({difference})"] * bool(difference)
 
 
